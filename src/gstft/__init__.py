@@ -5,8 +5,8 @@ The package builds the transform stack bottom-up:
 - :mod:`gstft.graphs` -- simple connected graphs, algebraic families
   (rings, hypercubes, Petersen, Shrikhande, random regular), strongly-regular
   parameter detection, JSON/edge-list serialization.
-- :mod:`gstft.spectral` -- Laplacian eigendecomposition (deterministic cyclic
-  Jacobi) and the graph Fourier transform.
+- :mod:`gstft.spectral` -- Laplacian eigendecomposition (LAPACK ``eigh`` with
+  a deterministic sign convention) and the graph Fourier transform.
 - :mod:`gstft.heat` -- the heat semigroup H_t = exp(-tL) used as the window.
 - :mod:`gstft.gabor` -- the windowed transform, its Gabor atom system, frame
   operator spectra, exact inversion, and tightness certification.
@@ -69,7 +69,6 @@ from .graphs import (
     shrikhande_graph,
 )
 from .heat import HeatKernel, column_norm_sq, heat_kernel, spectral_column_norms_sq, window_column
-from .jacobi import ConvergenceError, jacobi_eigh
 from .spectral import (
     SpectralDecomposition,
     as_signal,
@@ -101,8 +100,6 @@ __all__ = [
     "graph_from_edge_list_text",
     # spectral
     "SpectralDecomposition",
-    "ConvergenceError",
-    "jacobi_eigh",
     "as_signal",
     "laplacian",
     "decompose",

@@ -186,6 +186,8 @@ def _read_coefficients(path: str) -> tuple[np.ndarray, dict]:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         doc = json.loads(text)
+        if "matrix" not in doc:
+            raise ValueError(f"coefficient file {path} has no 'matrix' key")
         matrix = np.array(
             [[complex(re, im) for re, im in row] for row in doc["matrix"]],
             dtype=np.complex128,

@@ -130,8 +130,19 @@ def graph_sha256(serialized: str) -> str:
 
 
 def write_text_atomic(path: str, text: str) -> None:
-    """Write via a temp file in the same directory, then rename into place."""
-    tmp_path = f"{path}.tmp"
-    with open(tmp_path, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    os.replace(tmp_path, path)
+    """Write via a uniquely named temp file in the same directory, then rename into place.
+
+    Concurrent writers never share a temp file, and a failed write removes its
+    temp file and leaves ``path`` untouched. The temp file is created
+    exclusively (mode ``"x"``), so the final file gets the permissions a plain
+    ``open(path, "w")`` would give it.
+    """
+    tmp_path = f"{path}.{os.urandom(8).hex()}.tmp"
+    handle = open(tmp_path, "x", encoding="utf-8")
+    try:
+        with handle:
+            handle.write(text)
+        os.replace(tmp_path, path)
+    except BaseException:
+        os.unlink(tmp_path)
+        raise

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, errors, determinism."""
 import json
+import os
 import subprocess
 import sys
 
@@ -8,7 +9,7 @@ import pytest
 
 from gstft import graphs
 from gstft.cli import main
-from gstft.formats import matrix_from_csv, signal_from_csv, signal_to_csv
+from gstft.formats import matrix_from_csv, signal_from_csv, signal_to_csv, write_text_atomic
 
 
 def run(capsys, *argv):
@@ -167,6 +168,14 @@ class TestTransformRoundTrip:
         err = run_err(capsys, "reconstruct", "--family", "complete", "--n", "8", "--coeffs", str(coeffs), "--out", "-")
         assert "different graph" in err
 
+    def test_json_coefficients_without_matrix_fail(self, tmp_path, capsys, ring8_setup):
+        graph_path, _, _ = ring8_setup
+        coeffs = tmp_path / "nomatrix.json"
+        coeffs.write_text(json.dumps({"meta": {"n": 8, "t": 1.0}}))
+        err = run_err(capsys, "reconstruct", "--graph", str(graph_path), "--coeffs", str(coeffs), "--out", "-")
+        assert str(coeffs) in err
+        assert "'matrix'" in err
+
     def test_signal_length_mismatch_fails(self, tmp_path, capsys, ring8_setup):
         graph_path, _, _ = ring8_setup
         short = tmp_path / "short.csv"
@@ -295,6 +304,26 @@ class TestSpectrogram:
         signal = tmp_path / "s.csv"
         signal.write_text("1,0\n")
         run_err(capsys, "spectrogram", "--signal", str(signal), "--n", "16", "--out", str(tmp_path / "x.csv"))
+
+
+class TestAtomicWrite:
+    def test_failed_write_leaves_directory_unchanged(self, tmp_path):
+        target = tmp_path / "w.csv"
+        target.write_text("old\n")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(UnicodeEncodeError):
+            write_text_atomic(str(target), "bad \ud800\n")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_mode_matches_plain_open(self, tmp_path):
+        plain = tmp_path / "plain.csv"
+        with open(plain, "w", encoding="utf-8") as handle:
+            handle.write("x\n")
+        atomic = tmp_path / "atomic.csv"
+        write_text_atomic(str(atomic), "x\n")
+        assert atomic.read_text() == "x\n"
+        assert os.stat(atomic).st_mode == os.stat(plain).st_mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["atomic.csv", "plain.csv"]
 
 
 DOCUMENTED = [

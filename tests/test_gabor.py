@@ -323,16 +323,25 @@ class TestPermutationCommutation:
             gabor.permutation_commutator(hk, [0, 0, 1, 2])
 
 
-def test_basis_independence_across_sweep_orders():
-    lap = spectral.laplacian(graphs.petersen_graph())
-    dec_row = spectral.decompose(lap, sweep_order="row")
-    dec_col = spectral.decompose(lap, sweep_order="col")
+def test_basis_independence_across_eigenspace_rotations():
+    dec = spectral.decompose(spectral.laplacian(graphs.petersen_graph()))
+    # Rotate each eigenvalue cluster's block of eigenvectors by a random
+    # orthogonal Q; clusters are split as in eigenspace_projectors.
+    w = dec.eigenvalues
+    edges = [0, *(np.nonzero(np.diff(w) > 1e-8)[0] + 1), dec.n]
+    rng = np.random.default_rng(5)
+    rotated = dec.eigenvectors.copy()
+    for start, stop in zip(edges[:-1], edges[1:]):
+        q, _ = np.linalg.qr(rng.standard_normal((stop - start, stop - start)))
+        rotated[:, start:stop] = rotated[:, start:stop] @ q
+    other = spectral.SpectralDecomposition(eigenvalues=w.copy(), eigenvectors=rotated)
+    assert np.abs(rotated - dec.eigenvectors).max() > 1e-3
     for t in (0.3, 1.0, 5.0):
-        a = heat.spectral_column_norms_sq(dec_row, t)
-        b = heat.spectral_column_norms_sq(dec_col, t)
+        a = heat.spectral_column_norms_sq(dec, t)
+        b = heat.spectral_column_norms_sq(other, t)
         assert np.abs(a - b).max() <= 1e-9
         assert np.abs(
-            heat.heat_kernel(dec_row, t).matrix - heat.heat_kernel(dec_col, t).matrix
+            heat.heat_kernel(dec, t).matrix - heat.heat_kernel(other, t).matrix
         ).max() <= 1e-9
 
 

@@ -1,14 +1,14 @@
 """Laplacian eigenanalysis and the graph Fourier transform.
 
-numpy.linalg.eigh serves as the independent eigenvalue oracle for the Jacobi
-solver; eigenvector comparisons go through basis-invariant quantities
-(projectors, residuals) because degenerate eigenspaces have no canonical basis.
+numpy.linalg.eigvalsh serves as the eigenvalue oracle and closed-form spectra
+(rings, Shrikhande) as independent checks; eigenvector comparisons go through
+basis-invariant quantities (projectors, residuals) because degenerate
+eigenspaces have no canonical basis.
 """
 import numpy as np
 import pytest
 
 from gstft import graphs, spectral
-from gstft.jacobi import ConvergenceError
 
 ZOO = {
     "k2": lambda: graphs.complete_graph(2),
@@ -100,14 +100,19 @@ class TestDecompose:
             nonzero = np.nonzero(np.abs(column) > 1e-12)[0]
             assert column[nonzero[0]] > 0
 
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            spectral.decompose(np.array([[0.0, 1.0], [0.5, 0.0]]))
-
-    def test_sweep_cap_raises_with_residual(self):
-        lap = spectral.laplacian(graphs.ring_graph(5))
-        with pytest.raises(ConvergenceError, match="residual"):
-            spectral.decompose(lap, max_sweeps=0)
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            ([[0.0, 1.0], [0.5, 0.0]], "not symmetric"),
+            ([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]], "square"),
+            ([[1.0, np.nan], [np.nan, 1.0]], "NaN or infinite"),
+            ([[np.inf, 0.0], [0.0, 1.0]], "NaN or infinite"),
+        ],
+        ids=["asymmetric", "non-square", "nan", "inf"],
+    )
+    def test_invalid_input_rejected(self, matrix, message):
+        with pytest.raises(ValueError, match=message):
+            spectral.decompose(np.array(matrix))
 
     def test_quadratic_form_is_edge_energy(self, graph):
         lap = spectral.laplacian(graph)
