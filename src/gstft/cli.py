@@ -1,10 +1,13 @@
 """Command-line front end.
 
 Subcommands: gen, spectrum, heat, gstft, reconstruct, frame-report,
-sweep-decay, spectrogram. Outputs are plot-ready CSV (default) or JSON,
-written atomically; every invocation is deterministic given its inputs and
-seed, so repeated runs produce byte-identical files. Errors print a single
-"error: ..." line on stderr and exit with status 1.
+sweep-decay, spectrogram. Each report command hands one writer a way to
+render its JSON document and its CSV text; the writer renders only the format
+``--format`` asks for (CSV by default) and writes it atomically. A CSV report
+may add a companion file named ``<root>_<suffix><ext or .csv>`` next to
+``--out``, which must then be a path. Every invocation is deterministic given
+its inputs and seed, so repeated runs produce byte-identical files. Errors
+print a single "error: ..." line on stderr and exit with status 1.
 """
 from __future__ import annotations
 
@@ -55,17 +58,41 @@ def _write_output(path: str, text: str) -> None:
         write_text_atomic(path, text)
 
 
-def _companion_path(path: str, suffix: str) -> str:
-    root, ext = os.path.splitext(path)
-    return f"{root}_{suffix}{ext or '.csv'}"
+def _write_report(args, doc, csv, companion=None) -> None:
+    """Render and write only the format ``--format`` names. ``doc`` and ``csv``
+    return the JSON document and the CSV text; ``companion`` is an optional
+    ``(suffix, render)`` pair for a second CSV file next to ``--out``."""
+    if args.format == "json":
+        text = json.dumps(doc(), sort_keys=True, separators=(",", ":"), default=_json_array)
+        _write_output(args.out, text + "\n")
+        return
+    if companion is not None and args.out == "-":
+        raise ValueError(f"{args.command} CSV writes a companion file; --out must be a path")
+    _write_output(args.out, csv())
+    if companion is not None:
+        suffix, render = companion
+        root, ext = os.path.splitext(args.out)
+        _write_output(f"{root}_{suffix}{ext or '.csv'}", render())
 
 
-def _json_dump(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+def _csv_cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    return format_float(value)
 
 
-def _complex_pairs(matrix: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in matrix]
+def _csv_table(meta: dict, columns, rows) -> str:
+    """A meta line, a header naming ``columns``, then one line per row."""
+    lines = [meta_line(meta), ",".join(columns)]
+    lines.extend(",".join(_csv_cell(x) for x in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _json_array(a: np.ndarray) -> list:
+    """Arrays in JSON documents are nested lists; a complex entry becomes ``[re, im]``."""
+    return (np.stack([a.real, a.imag], axis=-1) if np.iscomplexobj(a) else a).tolist()
 
 
 def _require(value, flag: str, context: str):
@@ -106,8 +133,8 @@ def _resolve_graph(args) -> graphs.Graph:
     return _build_family(args)
 
 
-def _graph_meta(g: graphs.Graph) -> dict:
-    return {"n": g.n, "graph_sha256": graph_sha256(graphs.serialize(g))}
+def _graph_meta(g: graphs.Graph, **extra) -> dict:
+    return {"n": g.n, "graph_sha256": graph_sha256(graphs.serialize(g)), **extra}
 
 
 def _decompose(g: graphs.Graph) -> spectral.SpectralDecomposition:
@@ -121,10 +148,7 @@ def _resolve_t_grid(args) -> np.ndarray:
         if args.t < 0:
             raise ValueError(f"t must be nonnegative, got {args.t}")
         return np.array([args.t])
-    grid = parse_t_grid(args.t_grid if args.t_grid is not None else DEFAULT_T_GRID)
-    if grid.size == 0:
-        raise ValueError("t-grid is empty")
-    return grid
+    return parse_t_grid(args.t_grid if args.t_grid is not None else DEFAULT_T_GRID)
 
 
 def cmd_gen(args) -> None:
@@ -135,17 +159,11 @@ def cmd_gen(args) -> None:
 def cmd_spectrum(args) -> None:
     g = _resolve_graph(args)
     dec = _decompose(g)
-    if args.format == "json":
-        doc = {
-            "meta": _graph_meta(g),
-            "eigenvalues": dec.eigenvalues.tolist(),
-            "eigenvectors": dec.eigenvectors.tolist(),
-        }
-        text = _json_dump(doc)
-    else:
-        table = np.column_stack([dec.eigenvalues, dec.eigenvectors])
-        text = matrix_to_csv(table)
-    _write_output(args.out, text)
+    _write_report(
+        args,
+        lambda: {"meta": _graph_meta(g), "eigenvalues": dec.eigenvalues, "eigenvectors": dec.eigenvectors},
+        lambda: matrix_to_csv(np.column_stack([dec.eigenvalues, dec.eigenvectors])),
+    )
     print(format_float(dec.fiedler_value))
 
 
@@ -154,15 +172,11 @@ def cmd_heat(args) -> None:
     if args.t is None:
         raise ValueError("--t is required")
     hk = heat.heat_kernel(_decompose(g), args.t)
-    if args.format == "json":
-        doc = {
-            "meta": {**_graph_meta(g), "t": hk.t},
-            "matrix": hk.matrix.tolist(),
-        }
-        text = _json_dump(doc)
-    else:
-        text = matrix_to_csv(hk.matrix)
-    _write_output(args.out, text)
+    _write_report(
+        args,
+        lambda: {"meta": _graph_meta(g, t=hk.t), "matrix": hk.matrix},
+        lambda: matrix_to_csv(hk.matrix),
+    )
 
 
 def cmd_gstft(args) -> None:
@@ -173,27 +187,34 @@ def cmd_gstft(args) -> None:
     dec = _decompose(g)
     hk = heat.heat_kernel(dec, args.t)
     coeffs = gabor.gstft(dec, hk, f)
-    meta = {**_graph_meta(g), "t": hk.t}
-    if args.format == "json":
-        text = _json_dump({"meta": meta, "matrix": _complex_pairs(coeffs.matrix)})
-    else:
-        text = matrix_to_csv(coeffs.matrix, complex_entries=True, meta=meta)
-    _write_output(args.out, text)
+    meta = _graph_meta(g, t=hk.t)
+    _write_report(
+        args,
+        lambda: {"meta": meta, "matrix": coeffs.matrix},
+        lambda: matrix_to_csv(coeffs.matrix, complex_entries=True, meta=meta),
+    )
 
 
 def _read_coefficients(path: str) -> tuple[np.ndarray, dict]:
     text = _read_text(path)
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if not text.lstrip().startswith("{"):
+        return matrix_from_csv(text, complex_entries=True)
+    try:
         doc = json.loads(text)
-        if "matrix" not in doc:
-            raise ValueError(f"coefficient file {path} has no 'matrix' key")
-        matrix = np.array(
-            [[complex(re, im) for re, im in row] for row in doc["matrix"]],
-            dtype=np.complex128,
-        )
-        return matrix, doc.get("meta", {})
-    return matrix_from_csv(text, complex_entries=True)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"coefficient file {path} is not valid JSON: {exc}") from exc
+    if "matrix" not in doc:
+        raise ValueError(f"coefficient file {path} has no 'matrix' key")
+    rows = doc["matrix"]
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and len(row) == len(rows[0]) for row in rows
+    ):
+        raise ValueError(f"coefficient file {path}: 'matrix' must be a list of equal-length rows")
+    try:
+        matrix = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=np.complex128)
+    except (TypeError, ValueError):
+        raise ValueError(f"coefficient file {path}: each 'matrix' entry must be a [re, im] pair of numbers") from None
+    return matrix, doc.get("meta", {})
 
 
 def cmd_reconstruct(args) -> None:
@@ -217,105 +238,55 @@ def cmd_reconstruct(args) -> None:
     dec = _decompose(g)
     hk = heat.heat_kernel(dec, t)
     f = gabor.inverse_gstft(dec, hk, gabor.GstftCoefficients(t=hk.t, matrix=matrix))
-    if args.format == "json":
-        doc = {
-            "meta": {**_graph_meta(g), "t": hk.t},
-            "signal": [[float(z.real), float(z.imag)] for z in f],
-        }
-        text = _json_dump(doc)
-    else:
-        text = signal_to_csv(f)
-    _write_output(args.out, text)
-
-
-def _report_rows(reports) -> list[dict]:
-    return [
-        {
-            "t": r.t,
-            "A": r.bound_a,
-            "B": r.bound_b,
-            "gap": r.gap,
-            "ratio": r.ratio,
-            "tight": r.tight,
-        }
-        for r in reports
-    ]
+    _write_report(
+        args,
+        lambda: {"meta": _graph_meta(g, t=hk.t), "signal": f},
+        lambda: signal_to_csv(f),
+    )
 
 
 def cmd_frame_report(args) -> None:
     g = _resolve_graph(args)
     grid = _resolve_t_grid(args)
     sweep = gabor.tightness_sweep(_decompose(g), grid)
-    meta = {**_graph_meta(g), "fiedler_value": sweep.fiedler_value}
-
-    if args.format == "json":
-        doc = {
+    meta = _graph_meta(g, fiedler_value=sweep.fiedler_value)
+    columns = ("t", "A", "B", "gap", "ratio", "tight")
+    rows = [(r.t, r.bound_a, r.bound_b, r.gap, r.ratio, r.tight) for r in sweep.reports]
+    gamma_columns = ("t", *(f"gamma_{j}" for j in range(g.n)))
+    _write_report(
+        args,
+        lambda: {
             "meta": meta,
-            "reports": _report_rows(sweep.reports),
-            "gammas": [r.gammas.tolist() for r in sweep.reports],
-        }
-        _write_output(args.out, _json_dump(doc))
-        return
-
-    if args.out == "-":
-        raise ValueError("frame-report CSV writes a companion file; --out must be a path")
-    lines = [meta_line(meta), "t,A,B,gap,ratio,tight"]
-    for r in sweep.reports:
-        lines.append(
-            ",".join(
-                [
-                    format_float(r.t),
-                    format_float(r.bound_a),
-                    format_float(r.bound_b),
-                    format_float(r.gap),
-                    format_float(r.ratio),
-                    "true" if r.tight else "false",
-                ]
-            )
-        )
-    _write_output(args.out, "\n".join(lines) + "\n")
-
-    gamma_header = "t," + ",".join(f"gamma_{j}" for j in range(g.n))
-    gamma_lines = [meta_line(meta), gamma_header]
-    for r in sweep.reports:
-        gamma_lines.append(
-            format_float(r.t) + "," + ",".join(format_float(x) for x in r.gammas)
-        )
-    _write_output(_companion_path(args.out, "gammas"), "\n".join(gamma_lines) + "\n")
+            "reports": [dict(zip(columns, row)) for row in rows],
+            "gammas": [r.gammas for r in sweep.reports],
+        },
+        lambda: _csv_table(meta, columns, rows),
+        ("gammas", lambda: _csv_table(meta, gamma_columns, ((r.t, *r.gammas) for r in sweep.reports))),
+    )
 
 
 def cmd_sweep_decay(args) -> None:
-    if not args.k_list.strip():
-        raise ValueError("--k-list must name at least one degree")
-    k_values = [int(part) for part in args.k_list.split(",") if part.strip()]
+    try:
+        k_values = [int(part) for part in args.k_list.split(",") if part.strip()]
+    except ValueError:
+        raise ValueError(f"--k-list must be comma-separated integers, got {args.k_list!r}") from None
     if not k_values:
         raise ValueError("--k-list must name at least one degree")
-    grid = parse_t_grid(args.t_grid if args.t_grid is not None else DEFAULT_T_GRID)
+    grid = _resolve_t_grid(args)
 
     rows = []
     for k in k_values:
         g = graphs.random_regular_graph(args.n, k, args.seed)
         sweep = gabor.tightness_sweep(_decompose(g), grid)
-        for t, gap in zip(sweep.ts, sweep.gaps):
-            rows.append({"k": k, "lambda2": sweep.fiedler_value, "t": float(t), "gap": float(gap)})
+        rows.extend((k, sweep.fiedler_value, float(t), float(gap)) for t, gap in zip(sweep.ts, sweep.gaps))
 
     meta = {"n": args.n, "seed": args.seed, "k_list": k_values}
-    if args.format == "json":
-        _write_output(args.out, _json_dump({"meta": meta, "rows": rows}))
-        return
-    lines = [meta_line(meta), "k,lambda2,t,gap"]
-    for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    str(row["k"]),
-                    format_float(row["lambda2"]),
-                    format_float(row["t"]),
-                    format_float(row["gap"]),
-                ]
-            )
-        )
-    _write_output(args.out, "\n".join(lines) + "\n")
+    columns = ("k", "lambda2", "t", "gap")
+    _write_report(
+        args,
+        lambda: {"meta": meta, "rows": [dict(zip(columns, row)) for row in rows]},
+        lambda: _csv_table(meta, columns, rows),
+    )
 
 
 def cmd_spectrogram(args) -> None:
@@ -336,21 +307,12 @@ def cmd_spectrogram(args) -> None:
     f_hat = classical.dft(f)
     dft_power = (f_hat * f_hat.conj()).real
     meta = {"n": n, "window": args.window, "width": args.width if args.window == "boxcar" else 1}
-
-    if args.format == "json":
-        doc = {
-            "meta": meta,
-            "spectrogram": power.tolist(),
-            "dft_magnitude": dft_power.tolist(),
-        }
-        _write_output(args.out, _json_dump(doc))
-        return
-    if args.out == "-":
-        raise ValueError("spectrogram CSV writes a companion file; --out must be a path")
-    _write_output(args.out, matrix_to_csv(power, meta=meta))
-    dft_lines = [meta_line(meta)]
-    dft_lines.extend(format_float(x) for x in dft_power)
-    _write_output(_companion_path(args.out, "dft"), "\n".join(dft_lines) + "\n")
+    _write_report(
+        args,
+        lambda: {"meta": meta, "spectrogram": power, "dft_magnitude": dft_power},
+        lambda: matrix_to_csv(power, meta=meta),
+        ("dft", lambda: matrix_to_csv(dft_power[:, None], meta=meta)),
+    )
 
 
 def _add_family_source(parser: argparse.ArgumentParser) -> None:
@@ -422,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="pairing-model seed (default 0)")
     p.add_argument("--t-grid", metavar="A:B:STEP", help=f"inclusive time grid (default {DEFAULT_T_GRID})")
     _add_common_output(p)
-    p.set_defaults(func=cmd_sweep_decay)
+    p.set_defaults(func=cmd_sweep_decay, t=None)
 
     p = sub.add_parser("spectrogram", help="DFT magnitude and windowed-transform spectrogram")
     p.add_argument("--signal", metavar="FILE", help="signal CSV; default is the built-in piecewise cosine")

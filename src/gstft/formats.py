@@ -110,11 +110,13 @@ def matrix_from_csv(text: str, complex_entries: bool = False) -> tuple[np.ndarra
 
 
 def parse_t_grid(text: str) -> np.ndarray:
-    """Parse "start:stop:step" into an inclusive ascending nonnegative grid."""
+    """Parse "start:stop:step" into an inclusive ascending nonnegative finite grid."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"t-grid must be start:stop:step, got {text!r}")
     start, stop, step = (float(p) for p in parts)
+    if not np.isfinite([start, stop, step]).all():
+        raise ValueError(f"t-grid values must be finite, got {text!r}")
     if step <= 0:
         raise ValueError(f"t-grid step must be positive, got {step}")
     if stop < start:

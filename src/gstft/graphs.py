@@ -4,8 +4,8 @@ Everything downstream (Laplacian spectra, heat kernels, Gabor frames) operates
 on the `Graph` type defined here: an undirected, unweighted, loop-free,
 connected graph with 0-indexed vertices and a dense adjacency matrix. Dense
 storage is deliberate -- the eigendecomposition is the cost bottleneck long
-before adjacency memory is, so generators refuse to build graphs above
-``MAX_VERTICES`` vertices.
+before adjacency memory is, so every constructor refuses graphs above
+``MAX_VERTICES`` vertices before it allocates anything.
 
 Included graph families: rings (cycles), complete graphs, hypercubes, the
 Petersen graph, the Shrikhande graph, and random regular graphs drawn with the
@@ -95,18 +95,25 @@ def _is_connected(n: int, adjacency: np.ndarray) -> bool:
     return count == n
 
 
+def _check_vertex_count(n: int) -> None:
+    if n <= 0:
+        raise ValueError(f"vertex count must be positive, got {n}")
+    if n > MAX_VERTICES:
+        raise ValueError(f"graph on {n} vertices exceeds the {MAX_VERTICES}-vertex limit")
+
+
 def build_from_edge_list(n: int, edges) -> Graph:
     """Build a validated Graph from a vertex count and an iterable of pairs.
 
     Duplicate pairs (in either orientation) collapse to one edge. Rejects
-    self-loops, endpoints outside ``0..n-1``, non-positive ``n``, and any edge
-    set whose graph is disconnected.
+    self-loops, endpoints outside ``0..n-1``, ``n`` outside
+    ``1..MAX_VERTICES`` (before ``edges`` is consumed), and any edge set whose
+    graph is disconnected.
     """
     if not isinstance(n, (int, np.integer)):
         raise TypeError(f"vertex count must be an integer, got {type(n).__name__}")
     n = int(n)
-    if n <= 0:
-        raise ValueError(f"vertex count must be positive, got {n}")
+    _check_vertex_count(n)
 
     normalized = set()
     for pair in edges:
@@ -135,26 +142,22 @@ def ring_graph(n: int) -> Graph:
     """Cycle C_n: vertex i adjacent to (i +- 1) mod n. Requires n >= 3."""
     if n < 3:
         raise ValueError(f"ring graph needs at least 3 vertices, got {n}")
-    return build_from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
+    return build_from_edge_list(n, ((i, (i + 1) % n) for i in range(n)))
 
 
-def complete_graph(n: int, max_vertices: int = MAX_VERTICES) -> Graph:
-    """Complete graph K_n. Requires 2 <= n <= max_vertices."""
+def complete_graph(n: int) -> Graph:
+    """Complete graph K_n. Requires 2 <= n <= MAX_VERTICES."""
     if n < 2:
         raise ValueError(f"complete graph needs at least 2 vertices, got {n}")
-    if n > max_vertices:
-        raise ValueError(f"complete graph on {n} vertices exceeds the {max_vertices}-vertex limit")
     return build_from_edge_list(n, combinations(range(n), 2))
 
 
-def hypercube_graph(d: int, max_vertices: int = MAX_VERTICES) -> Graph:
+def hypercube_graph(d: int) -> Graph:
     """Hypercube Q_d on 2**d vertices, adjacent iff binary labels differ in one bit."""
     if d < 1:
         raise ValueError(f"hypercube dimension must be >= 1, got {d}")
     n = 2**d
-    if n > max_vertices:
-        raise ValueError(f"hypercube Q_{d} has {n} vertices, exceeding the {max_vertices}-vertex limit")
-    edges = [(v, v ^ (1 << b)) for v in range(n) for b in range(d) if v < v ^ (1 << b)]
+    edges = ((v, v ^ (1 << b)) for v in range(n) for b in range(d) if v < v ^ (1 << b))
     return build_from_edge_list(n, edges)
 
 
@@ -202,15 +205,15 @@ def random_regular_graph(
     Parameters
     ----------
     n, k : int
-        Vertex count and degree; ``n * k`` must be even and ``k < n``.
+        Vertex count (at most ``MAX_VERTICES``) and degree; ``n * k`` must be
+        even and ``k < n``.
     seed : int
         Seed for the pairing stream.
     max_retries : int
         Attempts before giving up. Keep generous: the acceptance probability
         of a single pairing decays roughly like exp(-(k*k-1)/4).
     """
-    if n <= 0:
-        raise ValueError(f"vertex count must be positive, got {n}")
+    _check_vertex_count(n)
     if k < 0 or k >= n:
         raise ValueError(f"degree must satisfy 0 <= k < n, got k={k}, n={n}")
     if (n * k) % 2 != 0:

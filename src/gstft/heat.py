@@ -68,20 +68,27 @@ def _clamped_eigenvalues(dec: SpectralDecomposition) -> np.ndarray:
     return np.maximum(w, 0.0)
 
 
-def heat_kernel(dec: SpectralDecomposition, t: float) -> HeatKernel:
-    """Heat kernel H_t = Phi exp(-t Lambda) Phi^T for t >= 0.
-
-    H_0 is returned as the exact identity. The matrix is symmetrized after the
-    eigenexpansion and validated: entries above ``ENTRY_FLOOR`` and row sums
-    within ``ROW_SUM_TOL`` of one. Rejects negative or NaN t and decompositions
-    that are not Laplacian-like.
-    """
+def _window_time(t) -> float:
+    """``t`` as a float; NaN, infinite and negative times are rejected."""
     t = float(t)
     if math.isnan(t):
         raise ValueError("t must not be NaN")
+    if math.isinf(t):
+        raise ValueError(f"t must be finite, got {t}")
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
+    return t
 
+
+def heat_kernel(dec: SpectralDecomposition, t: float) -> HeatKernel:
+    """Heat kernel H_t = Phi exp(-t Lambda) Phi^T for finite t >= 0.
+
+    H_0 is returned as the exact identity. The matrix is symmetrized after the
+    eigenexpansion and validated: entries above ``ENTRY_FLOOR`` and row sums
+    within ``ROW_SUM_TOL`` of one (a NaN fails both). Rejects negative, NaN or
+    infinite t and decompositions that are not Laplacian-like.
+    """
+    t = _window_time(t)
     w = _clamped_eigenvalues(dec)
     n = dec.n
     if t == 0.0:
@@ -92,10 +99,10 @@ def heat_kernel(dec: SpectralDecomposition, t: float) -> HeatKernel:
         matrix = 0.5 * (matrix + matrix.T)
 
     min_entry = float(matrix.min())
-    if min_entry <= ENTRY_FLOOR:
+    if not min_entry > ENTRY_FLOOR:
         raise ValueError(f"heat kernel entry {min_entry:.3e} below {ENTRY_FLOOR:g}")
     row_sum_err = float(np.abs(matrix.sum(axis=1) - 1.0).max())
-    if row_sum_err > ROW_SUM_TOL:
+    if not row_sum_err <= ROW_SUM_TOL:
         raise ValueError(f"heat kernel rows deviate from stochasticity by {row_sum_err:.3e}")
 
     return HeatKernel(t=t, matrix=matrix, column_norms_sq=(matrix * matrix).sum(axis=0))
@@ -117,8 +124,6 @@ def window_column(hk: HeatKernel, i: int) -> np.ndarray:
 
 def spectral_column_norms_sq(dec: SpectralDecomposition, t: float) -> np.ndarray:
     """Column norms of H_t from the spectral sum: sum_l exp(-2 lambda_l t) |phi_l(v_j)|^2."""
-    t = float(t)
-    if math.isnan(t) or t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+    t = _window_time(t)
     w = _clamped_eigenvalues(dec)
     return (dec.eigenvectors**2) @ np.exp(-2.0 * t * w)

@@ -9,7 +9,7 @@ import pytest
 
 from gstft import graphs
 from gstft.cli import main
-from gstft.formats import matrix_from_csv, signal_from_csv, signal_to_csv, write_text_atomic
+from gstft.formats import matrix_from_csv, signal_from_csv, signal_to_csv, split_meta, write_text_atomic
 
 
 def run(capsys, *argv):
@@ -168,13 +168,25 @@ class TestTransformRoundTrip:
         err = run_err(capsys, "reconstruct", "--family", "complete", "--n", "8", "--coeffs", str(coeffs), "--out", "-")
         assert "different graph" in err
 
-    def test_json_coefficients_without_matrix_fail(self, tmp_path, capsys, ring8_setup):
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ('{"meta": {"n": 8, "t": 1.0}}', "has no 'matrix' key"),
+            ('{"matrix": [[1, 2], [3]]}', "list of equal-length rows"),
+            ('{"matrix": 5}', "list of equal-length rows"),
+            ('{"matrix": [[[1, 0]', "is not valid JSON"),
+            ('{"matrix": [[[1, 0], 2]]}', "[re, im] pair of numbers"),
+            ('{"matrix": [[["a", "b"]]]}', "[re, im] pair of numbers"),
+        ],
+        ids=["no-matrix", "ragged", "scalar", "truncated", "bare-number", "strings"],
+    )
+    def test_json_coefficients_without_matrix_fail(self, tmp_path, capsys, ring8_setup, text, problem):
         graph_path, _, _ = ring8_setup
-        coeffs = tmp_path / "nomatrix.json"
-        coeffs.write_text(json.dumps({"meta": {"n": 8, "t": 1.0}}))
-        err = run_err(capsys, "reconstruct", "--graph", str(graph_path), "--coeffs", str(coeffs), "--out", "-")
+        coeffs = tmp_path / "bad.json"
+        coeffs.write_text(text)
+        err = run_err(capsys, "reconstruct", "--graph", str(graph_path), "--coeffs", str(coeffs), "--t", "1", "--out", "-")
         assert str(coeffs) in err
-        assert "'matrix'" in err
+        assert problem in err
 
     def test_signal_length_mismatch_fails(self, tmp_path, capsys, ring8_setup):
         graph_path, _, _ = ring8_setup
@@ -242,6 +254,10 @@ class TestSweepDecay:
     def test_empty_k_list_fails(self, tmp_path, capsys):
         run_err(capsys, "sweep-decay", "--n", "20", "--k-list", "", "--t-grid", "0:1:0.5", "--out", str(tmp_path / "d.csv"))
 
+    def test_non_integer_k_list_names_the_flag(self, tmp_path, capsys):
+        err = run_err(capsys, "sweep-decay", "--n", "20", "--k-list", "3,x", "--out", str(tmp_path / "d.csv"))
+        assert err == "error: --k-list must be comma-separated integers, got '3,x'\n"
+
     def test_matches_frame_report_gaps(self, tmp_path, capsys):
         decay = tmp_path / "decay.csv"
         run_ok(capsys, "sweep-decay", "--n", "24", "--k-list", "3", "--seed", "7", "--t-grid", "0.1:2:0.5", "--out", str(decay))
@@ -304,6 +320,117 @@ class TestSpectrogram:
         signal = tmp_path / "s.csv"
         signal.write_text("1,0\n")
         run_err(capsys, "spectrogram", "--signal", str(signal), "--n", "16", "--out", str(tmp_path / "x.csv"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["heat", "--family", "ring", "--n", "4", "--t", "inf"],
+        ["frame-report", "--family", "ring", "--n", "4", "--t", "inf", "--format", "json"],
+        ["frame-report", "--family", "ring", "--n", "4", "--t-grid", "0:inf:1"],
+    ],
+    ids=["heat-t", "frame-report-t", "frame-report-grid"],
+)
+def test_non_finite_time_fails(tmp_path, capsys, argv):
+    out = tmp_path / "r.out"
+    err = run_err(capsys, *argv, "--out", str(out))
+    assert "finite" in err
+    assert not out.exists()
+
+
+def _csv_rows(text):
+    meta, lines = split_meta(text)
+    return meta, [line.split(",") for line in lines]
+
+
+def _agree_heat(csv, doc):
+    matrix, meta = matrix_from_csv(csv["r.csv"])
+    assert meta == {}  # heat CSV carries no meta line
+    assert np.array_equal(matrix, np.array(doc["matrix"]))
+    assert (doc["meta"]["n"], doc["meta"]["t"]) == (6, 0.7)
+
+
+def _agree_reconstruct(csv, doc):
+    assert split_meta(csv["r.csv"])[0] == {}  # signal CSV carries no meta line
+    pairs = np.array(doc["signal"])
+    assert np.array_equal(signal_from_csv(csv["r.csv"]), pairs[:, 0] + 1j * pairs[:, 1])
+    assert (doc["meta"]["n"], doc["meta"]["t"]) == (8, 0.5)
+
+
+def _agree_frame_report(csv, doc):
+    meta, rows = _csv_rows(csv["r.csv"])
+    assert meta == doc["meta"]
+    assert rows[0] == ["t", "A", "B", "gap", "ratio", "tight"]
+    assert len(rows) - 1 == len(doc["reports"]) == 3
+    for row, report in zip(rows[1:], doc["reports"]):
+        assert [float(x) for x in row[:5]] == [report[key] for key in rows[0][:5]]
+        assert row[5] == ("true" if report["tight"] else "false")
+    gamma_meta, gamma_rows = _csv_rows(csv["r_gammas.csv"])
+    assert gamma_meta == doc["meta"]
+    assert gamma_rows[0] == ["t"] + [f"gamma_{j}" for j in range(5)]
+    values = [[float(x) for x in row] for row in gamma_rows[1:]]
+    assert values == [[r["t"], *g] for r, g in zip(doc["reports"], doc["gammas"])]
+
+
+def _agree_sweep_decay(csv, doc):
+    meta, rows = _csv_rows(csv["r.csv"])
+    assert meta == doc["meta"] == {"n": 20, "seed": 3, "k_list": [3, 5]}
+    assert rows[0] == ["k", "lambda2", "t", "gap"]
+    assert len(rows) - 1 == len(doc["rows"]) == 6
+    for row, expected in zip(rows[1:], doc["rows"]):
+        assert int(row[0]) == expected["k"]
+        assert [float(x) for x in row[1:]] == [expected[key] for key in rows[0][1:]]
+
+
+def _agree_spectrogram(csv, doc):
+    power, meta = matrix_from_csv(csv["r.csv"])
+    assert meta == doc["meta"] == {"n": 16, "window": "boxcar", "width": 4}
+    assert np.array_equal(power, np.array(doc["spectrogram"]))
+    dft, dft_meta = matrix_from_csv(csv["r_dft.csv"])
+    assert dft_meta == doc["meta"]
+    assert np.array_equal(dft[:, 0], np.array(doc["dft_magnitude"]))
+
+
+@pytest.mark.parametrize(
+    "argv, agree",
+    [
+        (["heat", "--family", "ring", "--n", "6", "--t", "0.7"], _agree_heat),
+        (["reconstruct", "--family", "ring", "--n", "8", "--coeffs", "c.csv"], _agree_reconstruct),
+        (["frame-report", "--family", "ring", "--n", "5", "--t-grid", "0:1:0.5"], _agree_frame_report),
+        (["sweep-decay", "--n", "20", "--k-list", "3,5", "--seed", "3", "--t-grid", "0:1:0.5"], _agree_sweep_decay),
+        (["spectrogram", "--n", "16", "--width", "4"], _agree_spectrogram),
+    ],
+    ids=["heat", "reconstruct", "frame-report", "sweep-decay", "spectrogram"],
+)
+def test_csv_and_json_reports_agree(tmp_path, capsys, argv, agree):
+    """Both formats of one report carry the same numbers and meta; CSV companions included."""
+    rng = np.random.default_rng(5)
+    (tmp_path / "f.csv").write_text(signal_to_csv(rng.standard_normal(8) + 1j * rng.standard_normal(8)))
+    run_ok(capsys, "gstft", "--family", "ring", "--n", "8", "--signal", str(tmp_path / "f.csv"),
+           "--t", "0.5", "--out", str(tmp_path / "c.csv"))
+    argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
+    csv_dir, json_dir = tmp_path / "csv", tmp_path / "json"
+    csv_dir.mkdir()
+    json_dir.mkdir()
+    run_ok(capsys, *argv, "--out", str(csv_dir / "r.csv"))
+    run_ok(capsys, *argv, "--format", "json", "--out", str(json_dir / "r.json"))
+    assert [p.name for p in json_dir.iterdir()] == ["r.json"]
+    csv = {p.name: p.read_text() for p in csv_dir.iterdir()}
+    agree(csv, json.loads((json_dir / "r.json").read_text()))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["frame-report", "--family", "ring", "--n", "5", "--t-grid", "0:1:1"],
+        ["spectrogram", "--n", "16", "--width", "4"],
+    ],
+    ids=["frame-report", "spectrogram"],
+)
+def test_csv_companion_needs_an_out_path(capsys, argv):
+    code, out, err = run(capsys, *argv, "--out", "-")
+    assert code == 1 and out == ""
+    assert err == f"error: {argv[0]} CSV writes a companion file; --out must be a path\n"
 
 
 class TestAtomicWrite:

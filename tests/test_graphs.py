@@ -95,10 +95,23 @@ class TestFamilies:
         assert set(g.degrees.tolist()) == {3}
 
     def test_size_guards(self):
-        with pytest.raises(ValueError, match="limit"):
-            graphs.complete_graph(4097)
-        with pytest.raises(ValueError, match="limit"):
-            graphs.hypercube_graph(13)
+        def never_consumed():
+            raise AssertionError("edges consumed before the vertex-count check")
+            yield
+
+        over = graphs.MAX_VERTICES + 1
+        sources = [
+            lambda: graphs.complete_graph(over),
+            lambda: graphs.hypercube_graph(13),
+            lambda: graphs.ring_graph(over),
+            lambda: graphs.random_regular_graph(over, 4, 0),
+            lambda: graphs.build_from_edge_list(over, never_consumed()),
+            lambda: graphs.deserialize(json.dumps({"n": over, "edges": [[0, 1]]})),
+            lambda: graphs.graph_from_edge_list_text(f"0 {over - 1}\n"),
+        ]
+        for build in sources:
+            with pytest.raises(ValueError, match="limit"):
+                build()
         graphs.hypercube_graph(12)  # 4096 vertices: at the limit, allowed
 
     def test_petersen(self):

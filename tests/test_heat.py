@@ -87,10 +87,26 @@ def test_heat_equation_residual():
 
 def test_negative_and_nan_t_rejected():
     _, dec = make(graphs.ring_graph(4))
-    with pytest.raises(ValueError):
-        heat.heat_kernel(dec, -0.5)
-    with pytest.raises(ValueError):
-        heat.heat_kernel(dec, float("nan"))
+    for t in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            heat.heat_kernel(dec, t)
+        with pytest.raises(ValueError):
+            heat.spectral_column_norms_sq(dec, t)
+
+
+def test_nan_kernel_entries_rejected():
+    """Finite eigenvectors of size 1e200 overflow in the eigenexpansion; BLAS
+    kernels that sum in several lanes turn +inf and -inf into NaN entries,
+    which both validation checks must reject rather than pass."""
+    n = 32
+    phi = np.full((n, n), 1e200)
+    phi[1::2, 1::2] *= -1
+    bad = spectral.SpectralDecomposition(eigenvalues=np.zeros(n), eigenvectors=phi)
+    with np.errstate(all="ignore"):
+        if not np.isnan((phi * 1.0) @ phi.T).any():  # a copy, so gemm as in heat_kernel
+            pytest.skip("this BLAS saturates the overflow to inf instead of NaN")
+        with pytest.raises(ValueError, match="heat kernel"):
+            heat.heat_kernel(bad, 1.0)
 
 
 def test_nan_decomposition_rejected():
