@@ -9,7 +9,7 @@ Run:  python demos/heat_window_localization.py
 """
 import numpy as np
 
-from gstft import decompose, heat_kernel, laplacian, ring_graph, window_column
+from gstft import decompose, heat_kernel, laplacian, ring_graph
 
 N = 16
 graph = ring_graph(N)
@@ -18,7 +18,7 @@ dec = decompose(laplacian(graph))
 print(f"window at vertex 0 on the ring C_{N} (entries rounded):")
 for t in (0.0, 0.25, 1.0, 4.0, 16.0):
     hk = heat_kernel(dec, t)
-    column = window_column(hk, 0).real
+    column = hk.matrix[:, 0]
     bar = "".join("#" if x > 1.0 / N else "." for x in column)
     print(f"  t={t:5.2f}  sum={column.sum():.12f}  profile |{bar}|")
     print(f"          {np.round(column[:8], 4)} ...")

@@ -57,6 +57,6 @@ print("\nClassical full Gabor system on C^N for comparison (unit window):")
 rng = np.random.default_rng(0)
 window = rng.standard_normal(N) + 1j * rng.standard_normal(N)
 window /= np.linalg.norm(window)
-atoms = full_gabor_system(window).atoms
+atoms = full_gabor_system(window)
 gram = atoms.T @ atoms.conj()
 print("  || S - N I ||_max =", np.abs(gram - N * np.eye(N)).max())

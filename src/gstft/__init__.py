@@ -17,7 +17,6 @@ The package builds the transform stack bottom-up:
 """
 
 from .classical import (
-    ClassicalGaborSystem,
     boxcar_window,
     delta_window,
     dft,
@@ -34,12 +33,10 @@ from .classical import (
 )
 from .gabor import (
     FrameReport,
-    GaborAtom,
     GstftCoefficients,
     ShumanComparison,
     TightnessSweep,
     atom_matrix,
-    atoms,
     fiedler_eigenspace_mass,
     frame_inequality_check,
     frame_operator,
@@ -68,7 +65,7 @@ from .graphs import (
     serialize,
     shrikhande_graph,
 )
-from .heat import HeatKernel, column_norm_sq, heat_kernel, spectral_column_norms_sq, window_column
+from .heat import HeatKernel, heat_kernel, spectral_column_norms_sq
 from .spectral import (
     SpectralDecomposition,
     as_signal,
@@ -109,17 +106,13 @@ __all__ = [
     # heat
     "HeatKernel",
     "heat_kernel",
-    "column_norm_sq",
-    "window_column",
     "spectral_column_norms_sq",
     # gabor
-    "GaborAtom",
     "GstftCoefficients",
     "FrameReport",
     "TightnessSweep",
     "ShumanComparison",
     "gstft",
-    "atoms",
     "atom_matrix",
     "frame_operator",
     "frame_operator_gram",
@@ -132,7 +125,6 @@ __all__ = [
     "fiedler_eigenspace_mass",
     "srg_eigenspace_mass",
     # classical
-    "ClassicalGaborSystem",
     "dft_matrix",
     "dft",
     "idft",

@@ -15,8 +15,6 @@ and bitwise-deterministic output matters more than FFT speed here.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -68,18 +66,6 @@ def time_frequency_shift(g, k: int, l: int) -> np.ndarray:
     return modulate(translate(g, k), l)
 
 
-@dataclass(frozen=True)
-class ClassicalGaborSystem:
-    """A window and its full Gabor system: all N^2 atoms pi(k, l) g, row-major in (k, l)."""
-
-    window: np.ndarray
-    atoms: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.window.size
-
-
 def _shifted_windows(g: np.ndarray) -> np.ndarray:
     """Matrix with row k equal to T_k g."""
     n = g.size
@@ -92,15 +78,14 @@ def _harmonics(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(r, r) / n)
 
 
-def full_gabor_system(g) -> ClassicalGaborSystem:
-    """All N^2 time-frequency shifts of a nonzero window."""
+def full_gabor_system(g) -> np.ndarray:
+    """All N^2 time-frequency shifts of a nonzero window: row ``k * N + l`` is pi(k, l) g."""
     g = _as_vector(g)
     if np.linalg.norm(g) == 0.0:
         raise ValueError("window must be nonzero")
     shifted = _shifted_windows(g)
     harmonics = _harmonics(g.size)
-    atoms = np.einsum("lm,km->klm", harmonics, shifted).reshape(g.size**2, g.size)
-    return ClassicalGaborSystem(window=g, atoms=atoms)
+    return np.einsum("lm,km->klm", harmonics, shifted).reshape(g.size**2, g.size)
 
 
 def dstft(f, g) -> np.ndarray:

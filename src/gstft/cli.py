@@ -197,8 +197,23 @@ def cmd_gstft(args) -> None:
 
 def _read_coefficients(path: str) -> tuple[np.ndarray, dict]:
     text = _read_text(path)
-    if not text.lstrip().startswith("{"):
-        return matrix_from_csv(text, complex_entries=True)
+    if text.lstrip().startswith("{"):
+        matrix, meta = _json_coefficients(path, text)
+    else:
+        try:
+            matrix, meta = matrix_from_csv(text, complex_entries=True)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"coefficient file {path} has a malformed '# meta' line: {exc}") from None
+    if not isinstance(meta, dict):
+        raise ValueError(f"coefficient file {path}: 'meta' must be an object")
+    for key, types, kind in (("n", int, "an integer"), ("t", (int, float), "a number"),
+                             ("graph_sha256", str, "a string")):
+        if key in meta and (isinstance(meta[key], bool) or not isinstance(meta[key], types)):
+            raise ValueError(f"coefficient file {path}: meta '{key}' must be {kind}")
+    return matrix, meta
+
+
+def _json_coefficients(path: str, text: str) -> tuple[np.ndarray, object]:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

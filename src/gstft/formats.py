@@ -19,6 +19,8 @@ import os
 import numpy as np
 
 META_PREFIX = "# meta "
+# 100x the CLI's default 101-point grid; each point costs one heat kernel.
+MAX_T_GRID_POINTS = 10_001
 
 
 def format_float(x: float) -> str:
@@ -110,7 +112,10 @@ def matrix_from_csv(text: str, complex_entries: bool = False) -> tuple[np.ndarra
 
 
 def parse_t_grid(text: str) -> np.ndarray:
-    """Parse "start:stop:step" into an inclusive ascending nonnegative finite grid."""
+    """Parse "start:stop:step" into an inclusive ascending nonnegative finite grid.
+
+    Grids of more than ``MAX_T_GRID_POINTS`` points are refused before allocating.
+    """
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"t-grid must be start:stop:step, got {text!r}")
@@ -123,8 +128,10 @@ def parse_t_grid(text: str) -> np.ndarray:
         raise ValueError(f"t-grid stop {stop} is below start {start}")
     if start < 0:
         raise ValueError(f"t-grid start must be nonnegative, got {start}")
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
-    return start + step * np.arange(count)
+    count = np.floor((stop - start) / step + 1e-9) + 1
+    if count > MAX_T_GRID_POINTS:
+        raise ValueError(f"t-grid {text!r} has more than {MAX_T_GRID_POINTS} points")
+    return start + step * np.arange(int(count))
 
 
 def graph_sha256(serialized: str) -> str:

@@ -30,22 +30,14 @@ from .graphs import SrgParameters
 from .heat import HeatKernel, heat_kernel, spectral_column_norms_sq
 from .spectral import SpectralDecomposition, as_signal, eigenspace_projectors
 
-# Tolerance declaring a frame tight: exact equality holds in theory, so any
-# gap beyond eigensolver roundoff means genuinely distinct column norms.
+# Roundoff allowance for identities that are exact in theory: the tight verdict
+# (relative to max(1, B)), sampled energies against the frame bounds, and the
+# spectral-window proportionality residual.
 TIGHT_TOL = 1e-9
 # Agreement required between the spectral gammas and the direct column norms.
 GAMMA_CROSSCHECK_TOL = 1e-10
 # The n^2-atom Gram oracle is O(n^4) time and memory; refuse above this size.
 GRAM_ORACLE_MAX_N = 64
-
-
-@dataclass(frozen=True)
-class GaborAtom:
-    """Atom psi_ij(t) = D_i(t) phi_j for vertex index i and eigenvalue index j."""
-
-    vertex_index: int
-    eigen_index: int
-    vector: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -81,7 +73,7 @@ class FrameReport:
 
 @dataclass(frozen=True)
 class TightnessSweep:
-    """Frame reports over an ascending time grid plus the log-gap decay series.
+    """Frame reports over an ascending time grid and their gaps.
 
     ``fiedler_value`` is the graph's second Laplacian eigenvalue lambda_2.
     It bounds the decay of the gap: gap(t) <= B(t) - 1/N <= (B(s) - 1/N)
@@ -92,7 +84,6 @@ class TightnessSweep:
     reports: tuple[FrameReport, ...]
     ts: np.ndarray
     gaps: np.ndarray
-    log_gaps: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -123,55 +114,41 @@ def gstft(dec: SpectralDecomposition, hk: HeatKernel, f) -> GstftCoefficients:
 
 
 def atom_matrix(dec: SpectralDecomposition, hk: HeatKernel) -> np.ndarray:
-    """All n^2 atoms stacked as rows, row-major in (vertex i, eigenvalue j)."""
+    """All n^2 atoms stacked as rows: row ``i * n + j`` is psi_ij(t) = D_i(t) phi_j."""
     _check_same_graph(dec, hk)
     n = dec.n
     stacked = np.einsum("ki,kj->ijk", hk.matrix, dec.eigenvectors)
     return stacked.reshape(n * n, n).astype(np.complex128)
 
 
-def atoms(dec: SpectralDecomposition, hk: HeatKernel) -> list[GaborAtom]:
-    """The Gabor system as a list of n^2 atoms in row-major (i, j) order."""
-    n = dec.n
-    rows = atom_matrix(dec, hk)
-    return [
-        GaborAtom(vertex_index=i, eigen_index=j, vector=rows[i * n + j])
-        for i in range(n)
-        for j in range(n)
-    ]
-
-
 def frame_operator(dec: SpectralDecomposition, hk: HeatKernel) -> np.ndarray:
-    """Frame operator in closed form: S(t) = sum_i D_i(t)^2, a diagonal matrix."""
+    """Frame operator in closed form: S(t) = sum_i D_i(t)^2 = diag(||H_t(., v_j)||^2)."""
     _check_same_graph(dec, hk)
-    return np.diag((hk.matrix * hk.matrix).sum(axis=1))
+    return np.diag(hk.column_norms_sq)
 
 
-def frame_operator_gram(
-    dec: SpectralDecomposition, hk: HeatKernel, max_n: int = GRAM_ORACLE_MAX_N
-) -> np.ndarray:
+def frame_operator_gram(dec: SpectralDecomposition, hk: HeatKernel) -> np.ndarray:
     """Frame operator from the explicit atoms: S(t) = A(t)* A(t).
 
     The analysis operator A(t) has the conjugated atoms as rows, so S(t) is
     the sum of atom outer products. This is the O(n^4) certification oracle
-    for :func:`frame_operator`; sizes above ``max_n`` are refused.
+    for :func:`frame_operator`; sizes above ``GRAM_ORACLE_MAX_N`` are refused.
     """
     _check_same_graph(dec, hk)
-    if dec.n > max_n:
-        raise ValueError(f"Gram oracle limited to n <= {max_n}, got n={dec.n}")
+    if dec.n > GRAM_ORACLE_MAX_N:
+        raise ValueError(f"Gram oracle limited to n <= {GRAM_ORACLE_MAX_N}, got n={dec.n}")
     rows = atom_matrix(dec, hk)
     return rows.T @ rows.conj()
 
 
-def frame_report(
-    dec: SpectralDecomposition, hk: HeatKernel, tight_tol: float = TIGHT_TOL
-) -> FrameReport:
+def frame_report(dec: SpectralDecomposition, hk: HeatKernel) -> FrameReport:
     """Frame bounds at the kernel's time from the spectral form of the gammas.
 
     gamma_j(t) is evaluated as sum_l exp(-2 lambda_l t) |phi_l(v_j)|^2 and
     cross-checked against the direct column norms of H_t; disagreement beyond
     ``GAMMA_CROSSCHECK_TOL`` raises, since it would mean the decomposition and
-    the kernel are inconsistent.
+    the kernel are inconsistent. The frame is ``tight`` when the gap is at
+    most ``TIGHT_TOL * max(1, B)``.
     """
     _check_same_graph(dec, hk)
     gammas = spectral_column_norms_sq(dec, hk.t)
@@ -190,7 +167,7 @@ def frame_report(
         bound_b=bound_b,
         gap=gap,
         ratio=bound_b / bound_a,
-        tight=gap <= tight_tol * max(1.0, bound_b),
+        tight=gap <= TIGHT_TOL * max(1.0, bound_b),
     )
 
 
@@ -215,15 +192,15 @@ def inverse_gstft(
 
 
 def frame_inequality_check(
-    dec: SpectralDecomposition, hk: HeatKernel, trials: int, seed: int, tol: float = 1e-9
+    dec: SpectralDecomposition, hk: HeatKernel, trials: int, seed: int
 ) -> tuple[float, float]:
     """Sample the frame inequality with random unit-norm complex signals.
 
     For each trial, sum_ij |<f, psi_ij(t)>|^2 is evaluated as the squared
     Frobenius norm of the transform (independent of the frame operator) and
-    the min/max over trials is returned. Both must land inside
-    [A - tol, B + tol] for the closed-form bounds; an excursion raises, since
-    it would falsify the frame bounds themselves.
+    the min/max over trials is returned. Both must land inside the closed-form
+    bounds [A - TIGHT_TOL, B + TIGHT_TOL]; an excursion raises, since it would
+    falsify the frame bounds themselves.
     """
     _check_same_graph(dec, hk)
     if trials < 1:
@@ -237,7 +214,7 @@ def frame_inequality_check(
         lo = min(lo, energy)
         hi = max(hi, energy)
     gammas = spectral_column_norms_sq(dec, hk.t)
-    if lo < gammas.min() - tol or hi > gammas.max() + tol:
+    if lo < gammas.min() - TIGHT_TOL or hi > gammas.max() + TIGHT_TOL:
         raise ValueError(
             f"sampled energies [{lo:.12g}, {hi:.12g}] escape the frame bounds "
             f"[{gammas.min():.12g}, {gammas.max():.12g}]"
@@ -248,11 +225,9 @@ def frame_inequality_check(
 def tightness_sweep(dec: SpectralDecomposition, t_grid) -> TightnessSweep:
     """Frame reports over an ascending nonnegative time grid.
 
-    Also assembles the log-gap series used to compare the decay rate against
-    2 * lambda_2 (the Fiedler rate). Each gamma_j(t) - 1/N is a nonnegative
-    combination of exp(-2 lambda t) with lambda >= lambda_2, so for t >= s:
-    gap(t) <= B(t) - 1/N <= (B(s) - 1/N) exp(-2 lambda_2 (t - s)). The gap
-    itself need not be monotone; it is 0 at t = 0.
+    Each gamma_j(t) - 1/N is a nonnegative combination of exp(-2 lambda t)
+    with lambda >= lambda_2, which gives the Fiedler-rate envelope stated on
+    :class:`TightnessSweep`. The gap itself need not be monotone; it is 0 at t = 0.
     """
     ts = np.asarray(t_grid, dtype=np.float64)
     if ts.ndim != 1 or ts.size == 0:
@@ -263,21 +238,15 @@ def tightness_sweep(dec: SpectralDecomposition, t_grid) -> TightnessSweep:
         raise ValueError("t_grid must be strictly ascending")
 
     reports = tuple(frame_report(dec, heat_kernel(dec, t)) for t in ts)
-    gaps = np.array([r.gap for r in reports])
-    with np.errstate(divide="ignore"):
-        log_gaps = np.log(gaps)
     return TightnessSweep(
         fiedler_value=dec.fiedler_value,
         reports=reports,
         ts=ts,
-        gaps=gaps,
-        log_gaps=log_gaps,
+        gaps=np.array([r.gap for r in reports]),
     )
 
 
-def shuman_crosscheck(
-    dec: SpectralDecomposition, f, tau: float, tol: float = 1e-9
-) -> ShumanComparison:
+def shuman_crosscheck(dec: SpectralDecomposition, f, tau: float) -> ShumanComparison:
     """Compare the transform against the spectral-window vertex-frequency form.
 
     The alternative construction modulates by sqrt(N) phi_j and translates by
@@ -289,7 +258,7 @@ def shuman_crosscheck(
 
     For real signals this is proportional to V_tau f with constant N*C (the
     window here is the unnormalized heat kernel). A single scalar is fitted
-    and the residual must fall below ``tol``, else ValueError.
+    and the residual must fall below ``TIGHT_TOL``, else ValueError.
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
@@ -313,9 +282,9 @@ def shuman_crosscheck(
     else:
         kappa = float(np.sum(windowed * reference) / denom)
     deviation = float(np.abs(windowed - kappa * reference).max())
-    if deviation > tol:
+    if deviation > TIGHT_TOL:
         raise ValueError(
-            f"transforms are not proportional: residual {deviation:.3e} exceeds {tol:g}"
+            f"transforms are not proportional: residual {deviation:.3e} exceeds {TIGHT_TOL:g}"
         )
     return ShumanComparison(kappa=kappa, expected_kappa=n * c, deviation=deviation)
 
@@ -337,9 +306,7 @@ def permutation_commutator(hk: HeatKernel, permutation) -> float:
     return float(np.abs(p @ hk.matrix - hk.matrix @ p).max())
 
 
-def fiedler_eigenspace_mass(
-    dec: SpectralDecomposition, cluster_tol: float = 1e-8
-) -> np.ndarray:
+def fiedler_eigenspace_mass(dec: SpectralDecomposition) -> np.ndarray:
     """Per-vertex squared eigenvector mass of the second eigenvalue cluster.
 
     Entry i is sum over the lambda_2-eigenspace of |phi(v_i)|^2, computed from
@@ -347,7 +314,7 @@ def fiedler_eigenspace_mass(
     multiplicity. On strongly regular graphs this is the vertex-independent
     quantity with the closed form :func:`srg_eigenspace_mass`.
     """
-    projectors = eigenspace_projectors(dec, cluster_tol)
+    projectors = eigenspace_projectors(dec)
     if len(projectors) < 2:
         raise ValueError("spectrum has no second eigenspace to project onto")
     return np.diag(projectors[1][1]).copy()

@@ -26,7 +26,7 @@ MAX_VERTICES = 4096
 # Attempts before the pairing-model sampler gives up. The probability that a
 # random pairing of a k-regular graph is simple falls like exp(-(k*k-1)/4), so
 # k=7 already needs a few hundred thousand draws.
-DEFAULT_PAIRING_RETRIES = 1_000_000
+PAIRING_RETRIES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -191,16 +191,15 @@ def shrikhande_graph() -> Graph:
     return build_from_edge_list(16, edges)
 
 
-def random_regular_graph(
-    n: int, k: int, seed: int, max_retries: int = DEFAULT_PAIRING_RETRIES
-) -> Graph:
+def random_regular_graph(n: int, k: int, seed: int) -> Graph:
     """Random simple connected k-regular graph via the half-edge pairing model.
 
     Each vertex contributes k labeled half-edges; a uniform perfect matching of
     the n*k half-edges is drawn and projected to a graph. Any pairing that
     produces a self-loop, a repeated edge, or a disconnected graph is rejected
     and the whole matching is redrawn, so accepted graphs are uniform over
-    simple connected k-regular graphs. Deterministic for a fixed seed.
+    simple connected k-regular graphs. Deterministic for a fixed seed. Raises
+    RuntimeError after ``PAIRING_RETRIES`` rejected pairings.
 
     Parameters
     ----------
@@ -209,9 +208,6 @@ def random_regular_graph(
         even and ``k < n``.
     seed : int
         Seed for the pairing stream.
-    max_retries : int
-        Attempts before giving up. Keep generous: the acceptance probability
-        of a single pairing decays roughly like exp(-(k*k-1)/4).
     """
     _check_vertex_count(n)
     if k < 0 or k >= n:
@@ -220,7 +216,7 @@ def random_regular_graph(
         raise ValueError(f"n*k must be even, got n={n}, k={k}")
 
     rng = np.random.default_rng(seed)
-    for _ in range(max_retries):
+    for _ in range(PAIRING_RETRIES):
         points = rng.permutation(n * k)
         u = points[0::2] // k
         v = points[1::2] // k
@@ -241,7 +237,7 @@ def random_regular_graph(
         return Graph(n=n, edges=edge_tuple, adjacency=adjacency, degrees=degrees)
     raise RuntimeError(
         f"pairing model produced no simple connected {k}-regular graph on {n} "
-        f"vertices within {max_retries} attempts"
+        f"vertices within {PAIRING_RETRIES} attempts"
     )
 
 

@@ -34,8 +34,7 @@ class HeatKernel:
 
     ``column_norms_sq[j]`` stores the direct sum over entries of column j;
     the spectral formula is available via :func:`spectral_column_norms_sq`.
-    ``strictly_positive`` flags whether every entry is > 0 (true for t > 0 on
-    connected graphs; false at t = 0 where off-diagonal entries vanish).
+    ``matrix[:, i]`` is the window h_t(v_i) = H_t(., v_i).
     """
 
     t: float
@@ -50,16 +49,10 @@ class HeatKernel:
     def n(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def strictly_positive(self) -> bool:
-        return bool(self.matrix.min() > 0.0)
-
 
 def _clamped_eigenvalues(dec: SpectralDecomposition) -> np.ndarray:
     """Laplacian eigenvalues with roundoff negatives clamped to zero."""
     w = dec.eigenvalues
-    if not np.isfinite(w).all() or not np.isfinite(dec.eigenvectors).all():
-        raise ValueError("decomposition contains NaN or infinite entries")
     if w.size and w.min() < -1e-8 * max(1.0, float(np.abs(w).max())):
         raise ValueError(
             f"spectrum has a genuinely negative eigenvalue ({w.min():.3e}); "
@@ -106,20 +99,6 @@ def heat_kernel(dec: SpectralDecomposition, t: float) -> HeatKernel:
         raise ValueError(f"heat kernel rows deviate from stochasticity by {row_sum_err:.3e}")
 
     return HeatKernel(t=t, matrix=matrix, column_norms_sq=(matrix * matrix).sum(axis=0))
-
-
-def column_norm_sq(hk: HeatKernel, j: int) -> float:
-    """||H_t(., v_j)||^2, the directly summed squared norm of column j."""
-    if not 0 <= j < hk.n:
-        raise IndexError(f"column index {j} out of range for n={hk.n}")
-    return float(hk.column_norms_sq[j])
-
-
-def window_column(hk: HeatKernel, i: int) -> np.ndarray:
-    """The window h_t(v_i) = H_t(., v_i) as a complex vertex signal."""
-    if not 0 <= i < hk.n:
-        raise IndexError(f"column index {i} out of range for n={hk.n}")
-    return hk.matrix[:, i].astype(np.complex128)
 
 
 def spectral_column_norms_sq(dec: SpectralDecomposition, t: float) -> np.ndarray:

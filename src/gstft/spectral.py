@@ -41,6 +41,8 @@ __all__ = [
     "eigenspace_projectors",
 ]
 
+CLUSTER_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
@@ -48,13 +50,16 @@ class SpectralDecomposition:
 
     ``eigenvectors[:, j]`` is the unit eigenvector for ``eigenvalues[j]``.
     For a connected-graph Laplacian the first eigenvalue is zero and
-    ``fiedler_value`` (the second) is strictly positive.
+    ``fiedler_value`` (the second) is strictly positive. NaN or infinite
+    entries are rejected with ValueError.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     def __post_init__(self):
+        if not (np.isfinite(self.eigenvalues).all() and np.isfinite(self.eigenvectors).all()):
+            raise ValueError("decomposition contains NaN or infinite entries")
         self.eigenvalues.setflags(write=False)
         self.eigenvectors.setflags(write=False)
 
@@ -84,14 +89,11 @@ def laplacian(g: Graph) -> np.ndarray:
     return (np.diag(g.degrees) - g.adjacency).astype(np.float64)
 
 
-def _fix_signs(vectors: np.ndarray, zero_tol: float = 1e-12) -> np.ndarray:
-    """Flip each column so its first entry larger than zero_tol in magnitude is positive."""
-    for j in range(vectors.shape[1]):
-        column = vectors[:, j]
-        nonzero = np.nonzero(np.abs(column) > zero_tol)[0]
-        pivot = nonzero[0] if nonzero.size else int(np.argmax(np.abs(column)))
-        if column[pivot] < 0:
-            vectors[:, j] = -column
+def _fix_signs(vectors: np.ndarray) -> np.ndarray:
+    """Flip each column so its first entry larger than 1e-12 in magnitude is positive."""
+    if vectors.size:
+        pivots = np.argmax(np.abs(vectors) > 1e-12, axis=0)
+        vectors[:, vectors[pivots, np.arange(vectors.shape[1])] < 0] *= -1
     return vectors
 
 
@@ -129,24 +131,20 @@ def igft(dec: SpectralDecomposition, f_hat) -> np.ndarray:
     return dec.eigenvectors.astype(np.complex128) @ f_hat
 
 
-def eigenspace_projectors(
-    dec: SpectralDecomposition, cluster_tol: float = 1e-8
-) -> list[tuple[float, np.ndarray]]:
-    """Orthogonal projectors onto eigenspaces, grouping eigenvalues within cluster_tol.
+def eigenspace_projectors(dec: SpectralDecomposition) -> list[tuple[float, np.ndarray]]:
+    """Orthogonal projectors onto eigenspaces, grouping eigenvalues within CLUSTER_TOL.
 
-    Consecutive eigenvalues closer than ``cluster_tol`` share a cluster; each
+    Consecutive eigenvalues closer than ``CLUSTER_TOL`` share a cluster; each
     cluster yields ``(representative eigenvalue, P)`` with ``P`` the sum of
     outer products of its eigenvectors. The projectors are basis-independent
     under eigenvalue multiplicity and sum to the identity.
     """
-    if cluster_tol <= 0:
-        raise ValueError(f"cluster_tol must be positive, got {cluster_tol}")
     w = dec.eigenvalues
     v = dec.eigenvectors
     projectors = []
     start = 0
     for stop in range(1, dec.n + 1):
-        if stop == dec.n or w[stop] - w[stop - 1] > cluster_tol:
+        if stop == dec.n or w[stop] - w[stop - 1] > CLUSTER_TOL:
             block = v[:, start:stop]
             projectors.append((float(w[start:stop].mean()), block @ block.T))
             start = stop

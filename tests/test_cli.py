@@ -177,12 +177,21 @@ class TestTransformRoundTrip:
             ('{"matrix": [[[1, 0]', "is not valid JSON"),
             ('{"matrix": [[[1, 0], 2]]}', "[re, im] pair of numbers"),
             ('{"matrix": [[["a", "b"]]]}', "[re, im] pair of numbers"),
+            ('{"meta": 5, "matrix": [[[1, 0]]]}', "'meta' must be an object"),
+            ('{"meta": {"n": "3"}, "matrix": [[[1, 0]]]}', "meta 'n' must be an integer"),
+            ('{"meta": {"t": "1"}, "matrix": [[[1, 0]]]}', "meta 't' must be a number"),
+            ('{"meta": {"graph_sha256": 7}, "matrix": [[[1, 0]]]}', "meta 'graph_sha256' must be a string"),
+            ("# meta [1,2]\n1+0j\n", "'meta' must be an object"),
+            ("# meta {bad\n1+0j\n", "malformed '# meta' line"),
         ],
-        ids=["no-matrix", "ragged", "scalar", "truncated", "bare-number", "strings"],
+        ids=[
+            "no-matrix", "ragged", "scalar", "truncated", "bare-number", "strings",
+            "meta-scalar", "meta-n-string", "meta-t-string", "meta-sha-number", "csv-meta-list", "csv-meta-truncated",
+        ],
     )
     def test_json_coefficients_without_matrix_fail(self, tmp_path, capsys, ring8_setup, text, problem):
         graph_path, _, _ = ring8_setup
-        coeffs = tmp_path / "bad.json"
+        coeffs = tmp_path / ("bad.csv" if text.startswith("#") else "bad.json")
         coeffs.write_text(text)
         err = run_err(capsys, "reconstruct", "--graph", str(graph_path), "--coeffs", str(coeffs), "--t", "1", "--out", "-")
         assert str(coeffs) in err
@@ -323,18 +332,20 @@ class TestSpectrogram:
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, problem",
     [
-        ["heat", "--family", "ring", "--n", "4", "--t", "inf"],
-        ["frame-report", "--family", "ring", "--n", "4", "--t", "inf", "--format", "json"],
-        ["frame-report", "--family", "ring", "--n", "4", "--t-grid", "0:inf:1"],
+        (["heat", "--family", "ring", "--n", "4", "--t", "inf"], "finite"),
+        (["frame-report", "--family", "ring", "--n", "4", "--t", "inf", "--format", "json"], "finite"),
+        (["frame-report", "--family", "ring", "--n", "4", "--t-grid", "0:inf:1"], "finite"),
+        (["frame-report", "--family", "ring", "--n", "4", "--t-grid", "0:1:1e-7"], "'0:1:1e-7' has more than 10001 points"),
+        (["frame-report", "--family", "ring", "--n", "4", "--t-grid", "0:1e300:1e-300"], "more than 10001 points"),
     ],
-    ids=["heat-t", "frame-report-t", "frame-report-grid"],
+    ids=["heat-t", "frame-report-t", "frame-report-grid", "grid-too-fine", "grid-count-overflows"],
 )
-def test_non_finite_time_fails(tmp_path, capsys, argv):
+def test_non_finite_time_fails(tmp_path, capsys, argv, problem):
     out = tmp_path / "r.out"
     err = run_err(capsys, *argv, "--out", str(out))
-    assert "finite" in err
+    assert problem in err
     assert not out.exists()
 
 

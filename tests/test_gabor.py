@@ -78,19 +78,21 @@ class TestTransform:
 class TestAtoms:
     def test_count_and_order(self):
         dec, hk = pipeline(graphs.ring_graph(4), 0.5)
-        system = gabor.atoms(dec, hk)
-        assert len(system) == 16
-        assert (system[6].vertex_index, system[6].eigen_index) == (1, 2)
-        for atom in system:
-            expected = atom_oracle(dec, hk, atom.vertex_index, atom.eigen_index)
-            assert np.abs(atom.vector - expected).max() == 0.0
+        rows = gabor.atom_matrix(dec, hk)
+        assert rows.shape == (16, 4)
+        # row i * n + j is psi_ij, e.g. row 6 is (i, j) = (1, 2)
+        for i in range(4):
+            for j in range(4):
+                assert np.abs(rows[i * 4 + j] - atom_oracle(dec, hk, i, j)).max() == 0.0
 
     def test_t_zero_atoms_are_masked_eigenvector_entries(self):
         dec, hk = pipeline(graphs.ring_graph(5), 0.0)
-        for atom in gabor.atoms(dec, hk):
-            expected = np.zeros(5, dtype=complex)
-            expected[atom.vertex_index] = dec.eigenvectors[atom.vertex_index, atom.eigen_index]
-            assert np.abs(atom.vector - expected).max() <= 1e-15
+        rows = gabor.atom_matrix(dec, hk)
+        for i in range(5):
+            for j in range(5):
+                expected = np.zeros(5, dtype=complex)
+                expected[i] = dec.eigenvectors[i, j]
+                assert np.abs(rows[i * 5 + j] - expected).max() <= 1e-15
 
     def test_fixed_vertex_outer_products_sum_to_window_square(self):
         # sum_j psi_ij psi_ij^* = D_i(t)^2 because the eigenvector outer

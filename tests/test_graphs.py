@@ -170,9 +170,10 @@ class TestRandomRegular:
         b = graphs.random_regular_graph(30, 3, seed=1)
         assert a.edges != b.edges
 
-    def test_retry_budget_exhaustion(self):
+    def test_retry_budget_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(graphs, "PAIRING_RETRIES", 10)
         with pytest.raises(RuntimeError, match="attempts"):
-            graphs.random_regular_graph(100, 7, seed=42, max_retries=10)
+            graphs.random_regular_graph(100, 7, seed=42)
 
 
 class TestSrgDetection:

@@ -21,7 +21,7 @@ def test_t_zero_is_exact_identity():
     _, dec = make(graphs.petersen_graph())
     hk = heat.heat_kernel(dec, 0.0)
     assert np.array_equal(hk.matrix, np.eye(10))
-    assert not hk.strictly_positive
+    assert not hk.matrix.min() > 0.0
 
 
 def test_k2_closed_form():
@@ -68,7 +68,7 @@ def test_structure_invariants(t):
         assert np.abs(hk.matrix.sum(axis=1) - 1.0).max() <= 1e-10
         assert hk.matrix.min() > -1e-12
         if t > 0:
-            assert hk.strictly_positive
+            assert hk.matrix.min() > 0.0
 
 
 def test_heat_equation_residual():
@@ -110,12 +110,11 @@ def test_nan_kernel_entries_rejected():
 
 
 def test_nan_decomposition_rejected():
-    bad = spectral.SpectralDecomposition(
-        eigenvalues=np.array([0.0, float("nan")]),
-        eigenvectors=np.eye(2),
-    )
     with pytest.raises(ValueError, match="NaN"):
-        heat.heat_kernel(bad, 1.0)
+        spectral.SpectralDecomposition(
+            eigenvalues=np.array([0.0, float("nan")]),
+            eigenvectors=np.eye(2),
+        )
 
 
 class TestColumnNorms:
@@ -123,13 +122,13 @@ class TestColumnNorms:
         _, dec = make(graphs.ring_graph(5))
         hk = heat.heat_kernel(dec, 0.0)
         for j in range(5):
-            assert heat.column_norm_sq(hk, j) == 1.0
+            assert hk.column_norms_sq[j] == 1.0
 
     def test_k2_closed_form(self):
         # spectral sum: (1/2) e^0 + (1/2) e^{-4t} at t = 1
         _, dec = make(graphs.complete_graph(2))
         hk = heat.heat_kernel(dec, 1.0)
-        assert abs(heat.column_norm_sq(hk, 0) - (1.0 + math.exp(-4.0)) / 2.0) <= 1e-12
+        assert abs(hk.column_norms_sq[0] - (1.0 + math.exp(-4.0)) / 2.0) <= 1e-12
 
     def test_direct_equals_spectral_sum(self):
         for g in (graphs.ring_graph(8), graphs.petersen_graph(), graphs.shrikhande_graph()):
@@ -153,25 +152,19 @@ class TestColumnNorms:
         )
         assert (np.diff(norms, axis=0) <= 1e-12).all()
 
-    def test_index_out_of_range(self):
-        _, dec = make(graphs.ring_graph(4))
-        hk = heat.heat_kernel(dec, 1.0)
-        with pytest.raises(IndexError):
-            heat.column_norm_sq(hk, 4)
-
 
 class TestWindowColumn:
     def test_delta_at_zero(self):
         _, dec = make(graphs.ring_graph(5))
         hk = heat.heat_kernel(dec, 0.0)
-        column = heat.window_column(hk, 2)
+        column = hk.matrix[:, 2]
         expected = np.zeros(5)
         expected[2] = 1.0
-        assert np.array_equal(column.real, expected)
+        assert np.array_equal(column, expected)
 
     def test_k2_values(self):
         _, dec = make(graphs.complete_graph(2))
-        column = heat.window_column(heat.heat_kernel(dec, 1.0), 0)
+        column = heat.heat_kernel(dec, 1.0).matrix[:, 0]
         plus = (1.0 + math.exp(-2.0)) / 2.0
         minus = (1.0 - math.exp(-2.0)) / 2.0
         assert np.abs(column - [plus, minus]).max() <= 1e-12
@@ -181,12 +174,7 @@ class TestWindowColumn:
         for t in (0.0, 0.7, 6.0):
             hk = heat.heat_kernel(dec, t)
             for i in (0, 5, 9):
-                assert abs(heat.window_column(hk, i).sum() - 1.0) <= 1e-10
-
-    def test_index_out_of_range(self):
-        _, dec = make(graphs.ring_graph(4))
-        with pytest.raises(IndexError):
-            heat.window_column(heat.heat_kernel(dec, 1.0), -1)
+                assert abs(hk.matrix[:, i].sum() - 1.0) <= 1e-10
 
 
 def test_trace_identity():
