@@ -51,6 +51,14 @@ def _read_text(path: str) -> str:
         raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
+def _read_signal(path: str) -> np.ndarray:
+    text = _read_text(path)
+    try:
+        return signal_from_csv(text)
+    except ValueError as exc:
+        raise ValueError(f"signal file {path}: {exc}") from None
+
+
 def _write_output(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
@@ -183,7 +191,7 @@ def cmd_gstft(args) -> None:
     g = _resolve_graph(args)
     if args.t is None:
         raise ValueError("--t is required")
-    f = signal_from_csv(_read_text(args.signal))
+    f = _read_signal(args.signal)
     dec = _decompose(g)
     hk = heat.heat_kernel(dec, args.t)
     coeffs = gabor.gstft(dec, hk, f)
@@ -202,8 +210,8 @@ def _read_coefficients(path: str) -> tuple[np.ndarray, dict]:
     else:
         try:
             matrix, meta = matrix_from_csv(text, complex_entries=True)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"coefficient file {path} has a malformed '# meta' line: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"coefficient file {path}: {exc}") from None
     if not isinstance(meta, dict):
         raise ValueError(f"coefficient file {path}: 'meta' must be an object")
     for key, types, kind in (("n", int, "an integer"), ("t", (int, float), "a number"),
@@ -308,7 +316,7 @@ def cmd_spectrogram(args) -> None:
     if args.signal is not None and args.n is not None:
         raise ValueError("use either --signal FILE or --n LENGTH, not both")
     if args.signal is not None:
-        f = signal_from_csv(_read_text(args.signal))
+        f = _read_signal(args.signal)
     else:
         f = classical.piecewise_cosine(args.n if args.n is not None else 256)
     n = f.size

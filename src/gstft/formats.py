@@ -44,23 +44,28 @@ def meta_line(meta: dict) -> str:
     return META_PREFIX + json.dumps(meta, sort_keys=True, separators=(",", ":"))
 
 
-def split_meta(text: str) -> tuple[dict, list[str]]:
+def split_meta(text: str) -> tuple[dict, list[tuple[int, str]]]:
     """Separate a leading metadata comment (if any) from the data lines.
 
-    Other '#' comment lines and blank lines are dropped.
+    Data lines are returned stripped, each with its 1-based line number in
+    ``text``; other '#' comment lines and blank lines are dropped. A meta line
+    that is not valid JSON raises ValueError naming its line.
     """
     meta: dict = {}
     data_lines = []
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped:
             continue
         if stripped.startswith(META_PREFIX):
-            meta = json.loads(stripped[len(META_PREFIX):])
+            try:
+                meta = json.loads(stripped[len(META_PREFIX):])
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"line {lineno}: malformed '# meta' line: {exc}") from None
         elif stripped.startswith("#"):
             continue
         else:
-            data_lines.append(stripped)
+            data_lines.append((lineno, stripped))
     return meta, data_lines
 
 
@@ -72,19 +77,19 @@ def signal_to_csv(values) -> str:
 
 
 def signal_from_csv(text: str) -> np.ndarray:
-    """Parse "re,im" lines ("re" alone means a real value)."""
+    """Parse "re,im" lines ("re" alone means a real value); errors name the line."""
     _, lines = split_meta(text)
     values = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in lines:
         parts = line.split(",")
-        if len(parts) == 1:
-            values.append(complex(float(parts[0]), 0.0))
-        elif len(parts) == 2:
-            values.append(complex(float(parts[0]), float(parts[1])))
-        else:
-            raise ValueError(f"signal line {lineno}: expected 're' or 're,im', got {line!r}")
+        if len(parts) > 2:
+            raise ValueError(f"line {lineno}: expected 're' or 're,im', got {line!r}")
+        try:
+            values.append(complex(*(float(part) for part in parts)))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     if not values:
-        raise ValueError("signal file contains no values")
+        raise ValueError("no signal values")
     return np.asarray(values, dtype=np.complex128)
 
 
@@ -98,15 +103,21 @@ def matrix_to_csv(matrix, complex_entries: bool = False, meta: dict | None = Non
 
 
 def matrix_from_csv(text: str, complex_entries: bool = False) -> tuple[np.ndarray, dict]:
-    """Parse a matrix CSV, returning (array, metadata)."""
+    """Parse a matrix CSV, returning (array, metadata); errors name the row and line."""
     meta, lines = split_meta(text)
     if not lines:
-        raise ValueError("matrix file contains no rows")
+        raise ValueError("no matrix rows")
     parse = parse_complex if complex_entries else float
-    rows = [[parse(cell) for cell in line.split(",")] for line in lines]
-    width = len(rows[0])
-    if any(len(row) != width for row in rows):
-        raise ValueError("matrix rows have inconsistent lengths")
+    rows = []
+    for row, (lineno, line) in enumerate(lines, start=1):
+        try:
+            rows.append([parse(cell) for cell in line.split(",")])
+        except ValueError as exc:
+            raise ValueError(f"row {row} (line {lineno}): {exc}") from None
+        if len(rows[-1]) != len(rows[0]):
+            raise ValueError(
+                f"row {row} (line {lineno}) has {len(rows[-1])} entries but row 1 has {len(rows[0])}"
+            )
     dtype = np.complex128 if complex_entries else np.float64
     return np.asarray(rows, dtype=dtype), meta
 

@@ -12,6 +12,12 @@ every t >= 0, and the frame is tight precisely when all heat-kernel columns
 share one norm -- which holds at all times on vertex-transitive and on
 strongly regular graphs.
 
+H_t and Phi are real; only the signal and the coefficients are complex. The
+transform and its inverse therefore multiply H_t into a complex128 matrix as
+one real GEMM over the interleaved view: the (n, n) complex array is read as
+an (n, 2n) float64 array of alternating real and imaginary parts, so H_t is
+never copied to complex.
+
 This module computes the transform and its left inverse, materializes the
 frame operator both in closed form and from the explicit n^2-atom Gram
 composition (the latter as an O(n^4) certification oracle for small n), and
@@ -106,10 +112,15 @@ def _check_same_graph(dec: SpectralDecomposition, hk: HeatKernel) -> None:
 
 
 def gstft(dec: SpectralDecomposition, hk: HeatKernel, f) -> GstftCoefficients:
-    """Heat-windowed transform of a signal: (V_t f) = H_t diag(f) conj(Phi)."""
+    """Heat-windowed transform of a signal: (V_t f) = H_t diag(f) conj(Phi).
+
+    Phi is real, so conj(Phi) = Phi, and the product with the real H_t is a
+    real GEMM over the interleaved view of diag(f) Phi.
+    """
     _check_same_graph(dec, hk)
     f = as_signal(f, dec.n)
-    matrix = hk.matrix @ (f[:, None] * dec.eigenvectors.conj())
+    weighted = f[:, None] * dec.eigenvectors
+    matrix = (hk.matrix @ weighted.view(np.float64)).view(np.complex128)
     return GstftCoefficients(t=hk.t, matrix=matrix)
 
 
@@ -180,14 +191,16 @@ def inverse_gstft(
                        * sum_j phi_j(v_i) sum_k F(v_k, lambda_j) H_t(v_k, v_i),
 
     which recovers f exactly from V_t f. The column norms are strictly
-    positive for every t, so no regularization is needed.
+    positive for every t, so no regularization is needed. H_t F is a real
+    GEMM over the interleaved view of F, taken as C-contiguous complex128.
     """
     _check_same_graph(dec, hk)
     if coefficients.n != dec.n:
         raise ValueError(f"coefficients have n={coefficients.n} but graph has n={dec.n}")
     if coefficients.t != hk.t:
         raise ValueError(f"coefficient time {coefficients.t} does not match kernel time {hk.t}")
-    inner = hk.matrix @ coefficients.matrix
+    coeffs = np.ascontiguousarray(coefficients.matrix, dtype=np.complex128)
+    inner = (hk.matrix @ coeffs.view(np.float64)).view(np.complex128)
     return (dec.eigenvectors * inner).sum(axis=1) / hk.column_norms_sq
 
 

@@ -216,10 +216,13 @@ def random_regular_graph(n: int, k: int, seed: int) -> Graph:
         raise ValueError(f"n*k must be even, got n={n}, k={k}")
 
     rng = np.random.default_rng(seed)
+    # labels[i] = i // k is the vertex of half-edge i. Permuting the labels
+    # gives rng.permutation(n * k) // k bit for bit, so each seed keeps its graph.
+    labels = np.repeat(np.arange(n), k)
     for _ in range(PAIRING_RETRIES):
-        points = rng.permutation(n * k)
-        u = points[0::2] // k
-        v = points[1::2] // k
+        points = rng.permutation(labels)
+        u = points[0::2]
+        v = points[1::2]
         if (u == v).any():
             continue
         lo = np.minimum(u, v)

@@ -2,7 +2,10 @@
 
 H_t is computed through the already-available Laplacian eigendecomposition,
 H_t = Phi exp(-t Lambda) Phi^T, rather than by series or scaling-and-squaring.
-That makes two independent routes to the column norms available: the direct
+The product is formed as H_t = X X^T with X = Phi exp(-t Lambda / 2), which
+numpy hands to BLAS ``syrk``: half the flops of a general product, and
+symmetric by construction (``X X^T``), so no symmetrizing pass is needed.
+Two independent routes to the column norms are then available: the direct
 entrywise sum over the matrix and the spectral sum
 
     ||H_t(., v_j)||^2 = sum_l exp(-2 lambda_l t) |phi_l(v_j)|^2,
@@ -76,9 +79,10 @@ def _window_time(t) -> float:
 def heat_kernel(dec: SpectralDecomposition, t: float) -> HeatKernel:
     """Heat kernel H_t = Phi exp(-t Lambda) Phi^T for finite t >= 0.
 
-    H_0 is returned as the exact identity. The matrix is symmetrized after the
-    eigenexpansion and validated: entries above ``ENTRY_FLOOR`` and row sums
-    within ``ROW_SUM_TOL`` of one (a NaN fails both). Rejects negative, NaN or
+    H_0 is returned as the exact identity. For t > 0 the matrix is symmetric
+    by construction (``X X^T`` with X = Phi exp(-t Lambda / 2)). It is
+    validated: entries above ``ENTRY_FLOOR`` and row sums within
+    ``ROW_SUM_TOL`` of one (a NaN fails both). Rejects negative, NaN or
     infinite t and decompositions that are not Laplacian-like.
     """
     t = _window_time(t)
@@ -87,9 +91,8 @@ def heat_kernel(dec: SpectralDecomposition, t: float) -> HeatKernel:
     if t == 0.0:
         matrix = np.eye(n)
     else:
-        phi = dec.eigenvectors
-        matrix = (phi * np.exp(-t * w)) @ phi.T
-        matrix = 0.5 * (matrix + matrix.T)
+        half = dec.eigenvectors * np.exp(-0.5 * t * w)
+        matrix = half @ half.T
 
     min_entry = float(matrix.min())
     if not min_entry > ENTRY_FLOOR:

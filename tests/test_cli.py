@@ -182,20 +182,39 @@ class TestTransformRoundTrip:
             ('{"meta": {"t": "1"}, "matrix": [[[1, 0]]]}', "meta 't' must be a number"),
             ('{"meta": {"graph_sha256": 7}, "matrix": [[[1, 0]]]}', "meta 'graph_sha256' must be a string"),
             ("# meta [1,2]\n1+0j\n", "'meta' must be an object"),
-            ("# meta {bad\n1+0j\n", "malformed '# meta' line"),
+            ("# meta {bad\n1+0j\n", "line 1: malformed '# meta' line"),
+            ("abc,1+0j\n", "row 1 (line 1): invalid complex value 'abc'"),
+            ('# meta {"n": 8}\n\n1+0j,2+0j\n1+0j\n', "row 2 (line 4) has 1 entries but row 1 has 2"),
         ],
         ids=[
             "no-matrix", "ragged", "scalar", "truncated", "bare-number", "strings",
             "meta-scalar", "meta-n-string", "meta-t-string", "meta-sha-number", "csv-meta-list", "csv-meta-truncated",
+            "csv-cell", "csv-ragged",
         ],
     )
     def test_json_coefficients_without_matrix_fail(self, tmp_path, capsys, ring8_setup, text, problem):
         graph_path, _, _ = ring8_setup
-        coeffs = tmp_path / ("bad.csv" if text.startswith("#") else "bad.json")
+        coeffs = tmp_path / ("bad.json" if text.startswith("{") else "bad.csv")
         coeffs.write_text(text)
         err = run_err(capsys, "reconstruct", "--graph", str(graph_path), "--coeffs", str(coeffs), "--t", "1", "--out", "-")
         assert str(coeffs) in err
         assert problem in err
+
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("# meta {bad\n1,0\n2,0\n3,0\n", "line 1: malformed '# meta' line"),
+            ("1,0\n# a comment\n\nx\n3,0\n", "line 4: could not convert string to float: 'x'"),
+        ],
+        ids=["meta-truncated", "entry"],
+    )
+    @pytest.mark.parametrize("command", ["gstft", "spectrogram"])
+    def test_malformed_signal_names_file_and_line(self, tmp_path, capsys, command, text, problem):
+        signal = tmp_path / "sig.csv"
+        signal.write_text(text)
+        graph = ("--family", "ring", "--n", "3", "--t", "1") if command == "gstft" else ()
+        err = run_err(capsys, command, *graph, "--signal", str(signal), "--out", "-")
+        assert f"signal file {signal}: {problem}" in err
 
     def test_signal_length_mismatch_fails(self, tmp_path, capsys, ring8_setup):
         graph_path, _, _ = ring8_setup
@@ -351,7 +370,7 @@ def test_non_finite_time_fails(tmp_path, capsys, argv, problem):
 
 def _csv_rows(text):
     meta, lines = split_meta(text)
-    return meta, [line.split(",") for line in lines]
+    return meta, [line.split(",") for _, line in lines]
 
 
 def _agree_heat(csv, doc):

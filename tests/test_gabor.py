@@ -194,6 +194,32 @@ class TestInverse:
             back = gabor.inverse_gstft(dec, hk, gabor.gstft(dec, hk, delta))
             assert np.abs(back - delta).max() <= 1e-9
 
+    @pytest.mark.parametrize("kind", ["real", "imaginary", "complex"])
+    def test_real_products_match_complex_reference(self, kind):
+        """The interleaved real GEMMs agree with the complex product of H_t."""
+        dec, hk = pipeline(graphs.random_regular_graph(60, 3, seed=2), 0.7)
+        rng = np.random.default_rng(8)
+        re, im = rng.standard_normal((2, dec.n))
+        f = {"real": re, "imaginary": 1j * im, "complex": re + 1j * im}[kind]
+        tol = 1e-13 * np.abs(f).max()
+        h = hk.matrix.astype(np.complex128)
+        coeffs = gabor.gstft(dec, hk, f)
+        expected = h @ (f[:, None] * dec.eigenvectors)
+        assert np.abs(coeffs.matrix - expected).max() <= tol
+        inverse = (dec.eigenvectors * (h @ coeffs.matrix)).sum(axis=1) / hk.column_norms_sq
+        assert np.abs(gabor.inverse_gstft(dec, hk, coeffs) - inverse).max() <= tol
+
+    def test_coefficient_layout_and_dtype_do_not_matter(self):
+        """Fortran-ordered and real-dtype coefficients invert like C-ordered complex ones."""
+        dec, hk = pipeline(graphs.petersen_graph(), 1.3)
+        rng = np.random.default_rng(4)
+        re, im = rng.standard_normal((2, 10, 10))
+        for variant in (np.asfortranarray(re + 1j * im), re, np.asfortranarray(re)):
+            reference = np.ascontiguousarray(variant, dtype=np.complex128)
+            expected = gabor.inverse_gstft(dec, hk, gabor.GstftCoefficients(hk.t, reference))
+            back = gabor.inverse_gstft(dec, hk, gabor.GstftCoefficients(hk.t, variant))
+            assert np.array_equal(back, expected)
+
     def test_t_mismatch_rejected(self):
         dec, hk = pipeline(graphs.ring_graph(6), 1.0)
         coeffs = gabor.gstft(dec, hk, np.ones(6))

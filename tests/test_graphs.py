@@ -170,6 +170,27 @@ class TestRandomRegular:
         b = graphs.random_regular_graph(30, 3, seed=1)
         assert a.edges != b.edges
 
+    @pytest.mark.parametrize("n,k,seed", [(24, 3, 7), (100, 3, 42), (60, 5, 4), (100, 5, 42)])
+    def test_same_stream_as_dividing_permuted_half_edges(self, n, k, seed):
+        """Permuting vertex labels draws what permuting half-edges then dividing by k drew."""
+        rng = np.random.default_rng(seed)
+        while True:
+            points = rng.permutation(n * k) // k
+            u, v = points[0::2], points[1::2]
+            pairs = {(min(a, b), max(a, b)) for a, b in zip(u.tolist(), v.tolist())}
+            if (u == v).any() or len(pairs) != u.size:
+                continue
+            seen, frontier = {0}, [0]
+            while frontier:
+                a = frontier.pop()
+                for b in {y for x, y in pairs if x == a} | {x for x, y in pairs if y == a}:
+                    if b not in seen:
+                        seen.add(b)
+                        frontier.append(b)
+            if len(seen) == n:
+                break
+        assert graphs.random_regular_graph(n, k, seed).edges == tuple(sorted(pairs))
+
     def test_retry_budget_exhaustion(self, monkeypatch):
         monkeypatch.setattr(graphs, "PAIRING_RETRIES", 10)
         with pytest.raises(RuntimeError, match="attempts"):
