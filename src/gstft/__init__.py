@@ -6,13 +6,13 @@ The package builds the transform stack bottom-up:
   (rings, hypercubes, Petersen, Shrikhande, random regular), strongly-regular
   parameter detection, JSON/edge-list serialization.
 - :mod:`gstft.spectral` -- Laplacian eigendecomposition (LAPACK ``eigh`` with
-  a deterministic sign convention) and the graph Fourier transform.
+  a deterministic sign convention).
 - :mod:`gstft.heat` -- the heat semigroup H_t = exp(-tL) used as the window.
-- :mod:`gstft.gabor` -- the windowed transform, its Gabor atom system, frame
-  operator spectra, exact inversion, and tightness certification.
+- :mod:`gstft.gabor` -- the windowed transform, frame operator spectra,
+  exact inversion, and tightness certification.
 - :mod:`gstft.classical` -- the matching transforms on C^N (DFT, windowed
-  transform, full Gabor systems), which the graph machinery reduces to on
-  ring graphs.
+  transform, spectrogram, full Gabor systems), which the graph machinery
+  reduces to on ring graphs.
 - :mod:`gstft.cli` -- the ``gstft`` command-line tool.
 """
 
@@ -22,30 +22,20 @@ from .classical import (
     dft,
     dft_matrix,
     dstft,
-    dstft_reconstruct,
     full_gabor_system,
-    idft,
-    modulate,
     piecewise_cosine,
     spectrogram,
-    time_frequency_shift,
-    translate,
 )
 from .gabor import (
     FrameReport,
     GstftCoefficients,
-    ShumanComparison,
     TightnessSweep,
-    atom_matrix,
     fiedler_eigenspace_mass,
-    frame_inequality_check,
     frame_operator,
-    frame_operator_gram,
     frame_report,
     gstft,
     inverse_gstft,
     permutation_commutator,
-    shuman_crosscheck,
     srg_eigenspace_mass,
     tightness_sweep,
 )
@@ -70,9 +60,6 @@ from .spectral import (
     SpectralDecomposition,
     as_signal,
     decompose,
-    eigenspace_projectors,
-    gft,
-    igft,
     laplacian,
 )
 
@@ -100,9 +87,6 @@ __all__ = [
     "as_signal",
     "laplacian",
     "decompose",
-    "gft",
-    "igft",
-    "eigenspace_projectors",
     # heat
     "HeatKernel",
     "heat_kernel",
@@ -111,29 +95,19 @@ __all__ = [
     "GstftCoefficients",
     "FrameReport",
     "TightnessSweep",
-    "ShumanComparison",
     "gstft",
-    "atom_matrix",
     "frame_operator",
-    "frame_operator_gram",
     "frame_report",
     "inverse_gstft",
-    "frame_inequality_check",
     "tightness_sweep",
-    "shuman_crosscheck",
     "permutation_commutator",
     "fiedler_eigenspace_mass",
     "srg_eigenspace_mass",
     # classical
     "dft_matrix",
     "dft",
-    "idft",
-    "translate",
-    "modulate",
-    "time_frequency_shift",
     "full_gabor_system",
     "dstft",
-    "dstft_reconstruct",
     "spectrogram",
     "piecewise_cosine",
     "boxcar_window",

@@ -1,10 +1,10 @@
 """Classical finite-dimensional Fourier analysis on C^N.
 
-Reference implementations of the DFT, cyclic translation, modulation, the
-windowed (short-time) transform, and the full Gabor system of all N^2
-time-frequency shifts of a window. The full system is always a tight frame
-with bound N ||g||^2, which gives the exact reconstruction formula
-implemented in :func:`dstft_reconstruct`.
+Reference implementations of the DFT, the windowed (short-time) transform
+and its spectrogram, and the full Gabor system of all N^2 time-frequency
+shifts pi(k, l) g = M_l T_k g of a window (cyclic translation by k, then
+modulation by l). The full system is always a tight frame with bound
+N ||g||^2.
 
 On a ring graph the Laplacian eigenvectors are the DFT harmonics, so these
 operators are the specialization of the graph transforms in
@@ -39,33 +39,6 @@ def dft(f) -> np.ndarray:
     return dft_matrix(f.size) @ f
 
 
-def idft(f_hat) -> np.ndarray:
-    """Inverse DFT f = W_N* f_hat."""
-    f_hat = _as_vector(f_hat)
-    return dft_matrix(f_hat.size).conj().T @ f_hat
-
-
-def translate(f, k: int) -> np.ndarray:
-    """Cyclic translation (T_k f)(n) = f(n - k)."""
-    f = _as_vector(f)
-    if not 0 <= k < f.size:
-        raise ValueError(f"translation index {k} out of range for N={f.size}")
-    return np.roll(f, k)
-
-
-def modulate(f, l: int) -> np.ndarray:
-    """Modulation (M_l f)(n) = exp(2 pi i l n / N) f(n)."""
-    f = _as_vector(f)
-    if not 0 <= l < f.size:
-        raise ValueError(f"modulation index {l} out of range for N={f.size}")
-    return f * np.exp(2j * np.pi * l * np.arange(f.size) / f.size)
-
-
-def time_frequency_shift(g, k: int, l: int) -> np.ndarray:
-    """The Gabor atom pi(k, l) g = M_l T_k g."""
-    return modulate(translate(g, k), l)
-
-
 def _shifted_windows(g: np.ndarray) -> np.ndarray:
     """Matrix with row k equal to T_k g."""
     n = g.size
@@ -98,24 +71,6 @@ def dstft(f, g) -> np.ndarray:
         raise ValueError("window must be nonzero")
     products = f[None, :] * _shifted_windows(g).conj()
     return products @ _harmonics(f.size).conj().T
-
-
-def dstft_reconstruct(coefficients, g) -> np.ndarray:
-    """Exact inversion f = (1 / (N ||g||^2)) sum_kl V_g f(k, l) pi(k, l) g.
-
-    This is the adjoint-based tight-frame reconstruction; note the synthesis
-    harmonics carry the positive exponent e^(+2 pi i l n / N), the conjugate
-    of the analysis phase, which is what makes the round trip exact.
-    """
-    g = _as_vector(g)
-    if np.linalg.norm(g) == 0.0:
-        raise ValueError("window must be nonzero")
-    v = np.asarray(coefficients, dtype=np.complex128)
-    n = g.size
-    if v.shape != (n, n):
-        raise ValueError(f"coefficients must be shape ({n}, {n}), got {v.shape}")
-    synthesis = (v @ _harmonics(n)) * _shifted_windows(g)
-    return synthesis.sum(axis=0) / (n * float(np.linalg.norm(g) ** 2))
 
 
 def spectrogram(f, g) -> np.ndarray:

@@ -315,11 +315,16 @@ def cmd_sweep_decay(args) -> None:
 def cmd_spectrogram(args) -> None:
     if args.signal is not None and args.n is not None:
         raise ValueError("use either --signal FILE or --n LENGTH, not both")
+    # dstft builds N x N arrays in O(N^3) time; refuse long signals up front
     if args.signal is not None:
         f = _read_signal(args.signal)
+        n = f.size
     else:
-        f = classical.piecewise_cosine(args.n if args.n is not None else 256)
-    n = f.size
+        n = args.n if args.n is not None else 256
+    if n > graphs.MAX_VERTICES:
+        raise ValueError(f"signal length {n} exceeds the {graphs.MAX_VERTICES}-sample spectrogram limit")
+    if args.signal is None:
+        f = classical.piecewise_cosine(n)
 
     if args.window == "delta":
         window = classical.delta_window(n)

@@ -18,12 +18,10 @@ one real GEMM over the interleaved view: the (n, n) complex array is read as
 an (n, 2n) float64 array of alternating real and imaginary parts, so H_t is
 never copied to complex.
 
-This module computes the transform and its left inverse, materializes the
-frame operator both in closed form and from the explicit n^2-atom Gram
-composition (the latter as an O(n^4) certification oracle for small n), and
-provides the numerical certificates used to verify tightness: frame reports
-over a time grid, random-signal frame-inequality sampling, permutation
-commutator checks, and the strongly-regular eigenvector partial-sum identity.
+This module computes the transform and its left inverse, the frame operator
+in closed form, and the numerical certificates used to verify tightness:
+frame reports over a time grid, permutation commutator checks, and the
+strongly-regular eigenvector partial-sum identity.
 """
 from __future__ import annotations
 
@@ -34,16 +32,15 @@ import numpy as np
 
 from .graphs import SrgParameters
 from .heat import HeatKernel, heat_kernel, spectral_column_norms_sq
-from .spectral import SpectralDecomposition, as_signal, eigenspace_projectors
+from .spectral import CLUSTER_TOL, SpectralDecomposition, as_signal
 
-# Roundoff allowance for identities that are exact in theory: the tight verdict
-# (relative to max(1, B)), sampled energies against the frame bounds, and the
-# spectral-window proportionality residual.
+# Roundoff allowance for the tight verdict of frame_report, relative to
+# max(1, B). The test oracles share it for the other identities that are exact
+# in theory: sampled energies against the frame bounds and the spectral-window
+# proportionality residual.
 TIGHT_TOL = 1e-9
 # Agreement required between the spectral gammas and the direct column norms.
 GAMMA_CROSSCHECK_TOL = 1e-10
-# The n^2-atom Gram oracle is O(n^4) time and memory; refuse above this size.
-GRAM_ORACLE_MAX_N = 64
 
 
 @dataclass(frozen=True)
@@ -92,20 +89,6 @@ class TightnessSweep:
     gaps: np.ndarray
 
 
-@dataclass(frozen=True)
-class ShumanComparison:
-    """Outcome of comparing the transform against the spectral-window formulation.
-
-    ``kappa`` is the fitted proportionality constant, ``expected_kappa`` its
-    analytic value N*C (C normalizes the spectral window to unit norm), and
-    ``deviation`` the largest entrywise difference after scaling.
-    """
-
-    kappa: float
-    expected_kappa: float
-    deviation: float
-
-
 def _check_same_graph(dec: SpectralDecomposition, hk: HeatKernel) -> None:
     if dec.n != hk.n:
         raise ValueError(f"decomposition has n={dec.n} but heat kernel has n={hk.n}")
@@ -124,32 +107,10 @@ def gstft(dec: SpectralDecomposition, hk: HeatKernel, f) -> GstftCoefficients:
     return GstftCoefficients(t=hk.t, matrix=matrix)
 
 
-def atom_matrix(dec: SpectralDecomposition, hk: HeatKernel) -> np.ndarray:
-    """All n^2 atoms stacked as rows: row ``i * n + j`` is psi_ij(t) = D_i(t) phi_j."""
-    _check_same_graph(dec, hk)
-    n = dec.n
-    stacked = np.einsum("ki,kj->ijk", hk.matrix, dec.eigenvectors)
-    return stacked.reshape(n * n, n).astype(np.complex128)
-
-
 def frame_operator(dec: SpectralDecomposition, hk: HeatKernel) -> np.ndarray:
     """Frame operator in closed form: S(t) = sum_i D_i(t)^2 = diag(||H_t(., v_j)||^2)."""
     _check_same_graph(dec, hk)
     return np.diag(hk.column_norms_sq)
-
-
-def frame_operator_gram(dec: SpectralDecomposition, hk: HeatKernel) -> np.ndarray:
-    """Frame operator from the explicit atoms: S(t) = A(t)* A(t).
-
-    The analysis operator A(t) has the conjugated atoms as rows, so S(t) is
-    the sum of atom outer products. This is the O(n^4) certification oracle
-    for :func:`frame_operator`; sizes above ``GRAM_ORACLE_MAX_N`` are refused.
-    """
-    _check_same_graph(dec, hk)
-    if dec.n > GRAM_ORACLE_MAX_N:
-        raise ValueError(f"Gram oracle limited to n <= {GRAM_ORACLE_MAX_N}, got n={dec.n}")
-    rows = atom_matrix(dec, hk)
-    return rows.T @ rows.conj()
 
 
 def frame_report(dec: SpectralDecomposition, hk: HeatKernel) -> FrameReport:
@@ -204,37 +165,6 @@ def inverse_gstft(
     return (dec.eigenvectors * inner).sum(axis=1) / hk.column_norms_sq
 
 
-def frame_inequality_check(
-    dec: SpectralDecomposition, hk: HeatKernel, trials: int, seed: int
-) -> tuple[float, float]:
-    """Sample the frame inequality with random unit-norm complex signals.
-
-    For each trial, sum_ij |<f, psi_ij(t)>|^2 is evaluated as the squared
-    Frobenius norm of the transform (independent of the frame operator) and
-    the min/max over trials is returned. Both must land inside the closed-form
-    bounds [A - TIGHT_TOL, B + TIGHT_TOL]; an excursion raises, since it would
-    falsify the frame bounds themselves.
-    """
-    _check_same_graph(dec, hk)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    rng = np.random.default_rng(seed)
-    lo, hi = math.inf, -math.inf
-    for _ in range(trials):
-        f = rng.standard_normal(dec.n) + 1j * rng.standard_normal(dec.n)
-        f /= np.linalg.norm(f)
-        energy = float(np.linalg.norm(gstft(dec, hk, f).matrix) ** 2)
-        lo = min(lo, energy)
-        hi = max(hi, energy)
-    gammas = spectral_column_norms_sq(dec, hk.t)
-    if lo < gammas.min() - TIGHT_TOL or hi > gammas.max() + TIGHT_TOL:
-        raise ValueError(
-            f"sampled energies [{lo:.12g}, {hi:.12g}] escape the frame bounds "
-            f"[{gammas.min():.12g}, {gammas.max():.12g}]"
-        )
-    return lo, hi
-
-
 def tightness_sweep(dec: SpectralDecomposition, t_grid) -> TightnessSweep:
     """Frame reports over an ascending nonnegative time grid.
 
@@ -259,49 +189,6 @@ def tightness_sweep(dec: SpectralDecomposition, t_grid) -> TightnessSweep:
     )
 
 
-def shuman_crosscheck(dec: SpectralDecomposition, f, tau: float) -> ShumanComparison:
-    """Compare the transform against the spectral-window vertex-frequency form.
-
-    The alternative construction modulates by sqrt(N) phi_j and translates by
-    convolution against a spectral window g_hat(lambda_l) = C exp(-tau
-    lambda_l), C chosen so ||g|| = 1:
-
-        Sf(v_i, lambda_j) = N sum_k f(v_k) phi_j(v_k)
-                            [sum_l C exp(-tau lambda_l) phi_l(v_i) phi_l(v_k)].
-
-    For real signals this is proportional to V_tau f with constant N*C (the
-    window here is the unnormalized heat kernel). A single scalar is fitted
-    and the residual must fall below ``TIGHT_TOL``, else ValueError.
-    """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    f = as_signal(f, dec.n)
-    if np.abs(f.imag).max() != 0.0:
-        raise ValueError("cross-check is defined for real-valued signals")
-    f = f.real
-
-    n = dec.n
-    w = np.maximum(dec.eigenvalues, 0.0)
-    weights = np.exp(-tau * w)
-    c = 1.0 / math.sqrt(float(np.sum(weights**2)))
-    phi = dec.eigenvectors
-    translation = c * (phi * weights) @ phi.T
-    windowed = n * (translation @ (f[:, None] * phi))
-
-    reference = gstft(dec, heat_kernel(dec, tau), f).matrix.real
-    denom = float(np.sum(reference * reference))
-    if denom == 0.0:
-        kappa = n * c
-    else:
-        kappa = float(np.sum(windowed * reference) / denom)
-    deviation = float(np.abs(windowed - kappa * reference).max())
-    if deviation > TIGHT_TOL:
-        raise ValueError(
-            f"transforms are not proportional: residual {deviation:.3e} exceeds {TIGHT_TOL:g}"
-        )
-    return ShumanComparison(kappa=kappa, expected_kappa=n * c, deviation=deviation)
-
-
 def permutation_commutator(hk: HeatKernel, permutation) -> float:
     """Max-norm of P H_t - H_t P for the permutation matrix P of a vertex map.
 
@@ -322,15 +209,18 @@ def permutation_commutator(hk: HeatKernel, permutation) -> float:
 def fiedler_eigenspace_mass(dec: SpectralDecomposition) -> np.ndarray:
     """Per-vertex squared eigenvector mass of the second eigenvalue cluster.
 
-    Entry i is sum over the lambda_2-eigenspace of |phi(v_i)|^2, computed from
-    the eigenspace projector so the value is basis-independent under
-    multiplicity. On strongly regular graphs this is the vertex-independent
+    Entry i is sum over the lambda_2-eigenspace of |phi(v_i)|^2, the diagonal
+    of that eigenspace's projector, so the value is basis-independent under
+    multiplicity. Consecutive eigenvalues closer than ``CLUSTER_TOL`` share an
+    eigenspace. Only the eigenspace's columns are read: O(n * multiplicity)
+    work and memory. On strongly regular graphs this is the vertex-independent
     quantity with the closed form :func:`srg_eigenspace_mass`.
     """
-    projectors = eigenspace_projectors(dec)
-    if len(projectors) < 2:
+    starts = np.flatnonzero(np.diff(dec.eigenvalues) > CLUSTER_TOL) + 1
+    if starts.size == 0:
         raise ValueError("spectrum has no second eigenspace to project onto")
-    return np.diag(projectors[1][1]).copy()
+    stop = starts[1] if starts.size > 1 else dec.n
+    return np.square(dec.eigenvectors[:, starts[0] : stop]).sum(axis=1)
 
 
 def srg_eigenspace_mass(params: SrgParameters) -> float:

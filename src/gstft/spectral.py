@@ -1,10 +1,10 @@
-"""Graph Laplacian eigenanalysis and the graph Fourier transform.
+"""Graph Laplacian eigenanalysis.
 
 The Laplacian L = D - A of a connected graph is symmetric positive
 semidefinite with a simple zero eigenvalue whose unit eigenvector is the
-constant vector 1/sqrt(N). Expanding a vertex signal in the orthonormal
-eigenvector basis gives the graph Fourier transform f_hat = Phi* f; on ring
-graphs this reduces to the classical DFT.
+constant vector 1/sqrt(N). Its orthonormal eigenvectors are the frequencies
+of the windowed transform in :mod:`gstft.gabor`; on ring graphs each
+eigenspace is spanned by classical DFT harmonics.
 
 Signals are complex-valued length-n vectors; plain numpy arrays are used
 throughout, with :func:`as_signal` validating shape and dtype at the API
@@ -36,11 +36,9 @@ __all__ = [
     "as_signal",
     "laplacian",
     "decompose",
-    "gft",
-    "igft",
-    "eigenspace_projectors",
 ]
 
+# Consecutive eigenvalues closer than this belong to one eigenspace.
 CLUSTER_TOL = 1e-8
 
 
@@ -118,34 +116,3 @@ def decompose(matrix: np.ndarray) -> SpectralDecomposition:
     w, v = np.linalg.eigh(0.5 * (a + a.T))
     return SpectralDecomposition(eigenvalues=w, eigenvectors=_fix_signs(v))
 
-
-def gft(dec: SpectralDecomposition, f) -> np.ndarray:
-    """Graph Fourier transform f_hat = Phi* f (coefficients in eigenvalue order)."""
-    f = as_signal(f, dec.n)
-    return dec.eigenvectors.conj().T @ f
-
-
-def igft(dec: SpectralDecomposition, f_hat) -> np.ndarray:
-    """Inverse graph Fourier transform f = Phi f_hat."""
-    f_hat = as_signal(f_hat, dec.n)
-    return dec.eigenvectors.astype(np.complex128) @ f_hat
-
-
-def eigenspace_projectors(dec: SpectralDecomposition) -> list[tuple[float, np.ndarray]]:
-    """Orthogonal projectors onto eigenspaces, grouping eigenvalues within CLUSTER_TOL.
-
-    Consecutive eigenvalues closer than ``CLUSTER_TOL`` share a cluster; each
-    cluster yields ``(representative eigenvalue, P)`` with ``P`` the sum of
-    outer products of its eigenvectors. The projectors are basis-independent
-    under eigenvalue multiplicity and sum to the identity.
-    """
-    w = dec.eigenvalues
-    v = dec.eigenvectors
-    projectors = []
-    start = 0
-    for stop in range(1, dec.n + 1):
-        if stop == dec.n or w[stop] - w[stop - 1] > CLUSTER_TOL:
-            block = v[:, start:stop]
-            projectors.append((float(w[start:stop].mean()), block @ block.T))
-            start = stop
-    return projectors

@@ -349,6 +349,21 @@ class TestSpectrogram:
         signal.write_text("1,0\n")
         run_err(capsys, "spectrogram", "--signal", str(signal), "--n", "16", "--out", str(tmp_path / "x.csv"))
 
+    @pytest.mark.parametrize("source", ["n", "signal"])
+    def test_longer_than_vertex_limit_refused(self, tmp_path, capsys, source):
+        length = graphs.MAX_VERTICES + 1
+        if source == "n":
+            argv = ["--n", str(length)]
+        else:
+            signal = tmp_path / "long.csv"
+            signal.write_text("1,0\n" * length)
+            argv = ["--signal", str(signal)]
+        out = tmp_path / "spec.csv"
+        err = run_err(capsys, "spectrogram", *argv, "--out", str(out))
+        assert err.count("\n") == 1
+        assert f"signal length {length} exceeds" in err
+        assert not out.exists()
+
 
 @pytest.mark.parametrize(
     "argv, problem",

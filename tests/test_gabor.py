@@ -5,12 +5,15 @@ transform entries, the n^2-atom Gram composition for the frame operator,
 and scipy's expm-based column norms for the frame spectrum.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from gstft import gabor, graphs, heat, spectral
+
+import oracles
 
 
 def pipeline(g, t):
@@ -78,7 +81,7 @@ class TestTransform:
 class TestAtoms:
     def test_count_and_order(self):
         dec, hk = pipeline(graphs.ring_graph(4), 0.5)
-        rows = gabor.atom_matrix(dec, hk)
+        rows = oracles.atom_matrix(dec, hk)
         assert rows.shape == (16, 4)
         # row i * n + j is psi_ij, e.g. row 6 is (i, j) = (1, 2)
         for i in range(4):
@@ -87,7 +90,7 @@ class TestAtoms:
 
     def test_t_zero_atoms_are_masked_eigenvector_entries(self):
         dec, hk = pipeline(graphs.ring_graph(5), 0.0)
-        rows = gabor.atom_matrix(dec, hk)
+        rows = oracles.atom_matrix(dec, hk)
         for i in range(5):
             for j in range(5):
                 expected = np.zeros(5, dtype=complex)
@@ -126,7 +129,7 @@ class TestFrameOperator:
     def test_gram_oracle_agreement(self, t):
         for g in (graphs.complete_graph(2), graphs.ring_graph(8), graphs.petersen_graph()):
             dec, hk = pipeline(g, t)
-            gram = gabor.frame_operator_gram(dec, hk)
+            gram = oracles.frame_operator_gram(dec, hk)
             closed = gabor.frame_operator(dec, hk)
             off = gram - np.diag(np.diag(gram))
             assert np.abs(off).max() <= 1e-10
@@ -135,7 +138,7 @@ class TestFrameOperator:
     def test_gram_oracle_size_guard(self):
         dec, hk = pipeline(graphs.ring_graph(65), 0.5)
         with pytest.raises(ValueError, match="n <= 64"):
-            gabor.frame_operator_gram(dec, hk)
+            oracles.frame_operator_gram(dec, hk)
 
 
 class TestFrameReport:
@@ -250,21 +253,21 @@ class TestFrameInequality:
         g = graphs.build_from_edge_list(3, [(0, 1), (1, 2)])
         dec, hk = pipeline(g, 1.0)
         report = gabor.frame_report(dec, hk)
-        lo, hi = gabor.frame_inequality_check(dec, hk, trials=50, seed=9)
+        lo, hi = oracles.frame_inequality_check(dec, hk, trials=50, seed=9)
         assert lo >= report.bound_a - 1e-9
         assert hi <= report.bound_b + 1e-9
 
     def test_tight_graph_pins_both_ends(self):
         dec, hk = pipeline(graphs.ring_graph(7), 1.0)
         report = gabor.frame_report(dec, hk)
-        lo, hi = gabor.frame_inequality_check(dec, hk, trials=20, seed=2)
+        lo, hi = oracles.frame_inequality_check(dec, hk, trials=20, seed=2)
         assert abs(lo - report.bound_a) <= 1e-9
         assert abs(hi - report.bound_a) <= 1e-9
 
     def test_requires_positive_trials(self):
         dec, hk = pipeline(graphs.ring_graph(4), 0.5)
         with pytest.raises(ValueError):
-            gabor.frame_inequality_check(dec, hk, trials=0, seed=0)
+            oracles.frame_inequality_check(dec, hk, trials=0, seed=0)
 
 
 class TestTightnessSweep:
@@ -403,32 +406,64 @@ class TestStronglyRegularCertificates:
             assert norms.tolist() == [d * d + d] * g.n
 
 
+class TestFiedlerEigenspaceMass:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            graphs.petersen_graph,
+            lambda: graphs.hypercube_graph(4),
+            lambda: graphs.random_regular_graph(100, 3, seed=1),
+        ],
+        ids=["petersen", "q4", "rr100"],
+    )
+    def test_matches_projector_diagonal(self, build):
+        dec = spectral.decompose(spectral.laplacian(build()))
+        expected = np.diag(oracles.eigenspace_projectors(dec)[1][1])
+        assert np.abs(gabor.fiedler_eigenspace_mass(dec) - expected).max() <= 1e-14
+
+    def test_memory_linear_in_n(self):
+        # every eigenspace's n x n projector would peak near 488 MiB here
+        dec = spectral.decompose(spectral.laplacian(graphs.random_regular_graph(400, 3, seed=1)))
+        tracemalloc.start()
+        try:
+            gabor.fiedler_eigenspace_mass(dec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_single_eigenspace_rejected(self):
+        dec = spectral.decompose(np.eye(3))
+        with pytest.raises(ValueError, match="no second eigenspace"):
+            gabor.fiedler_eigenspace_mass(dec)
+
+
 class TestShumanCrosscheck:
     def test_ring_proportional(self):
         dec = spectral.decompose(spectral.laplacian(graphs.ring_graph(8)))
         rng = np.random.default_rng(3)
         f = rng.standard_normal(8)
-        result = gabor.shuman_crosscheck(dec, f, tau=1.0)
+        result = oracles.shuman_crosscheck(dec, f, tau=1.0)
         assert result.deviation <= 1e-9
         assert abs(result.kappa - result.expected_kappa) <= 1e-9 * result.expected_kappa
 
     def test_k2_proportional(self):
         dec = spectral.decompose(spectral.laplacian(graphs.complete_graph(2)))
-        result = gabor.shuman_crosscheck(dec, np.array([0.3, -1.1]), tau=0.5)
+        result = oracles.shuman_crosscheck(dec, np.array([0.3, -1.1]), tau=0.5)
         assert result.deviation <= 1e-9
 
     def test_zero_signal(self):
         dec = spectral.decompose(spectral.laplacian(graphs.ring_graph(5)))
-        result = gabor.shuman_crosscheck(dec, np.zeros(5), tau=1.0)
+        result = oracles.shuman_crosscheck(dec, np.zeros(5), tau=1.0)
         assert result.deviation == 0.0
         assert result.kappa == result.expected_kappa
 
     def test_nonpositive_tau_rejected(self):
         dec = spectral.decompose(spectral.laplacian(graphs.ring_graph(5)))
         with pytest.raises(ValueError):
-            gabor.shuman_crosscheck(dec, np.ones(5), tau=0.0)
+            oracles.shuman_crosscheck(dec, np.ones(5), tau=0.0)
 
     def test_complex_signal_rejected(self):
         dec = spectral.decompose(spectral.laplacian(graphs.ring_graph(5)))
         with pytest.raises(ValueError, match="real"):
-            gabor.shuman_crosscheck(dec, np.full(5, 1j), tau=1.0)
+            oracles.shuman_crosscheck(dec, np.full(5, 1j), tau=1.0)
