@@ -20,7 +20,6 @@ from .classical import (
     boxcar_window,
     delta_window,
     dft,
-    dft_matrix,
     dstft,
     full_gabor_system,
     piecewise_cosine,
@@ -104,7 +103,6 @@ __all__ = [
     "fiedler_eigenspace_mass",
     "srg_eigenspace_mass",
     # classical
-    "dft_matrix",
     "dft",
     "full_gabor_system",
     "dstft",

@@ -10,8 +10,10 @@ On a ring graph the Laplacian eigenvectors are the DFT harmonics, so these
 operators are the specialization of the graph transforms in
 :mod:`gstft.gabor`; tests and demos use that correspondence as a cross-check.
 
-All transforms are direct matrix products -- the sizes of interest are small
-and bitwise-deterministic output matters more than FFT speed here.
+The DFT and the windowed transform run on ``numpy.fft`` (pocketfft), in
+O(N log N) per transform. pocketfft is single-threaded, so identical input on
+one platform gives identical output bits. ``numpy.fft`` is reached only
+inside the functions, so importing this module does not load it.
 """
 from __future__ import annotations
 
@@ -25,18 +27,10 @@ def _as_vector(f) -> np.ndarray:
     return f
 
 
-def dft_matrix(n: int) -> np.ndarray:
-    """Unitary Fourier matrix W_N with entries (1/sqrt(N)) omega^(-rs), omega = exp(2 pi i / N)."""
-    if n < 1:
-        raise ValueError(f"size must be >= 1, got {n}")
-    r = np.arange(n)
-    return np.exp(-2j * np.pi * np.outer(r, r) / n) / np.sqrt(n)
-
-
 def dft(f) -> np.ndarray:
-    """Discrete Fourier transform f_hat = W_N f."""
+    """Unitary discrete Fourier transform f_hat(l) = (1/sqrt(N)) sum_n f(n) e^(-2 pi i l n / N)."""
     f = _as_vector(f)
-    return dft_matrix(f.size) @ f
+    return np.fft.fft(f, norm="ortho")
 
 
 def _shifted_windows(g: np.ndarray) -> np.ndarray:
@@ -69,8 +63,7 @@ def dstft(f, g) -> np.ndarray:
         raise ValueError(f"signal length {f.size} does not match window length {g.size}")
     if np.linalg.norm(g) == 0.0:
         raise ValueError("window must be nonzero")
-    products = f[None, :] * _shifted_windows(g).conj()
-    return products @ _harmonics(f.size).conj().T
+    return np.fft.fft(f[None, :] * _shifted_windows(g).conj(), axis=1)
 
 
 def spectrogram(f, g) -> np.ndarray:

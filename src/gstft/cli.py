@@ -315,7 +315,7 @@ def cmd_sweep_decay(args) -> None:
 def cmd_spectrogram(args) -> None:
     if args.signal is not None and args.n is not None:
         raise ValueError("use either --signal FILE or --n LENGTH, not both")
-    # dstft builds N x N arrays in O(N^3) time; refuse long signals up front
+    # dstft holds N x N complex arrays (256 MiB each at N = 4096); refuse long signals up front
     if args.signal is not None:
         f = _read_signal(args.signal)
         n = f.size

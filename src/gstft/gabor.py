@@ -195,15 +195,16 @@ def permutation_commutator(hk: HeatKernel, permutation) -> float:
     ``permutation[i]`` is the image of vertex i; P e_i = e_{permutation[i]}.
     Vanishes (to roundoff) exactly when the permutation is a graph
     automorphism, since automorphisms commute with the adjacency matrix and
-    hence with every power series in the Laplacian.
+    hence with every power series in the Laplacian. Entry (perm[i], j) of
+    P H_t - H_t P is H_t[i, j] - H_t[perm[i], perm[j]], so the norm is read
+    off one reindexing of H_t, without forming P.
     """
     perm = np.asarray(permutation, dtype=np.int64)
     n = hk.n
     if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
         raise ValueError("permutation must be a rearrangement of 0..n-1")
-    p = np.zeros((n, n))
-    p[perm, np.arange(n)] = 1.0
-    return float(np.abs(p @ hk.matrix - hk.matrix @ p).max())
+    h = hk.matrix
+    return float(np.abs(h[np.ix_(perm, perm)] - h).max())
 
 
 def fiedler_eigenspace_mass(dec: SpectralDecomposition) -> np.ndarray:

@@ -258,7 +258,9 @@ def detect_srg_parameters(g: Graph) -> SrgParameters | None:
     if not g.is_regular():
         return None
 
-    common = g.adjacency @ g.adjacency
+    # float64 so the product runs in BLAS; counts are at most n < 2^53, so exact
+    adjacency = g.adjacency.astype(np.float64)
+    common = adjacency @ adjacency
     off_diagonal = ~np.eye(n, dtype=bool)
     adjacent = (g.adjacency == 1) & off_diagonal
     non_adjacent = (g.adjacency == 0) & off_diagonal

@@ -4,7 +4,7 @@ Each oracle builds a quantity the library computes in closed form, but by an
 independent route: the frame operator from all n^2 explicit atoms (O(n^4)),
 frame bounds by sampling random signals, the transform from Shuman's
 spectral-window formulation, the graph Fourier transform pair, eigenspace
-projectors, and the classical shift, modulation and tight-frame
+projectors, and the classical DFT matrix, shift, modulation and tight-frame
 reconstruction on C^N. The library itself never calls them. Tolerances are
 the library's own (``gabor.TIGHT_TOL``, ``spectral.CLUSTER_TOL``), so each is
 defined once.
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gstft.classical import _as_vector, _harmonics, _shifted_windows, dft_matrix
+from gstft.classical import _as_vector, _harmonics, _shifted_windows
 from gstft.gabor import TIGHT_TOL, _check_same_graph, gstft
 from gstft.heat import HeatKernel, heat_kernel, spectral_column_norms_sq
 from gstft.spectral import CLUSTER_TOL, SpectralDecomposition, as_signal
@@ -175,6 +175,14 @@ def eigenspace_projectors(dec: SpectralDecomposition) -> list[tuple[float, np.nd
 
 
 # --- classical analysis on C^N (gstft.classical) -------------------------
+
+
+def dft_matrix(n: int) -> np.ndarray:
+    """Unitary Fourier matrix W_N with entries (1/sqrt(N)) omega^(-rs), omega = exp(2 pi i / N)."""
+    if n < 1:
+        raise ValueError(f"size must be >= 1, got {n}")
+    r = np.arange(n)
+    return np.exp(-2j * np.pi * np.outer(r, r) / n) / np.sqrt(n)
 
 
 def idft(f_hat) -> np.ndarray:

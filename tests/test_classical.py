@@ -15,8 +15,16 @@ def random_vector(n, seed):
 class TestDft:
     @pytest.mark.parametrize("n", [1, 4, 8, 16, 64])
     def test_unitary(self, n):
-        w = classical.dft_matrix(n)
+        # column j is the library's DFT of the unit vector e_j
+        w = np.stack([classical.dft(e) for e in np.eye(n)], axis=1)
         assert np.abs(w @ w.conj().T - np.eye(n)).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 7, 97])
+    def test_matches_dft_matrix(self, n):
+        # primes take pocketfft's non-radix-2 path
+        f = random_vector(n, seed=200 + n)
+        expected = oracles.dft_matrix(n) @ f
+        assert np.abs(classical.dft(f) - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_constant_signal(self):
         f_hat = classical.dft(np.full(8, 2.5))
@@ -98,6 +106,16 @@ class TestDstft:
             for l in range(n):
                 atom = oracles.time_frequency_shift(g, k, l)
                 assert abs(v[k, l] - np.vdot(atom, f)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 7, 97])
+    def test_matches_harmonic_product(self, n):
+        # V_g f(k, l) = sum_m f(m) conj(g(m - k)) e^(-2 pi i l m / N) as one explicit product
+        f = random_vector(n, seed=300 + n)
+        g = random_vector(n, seed=400 + n)
+        grid = np.arange(n)
+        windowed = np.stack([f * np.roll(g, k).conj() for k in range(n)])
+        expected = windowed @ np.exp(-2j * np.pi * np.outer(grid, grid) / n).T
+        assert np.abs(classical.dstft(f, g) - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_zero_window_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):

@@ -348,6 +348,18 @@ class TestPermutationCommutation:
         dec, hk = pipeline(g, 1.0)
         assert gabor.permutation_commutator(hk, [1, 0, 2]) > 1e-3
 
+    @pytest.mark.parametrize("t", [0.0, 0.3, 2.0])
+    def test_equals_permutation_matrix_products(self, t):
+        # the explicit P H_t - H_t P; multiplying by a 0/1 matrix is exact, so equality holds
+        dec, hk = pipeline(graphs.random_regular_graph(60, 3, seed=0), t)
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            perm = rng.permutation(hk.n)
+            p = np.zeros((hk.n, hk.n))
+            p[perm, np.arange(hk.n)] = 1.0
+            expected = float(np.abs(p @ hk.matrix - hk.matrix @ p).max())
+            assert gabor.permutation_commutator(hk, perm) == expected
+
     def test_invalid_permutation_rejected(self):
         dec, hk = pipeline(graphs.ring_graph(4), 1.0)
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Graph construction, classification, and serialization."""
 import json
+import time
 from itertools import combinations
 
 import numpy as np
@@ -234,6 +235,13 @@ class TestSrgDetection:
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError, match="inconsistent"):
             graphs.SrgParameters(10, 3, 1, 1)
+
+    def test_large_regular_graph_in_bounded_time(self):
+        # Q11 (n = 2048) is regular but not strongly regular, so every pair is counted
+        g = graphs.hypercube_graph(11)
+        started = time.monotonic()
+        assert graphs.detect_srg_parameters(g) is None
+        assert time.monotonic() - started < 10.0
 
 
 class TestSerialization:
