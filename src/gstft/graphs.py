@@ -15,6 +15,7 @@ and JSON / edge-list serialization round out the module.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
@@ -25,7 +26,8 @@ MAX_VERTICES = 4096
 
 # Attempts before the pairing-model sampler gives up. The probability that a
 # random pairing of a k-regular graph is simple falls like exp(-(k*k-1)/4), so
-# k=7 already needs a few hundred thousand draws.
+# k=7 already needs a few hundred thousand draws, and from k=8 on the expected
+# count exceeds this budget and the sampler refuses before drawing.
 PAIRING_RETRIES = 1_000_000
 
 
@@ -199,7 +201,9 @@ def random_regular_graph(n: int, k: int, seed: int) -> Graph:
     produces a self-loop, a repeated edge, or a disconnected graph is rejected
     and the whole matching is redrawn, so accepted graphs are uniform over
     simple connected k-regular graphs. Deterministic for a fixed seed. Raises
-    RuntimeError after ``PAIRING_RETRIES`` rejected pairings.
+    RuntimeError before drawing when the expected number of attempts,
+    exp((k^2 - 1) / 4), exceeds ``PAIRING_RETRIES``, and after
+    ``PAIRING_RETRIES`` rejected pairings otherwise.
 
     Parameters
     ----------
@@ -214,6 +218,12 @@ def random_regular_graph(n: int, k: int, seed: int) -> Graph:
         raise ValueError(f"degree must satisfy 0 <= k < n, got k={k}, n={n}")
     if (n * k) % 2 != 0:
         raise ValueError(f"n*k must be even, got n={n}, k={k}")
+    expected = math.exp((k * k - 1) / 4)
+    if expected > PAIRING_RETRIES:
+        raise RuntimeError(
+            f"pairing model needs about {expected:.1e} attempts for a simple {k}-regular "
+            f"graph on {n} vertices, more than the {PAIRING_RETRIES} attempts allowed"
+        )
 
     rng = np.random.default_rng(seed)
     # labels[i] = i // k is the vertex of half-edge i. Permuting the labels
@@ -258,18 +268,20 @@ def detect_srg_parameters(g: Graph) -> SrgParameters | None:
     if not g.is_regular():
         return None
 
-    # float64 so the product runs in BLAS; counts are at most n < 2^53, so exact
-    adjacency = g.adjacency.astype(np.float64)
+    # float32 so the product runs in BLAS at half the memory of float64; it is
+    # exact, since every partial sum is an integer <= n <= MAX_VERTICES < 2^24
+    adjacency = g.adjacency.astype(np.float32)
     common = adjacency @ adjacency
-    off_diagonal = ~np.eye(n, dtype=bool)
-    adjacent = (g.adjacency == 1) & off_diagonal
-    non_adjacent = (g.adjacency == 0) & off_diagonal
-
+    adjacent = g.adjacency == 1  # loop-free, so the diagonal is False
     a_counts = np.unique(common[adjacent])
-    c_counts = np.unique(common[non_adjacent])
-    if a_counts.size != 1 or c_counts.size != 1:
+    # With the sentinel -1 on adjacent pairs and the diagonal, the other
+    # values are the non-adjacent counts, found without a second mask
+    common[adjacent] = -1
+    np.fill_diagonal(common, -1)
+    c_counts = np.unique(common)
+    if a_counts.size != 1 or c_counts.size != 2:
         return None
-    return SrgParameters(n=n, k=int(g.degrees[0]), a=int(a_counts[0]), c=int(c_counts[0]))
+    return SrgParameters(n=n, k=int(g.degrees[0]), a=int(a_counts[0]), c=int(c_counts[1]))
 
 
 def to_json_document(g: Graph) -> dict:

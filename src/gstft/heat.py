@@ -15,10 +15,25 @@ which cross-check each other and (as shown by the frame analysis in
 
 On a connected graph H_t is symmetric, row-stochastic, entrywise positive for
 t > 0, and H_0 is the identity exactly by construction.
+
+Reuse. A caller streaming signals over a known graph asks for the same few
+windows again and again, so :func:`heat_kernel` keeps a validated kernel once
+the same decomposition has asked for the same ``t`` a second time, and hands
+that one object to every later request (its arrays are read-only, so callers
+can share it). Each decomposition has four slots, each holding a kept kernel
+or a "seen once" marker for a time asked for only once; a new time takes a
+slot and the oldest slot is dropped first. A run of distinct times, such as a
+tightness sweep, therefore keeps no kernel, and the worst case is 4 * 8 n^2
+bytes per live decomposition (512 MiB at n = 4096). The slots are keyed weakly
+by decomposition identity, so they are freed when the decomposition is
+collected. A lock guards them and kernels are built outside it, so threads may
+share a decomposition.
 """
 from __future__ import annotations
 
 import math
+import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +44,12 @@ from .spectral import SpectralDecomposition
 # roundoff from the eigenexpansion at small t.
 ENTRY_FLOOR = -1e-12
 ROW_SUM_TOL = 1e-10
+
+# Times remembered per decomposition, kept kernels and "seen once" markers alike.
+_REUSE_SLOTS = 4
+_SEEN_ONCE = object()
+_slots: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_slots_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -83,9 +104,31 @@ def heat_kernel(dec: SpectralDecomposition, t: float) -> HeatKernel:
     by construction (``X X^T`` with X = Phi exp(-t Lambda / 2)). It is
     validated: entries above ``ENTRY_FLOOR`` and row sums within
     ``ROW_SUM_TOL`` of one (a NaN fails both). Rejects negative, NaN or
-    infinite t and decompositions that are not Laplacian-like.
+    infinite t and decompositions that are not Laplacian-like. From the
+    second request for the same ``(dec, t)`` on, the same object is returned
+    while it stays in the reuse slots (see the module docstring).
     """
     t = _window_time(t)
+    with _slots_lock:
+        kept = _slots.get(dec, {}).get(t)
+    if isinstance(kept, HeatKernel):
+        return kept
+
+    hk = _build(dec, t)
+    with _slots_lock:
+        times = _slots.setdefault(dec, {})
+        kept = times.get(t)
+        if isinstance(kept, HeatKernel):  # another thread kept one while this one built
+            return kept
+        # Keep only on the second request, so times asked for once cost no memory.
+        times[t] = _SEEN_ONCE if kept is None else hk
+        while len(times) > _REUSE_SLOTS:
+            del times[next(iter(times))]
+    return hk
+
+
+def _build(dec: SpectralDecomposition, t: float) -> HeatKernel:
+    """Compute and validate H_t; ``t`` has passed :func:`_window_time`."""
     w = _clamped_eigenvalues(dec)
     n = dec.n
     if t == 0.0:

@@ -42,14 +42,15 @@ __all__ = [
 CLUSTER_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Eigenvalues (ascending) and orthonormal eigenvector matrix of a symmetric matrix.
 
     ``eigenvectors[:, j]`` is the unit eigenvector for ``eigenvalues[j]``.
     For a connected-graph Laplacian the first eigenvalue is zero and
     ``fiedler_value`` (the second) is strictly positive. NaN or infinite
-    entries are rejected with ValueError.
+    entries are rejected with ValueError. Equality and hashing go by
+    identity, which is what :func:`gstft.heat.heat_kernel` keys reuse on.
     """
 
     eigenvalues: np.ndarray

@@ -197,6 +197,21 @@ class TestRandomRegular:
         with pytest.raises(RuntimeError, match="attempts"):
             graphs.random_regular_graph(100, 7, seed=42)
 
+    def test_infeasible_degree_refused_before_drawing(self):
+        # exp((81 - 1) / 4) = 4.9e8 expected attempts against a budget of 1e6
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match=r"4\.9e\+08 attempts.*9-regular.*4096 vertices.*1000000"):
+            graphs.random_regular_graph(4096, 9, seed=0)
+        assert time.monotonic() - started < 1.0
+
+    def test_retry_loop_still_exhausts(self, monkeypatch):
+        # k = 3 expects exp(2) = 7.4 attempts, within a budget of 8; seed 6 needs more
+        monkeypatch.setattr(graphs, "PAIRING_RETRIES", 8)
+        with pytest.raises(RuntimeError, match="within 8 attempts"):
+            graphs.random_regular_graph(100, 3, seed=6)
+        monkeypatch.setattr(graphs, "PAIRING_RETRIES", 1000)
+        assert_valid(graphs.random_regular_graph(100, 3, seed=6))
+
 
 class TestSrgDetection:
     def test_shrikhande(self):

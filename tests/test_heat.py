@@ -3,13 +3,17 @@
 scipy.linalg.expm is the independent oracle for the matrix exponential; the
 library's own path goes through the eigendecomposition.
 """
+import gc
 import math
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from gstft import graphs, heat, spectral
+from gstft import gabor, graphs, heat, spectral
 
 
 def make(g):
@@ -102,15 +106,19 @@ def test_negative_and_nan_t_rejected():
             heat.spectral_column_norms_sq(dec, t)
 
 
-def test_nan_kernel_entries_rejected():
+def overflowing_decomposition():
     """Finite eigenvectors of size 1e200 overflow in the eigenexpansion. BLAS
     kernels that sum in several lanes turn +inf and -inf into NaN entries;
-    others (OpenBLAS ``syrk``) saturate to +-inf. The validation checks must
-    reject either rather than pass."""
+    others (OpenBLAS ``syrk``) saturate to +-inf."""
     n = 32
     phi = np.full((n, n), 1e200)
     phi[1::2, 1::2] *= -1
-    bad = spectral.SpectralDecomposition(eigenvalues=np.zeros(n), eigenvectors=phi)
+    return spectral.SpectralDecomposition(eigenvalues=np.zeros(n), eigenvectors=phi)
+
+
+def test_nan_kernel_entries_rejected():
+    """The validation checks must reject NaN or infinite entries rather than pass."""
+    bad = overflowing_decomposition()
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="heat kernel"):
         heat.heat_kernel(bad, 1.0)
 
@@ -188,3 +196,100 @@ def test_trace_identity():
     for t in (0.2, 1.0, 4.0):
         hk = heat.heat_kernel(dec, t)
         assert abs(np.trace(hk.matrix) - np.exp(-t * dec.eigenvalues).sum()) <= 1e-9
+
+
+def kept_kernels(dec):
+    """The kernels heat_kernel currently keeps for ``dec``, oldest first."""
+    return [v for v in heat._slots.get(dec, {}).values() if isinstance(v, heat.HeatKernel)]
+
+
+class TestReuse:
+    def test_same_object_from_second_request_on(self):
+        _, dec = make(graphs.petersen_graph())
+        first = heat.heat_kernel(dec, 0.5)
+        second = heat.heat_kernel(dec, 0.5)
+        assert second is not first  # a time asked for once is not kept
+        assert kept_kernels(dec) == [second]
+        for t in (0.5, np.float64(0.5), 1 / 2):
+            assert heat.heat_kernel(dec, t) is second
+
+    @pytest.mark.parametrize("t", [0.0, 0.25, 2.0])
+    def test_reused_kernel_equals_fresh_one(self, t):
+        _, dec = make(graphs.random_regular_graph(192, 3, seed=5))
+        heat.heat_kernel(dec, t)
+        kept = heat.heat_kernel(dec, t)
+        assert heat.heat_kernel(dec, t) is kept
+        twin = spectral.SpectralDecomposition(dec.eigenvalues.copy(), dec.eigenvectors.copy())
+        fresh = heat.heat_kernel(twin, t)
+        assert kept.t == fresh.t
+        assert np.array_equal(kept.matrix, fresh.matrix)
+        assert np.array_equal(kept.column_norms_sq, fresh.column_norms_sq)
+
+    def test_sweep_keeps_no_kernel(self):
+        _, dec = make(graphs.petersen_graph())
+        gabor.tightness_sweep(dec, np.linspace(0.0, 10.0, 101))
+        assert kept_kernels(dec) == []
+        assert len(heat._slots[dec]) == heat._REUSE_SLOTS
+
+    def test_slot_bound_drops_oldest_first(self):
+        _, dec = make(graphs.ring_graph(12))
+        ts = [0.1 * i for i in range(1, 10)]
+        for t in ts:
+            heat.heat_kernel(dec, t)
+            heat.heat_kernel(dec, t)
+            assert len(heat._slots[dec]) <= heat._REUSE_SLOTS
+        assert [hk.t for hk in kept_kernels(dec)] == ts[-heat._REUSE_SLOTS:]
+        newest = heat.heat_kernel(dec, ts[-1])
+        assert heat.heat_kernel(dec, ts[-1]) is newest
+        dropped = heat.heat_kernel(dec, ts[0])
+        assert heat.heat_kernel(dec, ts[0]) is not dropped
+
+    def test_kept_kernels_freed_with_decomposition(self):
+        _, dec = make(graphs.petersen_graph())
+        heat.heat_kernel(dec, 1.0)
+        kernel = weakref.ref(heat.heat_kernel(dec, 1.0))
+        decomposition = weakref.ref(dec)
+        assert kernel() is not None
+        del dec
+        gc.collect()
+        assert decomposition() is None
+        assert kernel() is None
+
+    def test_threads_sharing_a_decomposition(self):
+        _, dec = make(graphs.random_regular_graph(64, 3, seed=2))
+        ts = (0.25, 0.5, 1.0, 2.0)
+        twin = spectral.SpectralDecomposition(dec.eigenvalues.copy(), dec.eigenvectors.copy())
+        expected = {t: heat.heat_kernel(twin, t).matrix for t in ts}
+
+        def requests(worker):
+            return [heat.heat_kernel(dec, ts[(worker + i) % len(ts)]) for i in range(40)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(requests, w) for w in range(8)]
+                results = [hk for f in futures for hk in f.result(timeout=60)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 8 * 40
+        for hk in results:
+            assert np.array_equal(hk.matrix, expected[hk.t])
+        assert {id(hk) for hk in kept_kernels(dec)} == {id(heat.heat_kernel(dec, t)) for t in ts}
+
+    def test_invalid_times_rejected_before_lookup(self):
+        _, dec = make(graphs.ring_graph(4))
+        for t in (0.0, 0.0, 1.0, 1.0):
+            heat.heat_kernel(dec, t)
+        slots = dict(heat._slots[dec])
+        for t in (-0.5, -1e-300, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="t must"):
+                heat.heat_kernel(dec, t)
+        assert heat._slots[dec] == slots
+
+    def test_kernel_failing_validation_never_kept(self):
+        bad = overflowing_decomposition()
+        for _ in range(3):
+            with np.errstate(all="ignore"), pytest.raises(ValueError, match="heat kernel"):
+                heat.heat_kernel(bad, 1.0)
+        assert bad not in heat._slots

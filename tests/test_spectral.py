@@ -102,6 +102,13 @@ class TestDecompose:
             nonzero = np.nonzero(np.abs(column) > 1e-12)[0]
             assert column[nonzero[0]] > 0
 
+    def test_equality_and_hash_by_identity(self):
+        dec = spectral.decompose(spectral.laplacian(graphs.petersen_graph()))
+        twin = spectral.SpectralDecomposition(dec.eigenvalues.copy(), dec.eigenvectors.copy())
+        assert dec == dec
+        assert dec != twin
+        assert len({dec: 0, twin: 1}) == 2
+
     def test_empty_matrix(self):
         dec = spectral.decompose(np.zeros((0, 0)))
         assert dec.eigenvalues.shape == (0,)
