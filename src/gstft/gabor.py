@@ -43,7 +43,7 @@ TIGHT_TOL = 1e-9
 GAMMA_CROSSCHECK_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GstftCoefficients:
     """Transform values: matrix[i, j] = (V_t f)(v_i, lambda_j) = <f, psi_ij(t)>."""
 
@@ -58,7 +58,7 @@ class GstftCoefficients:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrameReport:
     """Frame-operator spectrum at one time: gammas, bounds A/B, gap, ratio, tightness."""
 
@@ -74,7 +74,7 @@ class FrameReport:
         self.gammas.setflags(write=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TightnessSweep:
     """Frame reports over an ascending time grid and their gaps.
 

@@ -2,10 +2,11 @@
 
 Everything downstream (Laplacian spectra, heat kernels, Gabor frames) operates
 on the `Graph` type defined here: an undirected, unweighted, loop-free,
-connected graph with 0-indexed vertices and a dense adjacency matrix. Dense
-storage is deliberate -- the eigendecomposition is the cost bottleneck long
-before adjacency memory is, so every constructor refuses graphs above
-``MAX_VERTICES`` vertices before it allocates anything.
+connected graph with 0-indexed vertices and a dense boolean adjacency matrix
+(16 MiB at ``MAX_VERTICES``). Dense storage is deliberate -- the
+eigendecomposition is the cost bottleneck long before adjacency memory is, so
+every constructor refuses graphs above ``MAX_VERTICES`` vertices before it
+allocates anything.
 
 Included graph families: rings (cycles), complete graphs, hypercubes, the
 Petersen graph, the Shrikhande graph, and random regular graphs drawn with the
@@ -16,9 +17,8 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -31,14 +31,15 @@ MAX_VERTICES = 4096
 PAIRING_RETRIES = 1_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected simple connected graph on ``n`` vertices.
 
     ``edges`` holds each edge exactly once as ``(i, j)`` with ``i < j``,
-    sorted lexicographically. ``adjacency`` is the dense symmetric 0/1 matrix
-    and ``degrees`` its row sums. Instances are immutable and safe to share
-    across threads.
+    sorted lexicographically. ``adjacency`` is the dense symmetric boolean
+    matrix (16 MiB at ``MAX_VERTICES``) and ``degrees`` its integer row sums.
+    Instances are immutable and safe to share across threads; equality and
+    hashing go by identity.
     """
 
     n: int
@@ -82,19 +83,26 @@ class SrgParameters:
 
 
 def _is_connected(n: int, adjacency: np.ndarray) -> bool:
-    """Breadth-first search from vertex 0 reaches all n vertices."""
+    """Breadth-first search from vertex 0, one step per frontier: OR its adjacency rows."""
     seen = np.zeros(n, dtype=bool)
     seen[0] = True
-    queue = deque([0])
-    count = 1
-    while queue:
-        u = queue.popleft()
-        for v in np.nonzero(adjacency[u])[0]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                queue.append(int(v))
-    return count == n
+    frontier = np.array([0])
+    while frontier.size:
+        frontier = np.flatnonzero(adjacency[frontier].any(axis=0) & ~seen)
+        seen[frontier] = True
+    return bool(seen.all())
+
+
+def _assemble(n: int, edges: tuple[tuple[int, int], ...]) -> Graph | None:
+    """The Graph on sorted, distinct pairs ``(i, j)`` with ``i < j``, or None if disconnected."""
+    ends = np.fromiter(chain.from_iterable(edges), dtype=np.intp, count=2 * len(edges))
+    lo, hi = ends[0::2], ends[1::2]
+    adjacency = np.zeros((n, n), dtype=bool)
+    adjacency[lo, hi] = True
+    adjacency[hi, lo] = True
+    if not _is_connected(n, adjacency):
+        return None
+    return Graph(n=n, edges=edges, adjacency=adjacency, degrees=adjacency.sum(axis=1))
 
 
 def _check_vertex_count(n: int) -> None:
@@ -127,17 +135,10 @@ def build_from_edge_list(n: int, edges) -> Graph:
             raise ValueError(f"edge ({i},{j}) out of range for n={n}")
         normalized.add((min(i, j), max(i, j)))
 
-    edge_tuple = tuple(sorted(normalized))
-    adjacency = np.zeros((n, n), dtype=np.int64)
-    for i, j in edge_tuple:
-        adjacency[i, j] = 1
-        adjacency[j, i] = 1
-
-    if not _is_connected(n, adjacency):
+    g = _assemble(n, tuple(sorted(normalized)))
+    if g is None:
         raise ValueError("graph is disconnected")
-
-    degrees = adjacency.sum(axis=1)
-    return Graph(n=n, edges=edge_tuple, adjacency=adjacency, degrees=degrees)
+    return g
 
 
 def ring_graph(n: int) -> Graph:
@@ -201,8 +202,9 @@ def random_regular_graph(n: int, k: int, seed: int) -> Graph:
     produces a self-loop, a repeated edge, or a disconnected graph is rejected
     and the whole matching is redrawn, so accepted graphs are uniform over
     simple connected k-regular graphs. Deterministic for a fixed seed. Raises
-    RuntimeError before drawing when the expected number of attempts,
-    exp((k^2 - 1) / 4), exceeds ``PAIRING_RETRIES``, and after
+    ValueError before drawing when k <= 1 and n > k + 1 (no such graph is
+    connected), RuntimeError before drawing when the expected number of
+    attempts, exp((k^2 - 1) / 4), exceeds ``PAIRING_RETRIES``, and after
     ``PAIRING_RETRIES`` rejected pairings otherwise.
 
     Parameters
@@ -218,6 +220,8 @@ def random_regular_graph(n: int, k: int, seed: int) -> Graph:
         raise ValueError(f"degree must satisfy 0 <= k < n, got k={k}, n={n}")
     if (n * k) % 2 != 0:
         raise ValueError(f"n*k must be even, got n={n}, k={k}")
+    if k <= 1 and n > k + 1:
+        raise ValueError(f"no {k}-regular graph on {n} vertices is connected; k <= 1 needs n = k + 1")
     expected = math.exp((k * k - 1) / 4)
     if expected > PAIRING_RETRIES:
         raise RuntimeError(
@@ -235,19 +239,14 @@ def random_regular_graph(n: int, k: int, seed: int) -> Graph:
         v = points[1::2]
         if (u == v).any():
             continue
-        lo = np.minimum(u, v)
-        hi = np.maximum(u, v)
-        codes = lo * n + hi
-        if np.unique(codes).size != codes.size:
+        # np.unique sorts, so the codes i*n + j decode to the edges in order
+        codes = np.unique(np.minimum(u, v) * n + np.maximum(u, v))
+        if codes.size != u.size:
             continue
-        adjacency = np.zeros((n, n), dtype=np.int64)
-        adjacency[lo, hi] = 1
-        adjacency[hi, lo] = 1
-        if not _is_connected(n, adjacency):
-            continue
-        edge_tuple = tuple(sorted(zip(lo.tolist(), hi.tolist())))
-        degrees = adjacency.sum(axis=1)
-        return Graph(n=n, edges=edge_tuple, adjacency=adjacency, degrees=degrees)
+        lo, hi = np.divmod(codes, n)
+        g = _assemble(n, tuple(zip(lo.tolist(), hi.tolist())))
+        if g is not None:
+            return g
     raise RuntimeError(
         f"pairing model produced no simple connected {k}-regular graph on {n} "
         f"vertices within {PAIRING_RETRIES} attempts"
@@ -272,7 +271,7 @@ def detect_srg_parameters(g: Graph) -> SrgParameters | None:
     # exact, since every partial sum is an integer <= n <= MAX_VERTICES < 2^24
     adjacency = g.adjacency.astype(np.float32)
     common = adjacency @ adjacency
-    adjacent = g.adjacency == 1  # loop-free, so the diagonal is False
+    adjacent = g.adjacency  # loop-free, so the diagonal is False
     a_counts = np.unique(common[adjacent])
     # With the sentinel -1 on adjacent pairs and the diagonal, the other
     # values are the non-adjacent counts, found without a second mask
@@ -284,43 +283,32 @@ def detect_srg_parameters(g: Graph) -> SrgParameters | None:
     return SrgParameters(n=n, k=int(g.degrees[0]), a=int(a_counts[0]), c=int(c_counts[1]))
 
 
-def to_json_document(g: Graph) -> dict:
-    """Plain-dict form of the graph JSON schema {"n": ..., "edges": [[i, j], ...]}."""
-    return {"n": g.n, "edges": [[i, j] for i, j in g.edges]}
+def serialize(g: Graph) -> str:
+    """Compact JSON text {"n": ..., "edges": [[i, j], ...]}; edges appear sorted lexicographically."""
+    return json.dumps({"n": g.n, "edges": [[i, j] for i, j in g.edges]}, separators=(",", ":"))
 
 
-def from_json_document(doc) -> Graph:
-    """Inverse of :func:`to_json_document`, with full validation."""
+def deserialize(text: str) -> Graph:
+    """Parse graph JSON text produced by :func:`serialize` (or compatible), with full validation."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed graph JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError(f"graph document must be an object, got {type(doc).__name__}")
     missing = {"n", "edges"} - doc.keys()
     if missing:
         raise ValueError(f"graph document missing keys: {sorted(missing)}")
-    if not isinstance(doc["n"], int):
+    # type(...) is int, since JSON true and false load as bool, a subclass of int
+    if type(doc["n"]) is not int:
         raise ValueError("graph document 'n' must be an integer")
     edges = doc["edges"]
     if not isinstance(edges, list) or any(
-        not isinstance(e, (list, tuple))
-        or len(e) != 2
-        or not all(isinstance(v, int) for v in e)
+        not isinstance(e, list) or len(e) != 2 or not all(type(v) is int for v in e)
         for e in edges
     ):
         raise ValueError("graph document 'edges' must be a list of integer [i, j] pairs")
-    return build_from_edge_list(doc["n"], [tuple(e) for e in edges])
-
-
-def serialize(g: Graph) -> str:
-    """Compact JSON text for a graph; edges appear sorted lexicographically."""
-    return json.dumps(to_json_document(g), separators=(",", ":"))
-
-
-def deserialize(text: str) -> Graph:
-    """Parse graph JSON text produced by :func:`serialize` (or compatible)."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed graph JSON: {exc}") from exc
-    return from_json_document(doc)
+    return build_from_edge_list(doc["n"], edges)
 
 
 def parse_edge_list(text: str) -> list[tuple[int, int]]:

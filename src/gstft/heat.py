@@ -52,7 +52,7 @@ _slots: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _slots_lock = threading.Lock()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HeatKernel:
     """Heat kernel at a fixed time: t, the dense matrix H_t, and its squared column norms.
 

@@ -85,7 +85,7 @@ def as_signal(values, n: int | None = None) -> np.ndarray:
 
 def laplacian(g: Graph) -> np.ndarray:
     """Graph Laplacian L = D - A as a dense float64 matrix (rows sum to zero)."""
-    return (np.diag(g.degrees) - g.adjacency).astype(np.float64)
+    return np.diag(g.degrees.astype(np.float64)) - g.adjacency
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:

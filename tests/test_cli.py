@@ -50,6 +50,13 @@ class TestGen:
         err = run_err(capsys, "gen", "--family", "ring", "--n", "2", "--out", str(tmp_path / "g.json"))
         assert "3" in err
 
+    def test_disconnected_degree_fails(self, tmp_path, capsys):
+        err = run_err(capsys, "gen", "--family", "random-regular", "--n", "6", "--k", "1",
+                      "--out", str(tmp_path / "g.json"))
+        assert err.count("\n") == 1
+        assert "n = k + 1" in err
+        assert not (tmp_path / "g.json").exists()
+
     def test_from_edgelist(self, tmp_path, capsys):
         edges = tmp_path / "edges.txt"
         edges.write_text("# triangle\n0 1\n1 2\n2 0\n")

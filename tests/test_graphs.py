@@ -22,6 +22,7 @@ def srg_counts_oracle(g):
 
 
 def assert_valid(g):
+    assert g.adjacency.dtype == bool
     assert np.array_equal(g.adjacency, g.adjacency.T)
     assert not g.adjacency.diagonal().any()
     assert np.array_equal(g.degrees, g.adjacency.sum(axis=1))
@@ -136,6 +137,12 @@ class TestFamilies:
             graphs.petersen_graph,
             graphs.shrikhande_graph,
             lambda: graphs.random_regular_graph(20, 3, seed=5),
+            lambda: graphs.build_from_edge_list(4, [(3, 0), (0, 1), (2, 1)]),
+            lambda: graphs.build_from_edge_list(1, []),
+            lambda: graphs.deserialize('{"n":3,"edges":[[0,1],[1,2]]}'),
+            lambda: graphs.graph_from_edge_list_text("0 1\n1 2\n2 0\n"),
+            lambda: graphs.random_regular_graph(2, 1, seed=0),
+            lambda: graphs.random_regular_graph(1, 0, seed=0),
         ],
     )
     def test_generator_invariants(self, build):
@@ -191,6 +198,14 @@ class TestRandomRegular:
             if len(seen) == n:
                 break
         assert graphs.random_regular_graph(n, k, seed).edges == tuple(sorted(pairs))
+
+    @pytest.mark.parametrize("n,k,seed", [(6, 1, 0), (5, 0, 0), (4096, 1, 0)])
+    def test_disconnected_degree_refused_before_drawing(self, n, k, seed):
+        # k <= 1 gives a perfect matching or no edges, connected only on k + 1 vertices
+        started = time.monotonic()
+        with pytest.raises(ValueError, match=f"no {k}-regular graph on {n} vertices is connected"):
+            graphs.random_regular_graph(n, k, seed)
+        assert time.monotonic() - started < 1.0
 
     def test_retry_budget_exhaustion(self, monkeypatch):
         monkeypatch.setattr(graphs, "PAIRING_RETRIES", 10)
@@ -285,6 +300,8 @@ class TestSerialization:
             '{"n":2,"edges":[[0]]}',
             '{"n":2.0,"edges":[[0,1]]}',
             '{"n":2,"edges":[[0.5,1]]}',
+            '{"n":2,"edges":[[false,true]]}',
+            '{"n":true,"edges":[]}',
         ):
             with pytest.raises(ValueError):
                 graphs.deserialize(text)

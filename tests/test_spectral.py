@@ -5,10 +5,12 @@ numpy.linalg.eigvalsh serves as the eigenvalue oracle and closed-form spectra
 basis-invariant quantities (projectors, residuals) because degenerate
 eigenspaces have no canonical basis.
 """
+import copy
+
 import numpy as np
 import pytest
 
-from gstft import graphs, spectral
+from gstft import gabor, graphs, heat, spectral
 
 import oracles
 
@@ -25,6 +27,13 @@ ZOO = {
 @pytest.fixture(params=sorted(ZOO), name="graph")
 def graph_fixture(request):
     return ZOO[request.param]()
+
+
+def test_laplacian_is_degree_minus_adjacency_in_float64(graph):
+    lap = spectral.laplacian(graph)
+    assert lap.dtype == np.float64
+    expected = (np.diag(graph.degrees) - graph.adjacency.astype(np.int64)).astype(np.float64)
+    assert lap.tobytes() == expected.tobytes()
 
 
 def test_laplacian_k2():
@@ -102,12 +111,27 @@ class TestDecompose:
             nonzero = np.nonzero(np.abs(column) > 1e-12)[0]
             assert column[nonzero[0]] > 0
 
-    def test_equality_and_hash_by_identity(self):
-        dec = spectral.decompose(spectral.laplacian(graphs.petersen_graph()))
-        twin = spectral.SpectralDecomposition(dec.eigenvalues.copy(), dec.eigenvectors.copy())
-        assert dec == dec
-        assert dec != twin
-        assert len({dec: 0, twin: 1}) == 2
+    @pytest.mark.parametrize(
+        "kind",
+        ["Graph", "SpectralDecomposition", "HeatKernel", "GstftCoefficients", "FrameReport", "TightnessSweep"],
+    )
+    def test_equality_and_hash_by_identity(self, kind):
+        g = graphs.petersen_graph()
+        dec = spectral.decompose(spectral.laplacian(g))
+        hk = heat.heat_kernel(dec, 1.0)
+        build = {
+            "Graph": lambda: g,
+            "SpectralDecomposition": lambda: dec,
+            "HeatKernel": lambda: hk,
+            "GstftCoefficients": lambda: gabor.gstft(dec, hk, np.arange(g.n) + 0j),
+            "FrameReport": lambda: gabor.frame_report(dec, hk),
+            "TightnessSweep": lambda: gabor.tightness_sweep(dec, [0.0, 1.0]),
+        }
+        value = build[kind]()
+        twin = copy.deepcopy(value)  # equal field by field, in fresh arrays
+        assert value == value
+        assert value != twin
+        assert len({value: 0, twin: 1}) == 2
 
     def test_empty_matrix(self):
         dec = spectral.decompose(np.zeros((0, 0)))
