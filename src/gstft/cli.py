@@ -237,6 +237,8 @@ def _json_coefficients(path: str, text: str) -> tuple[np.ndarray, object]:
         matrix = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=np.complex128)
     except (TypeError, ValueError):
         raise ValueError(f"coefficient file {path}: each 'matrix' entry must be a [re, im] pair of numbers") from None
+    if not np.isfinite(matrix).all():
+        raise ValueError(f"coefficient file {path}: 'matrix' entries must be finite")
     return matrix, doc.get("meta", {})
 
 

@@ -77,7 +77,10 @@ def signal_to_csv(values) -> str:
 
 
 def signal_from_csv(text: str) -> np.ndarray:
-    """Parse "re,im" lines ("re" alone means a real value); errors name the line."""
+    """Parse "re,im" lines ("re" alone means a real value); errors name the line.
+
+    NaN and infinite values are refused.
+    """
     _, lines = split_meta(text)
     values = []
     for lineno, line in lines:
@@ -90,7 +93,12 @@ def signal_from_csv(text: str) -> np.ndarray:
             raise ValueError(f"line {lineno}: {exc}") from None
     if not values:
         raise ValueError("no signal values")
-    return np.asarray(values, dtype=np.complex128)
+    signal = np.asarray(values, dtype=np.complex128)
+    finite = np.isfinite(signal)
+    if not finite.all():
+        lineno, line = lines[np.argmin(finite)]
+        raise ValueError(f"line {lineno}: non-finite value {line!r}")
+    return signal
 
 
 def matrix_to_csv(matrix, complex_entries: bool = False, meta: dict | None = None) -> str:
@@ -103,7 +111,10 @@ def matrix_to_csv(matrix, complex_entries: bool = False, meta: dict | None = Non
 
 
 def matrix_from_csv(text: str, complex_entries: bool = False) -> tuple[np.ndarray, dict]:
-    """Parse a matrix CSV, returning (array, metadata); errors name the row and line."""
+    """Parse a matrix CSV, returning (array, metadata); errors name the row and line.
+
+    NaN and infinite entries are refused.
+    """
     meta, lines = split_meta(text)
     if not lines:
         raise ValueError("no matrix rows")
@@ -119,7 +130,12 @@ def matrix_from_csv(text: str, complex_entries: bool = False) -> tuple[np.ndarra
                 f"row {row} (line {lineno}) has {len(rows[-1])} entries but row 1 has {len(rows[0])}"
             )
     dtype = np.complex128 if complex_entries else np.float64
-    return np.asarray(rows, dtype=dtype), meta
+    matrix = np.asarray(rows, dtype=dtype)
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ValueError(f"row {row + 1} (line {lines[row][0]}): non-finite entry")
+    return matrix, meta
 
 
 def parse_t_grid(text: str) -> np.ndarray:

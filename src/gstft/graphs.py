@@ -2,11 +2,13 @@
 
 Everything downstream (Laplacian spectra, heat kernels, Gabor frames) operates
 on the `Graph` type defined here: an undirected, unweighted, loop-free,
-connected graph with 0-indexed vertices and a dense boolean adjacency matrix
-(16 MiB at ``MAX_VERTICES``). Dense storage is deliberate -- the
-eigendecomposition is the cost bottleneck long before adjacency memory is, so
-every constructor refuses graphs above ``MAX_VERTICES`` vertices before it
-allocates anything.
+connected graph with 0-indexed vertices, stored as its dense boolean adjacency
+matrix (16 MiB at ``MAX_VERTICES``) and nothing else; the edge list is derived
+from it on request. Dense storage is deliberate -- the eigendecomposition is
+the cost bottleneck long before adjacency memory is, so every constructor
+refuses graphs above ``MAX_VERTICES`` vertices before it allocates anything.
+Constructors hand integer pair arrays to one assembler, where repeated pairs
+and both orientations of a pair collapse to one edge.
 
 Included graph families: rings (cycles), complete graphs, hypercubes, the
 Petersen graph, the Shrikhande graph, and random regular graphs drawn with the
@@ -18,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 
 import numpy as np
 
@@ -35,15 +37,13 @@ PAIRING_RETRIES = 1_000_000
 class Graph:
     """Undirected simple connected graph on ``n`` vertices.
 
-    ``edges`` holds each edge exactly once as ``(i, j)`` with ``i < j``,
-    sorted lexicographically. ``adjacency`` is the dense symmetric boolean
-    matrix (16 MiB at ``MAX_VERTICES``) and ``degrees`` its integer row sums.
-    Instances are immutable and safe to share across threads; equality and
-    hashing go by identity.
+    ``adjacency`` is the dense symmetric boolean matrix (16 MiB at
+    ``MAX_VERTICES``) and the only stored edge representation; ``degrees`` is
+    its integer row sums. Instances are immutable and safe to share across
+    threads; equality and hashing go by identity.
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
     adjacency: np.ndarray
     degrees: np.ndarray
 
@@ -52,8 +52,13 @@ class Graph:
         self.degrees.setflags(write=False)
 
     @property
+    def edges(self) -> np.ndarray:
+        """A fresh ``(m, 2)`` integer array of the edges ``(i, j)``, ``i < j``, in sorted row order."""
+        return np.argwhere(np.triu(self.adjacency, 1))
+
+    @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return int(self.degrees.sum()) // 2
 
     def is_regular(self) -> bool:
         return bool((self.degrees == self.degrees[0]).all())
@@ -93,16 +98,18 @@ def _is_connected(n: int, adjacency: np.ndarray) -> bool:
     return bool(seen.all())
 
 
-def _assemble(n: int, edges: tuple[tuple[int, int], ...]) -> Graph | None:
-    """The Graph on sorted, distinct pairs ``(i, j)`` with ``i < j``, or None if disconnected."""
-    ends = np.fromiter(chain.from_iterable(edges), dtype=np.intp, count=2 * len(edges))
-    lo, hi = ends[0::2], ends[1::2]
+def _assemble(n: int, lo: np.ndarray, hi: np.ndarray) -> Graph | None:
+    """The Graph joining ``lo[e]`` and ``hi[e]`` for every e, or None if disconnected.
+
+    Ends must be distinct vertices in ``0..n-1``; repeated pairs and both
+    orientations of a pair collapse to one edge.
+    """
     adjacency = np.zeros((n, n), dtype=bool)
     adjacency[lo, hi] = True
     adjacency[hi, lo] = True
     if not _is_connected(n, adjacency):
         return None
-    return Graph(n=n, edges=edges, adjacency=adjacency, degrees=adjacency.sum(axis=1))
+    return Graph(n=n, adjacency=adjacency, degrees=adjacency.sum(axis=1))
 
 
 def _check_vertex_count(n: int) -> None:
@@ -113,29 +120,39 @@ def _check_vertex_count(n: int) -> None:
 
 
 def build_from_edge_list(n: int, edges) -> Graph:
-    """Build a validated Graph from a vertex count and an iterable of pairs.
+    """Build a validated Graph from a vertex count and an ``(m, 2)`` array-like of pairs.
 
     Duplicate pairs (in either orientation) collapse to one edge. Rejects
-    self-loops, endpoints outside ``0..n-1``, ``n`` outside
-    ``1..MAX_VERTICES`` (before ``edges`` is consumed), and any edge set whose
-    graph is disconnected.
+    ``n`` outside ``1..MAX_VERTICES`` (before ``edges`` is read); endpoints
+    that are not integers of at most 64 bits (floats, bools and strings raise
+    TypeError, as a non-integer ``n`` does); the first pair, in input order,
+    that is a self-loop or has an endpoint outside ``0..n-1``; and any edge
+    set whose graph is disconnected.
     """
     if not isinstance(n, (int, np.integer)):
         raise TypeError(f"vertex count must be an integer, got {type(n).__name__}")
     n = int(n)
     _check_vertex_count(n)
 
-    normalized = set()
-    for pair in edges:
-        i, j = pair
-        i, j = int(i), int(j)
+    try:
+        pairs = np.asarray(edges)
+    except ValueError:
+        raise ValueError("edges must be an (m, 2) array of vertex pairs") from None
+    if pairs.shape == (0,):  # an empty list has no pair axis and a float dtype
+        pairs = np.empty((0, 2), dtype=np.intp)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError(f"edges must be an (m, 2) array of vertex pairs, got shape {pairs.shape}")
+    if pairs.dtype.kind not in "iu":
+        raise TypeError(f"edge endpoints must be integers, got an array of {pairs.dtype}")
+    lo, hi = pairs[:, 0], pairs[:, 1]
+    bad = (lo == hi) | (lo < 0) | (lo >= n) | (hi < 0) | (hi >= n)
+    if bad.any():
+        i, j = pairs[np.argmax(bad)].tolist()
         if i == j:
             raise ValueError(f"self-loop ({i},{j}) is not allowed")
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"edge ({i},{j}) out of range for n={n}")
-        normalized.add((min(i, j), max(i, j)))
+        raise ValueError(f"edge ({i},{j}) out of range for n={n}")
 
-    g = _assemble(n, tuple(sorted(normalized)))
+    g = _assemble(n, lo, hi)
     if g is None:
         raise ValueError("graph is disconnected")
     return g
@@ -145,14 +162,17 @@ def ring_graph(n: int) -> Graph:
     """Cycle C_n: vertex i adjacent to (i +- 1) mod n. Requires n >= 3."""
     if n < 3:
         raise ValueError(f"ring graph needs at least 3 vertices, got {n}")
-    return build_from_edge_list(n, ((i, (i + 1) % n) for i in range(n)))
+    _check_vertex_count(n)
+    v = np.arange(n)
+    return build_from_edge_list(n, np.column_stack([v, (v + 1) % n]))
 
 
 def complete_graph(n: int) -> Graph:
     """Complete graph K_n. Requires 2 <= n <= MAX_VERTICES."""
     if n < 2:
         raise ValueError(f"complete graph needs at least 2 vertices, got {n}")
-    return build_from_edge_list(n, combinations(range(n), 2))
+    _check_vertex_count(n)
+    return build_from_edge_list(n, np.column_stack(np.triu_indices(n, 1)))
 
 
 def hypercube_graph(d: int) -> Graph:
@@ -160,8 +180,9 @@ def hypercube_graph(d: int) -> Graph:
     if d < 1:
         raise ValueError(f"hypercube dimension must be >= 1, got {d}")
     n = 2**d
-    edges = ((v, v ^ (1 << b)) for v in range(n) for b in range(d) if v < v ^ (1 << b))
-    return build_from_edge_list(n, edges)
+    _check_vertex_count(n)
+    v = np.repeat(np.arange(n), d)
+    return build_from_edge_list(n, np.column_stack([v, v ^ np.tile(1 << np.arange(d), n)]))
 
 
 def petersen_graph() -> Graph:
@@ -179,18 +200,17 @@ def petersen_graph() -> Graph:
 def shrikhande_graph() -> Graph:
     """Shrikhande graph: Cayley graph of Z4 x Z4 with connection set {+-(1,0), +-(0,1), +-(1,1)}.
 
-    Vertex (x, y) is numbered 4x + y. The result is 6-regular on 16 vertices
-    and strongly regular with parameters (16, 6, 2, 2).
+    Vertex (x, y) is numbered 4x + y. Joining each vertex to its sums with
+    (1,0), (0,1) and (1,1) gives every edge, since the negated vectors reach
+    the same pairs from the other end. The result is 6-regular on 16
+    vertices and strongly regular with parameters (16, 6, 2, 2).
     """
-    connection = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
-    edges = []
-    for x in range(4):
-        for y in range(4):
-            for dx, dy in connection:
-                u = 4 * x + y
-                v = 4 * ((x + dx) % 4) + ((y + dy) % 4)
-                if u < v:
-                    edges.append((u, v))
+    edges = [
+        (4 * x + y, 4 * ((x + dx) % 4) + (y + dy) % 4)
+        for x in range(4)
+        for y in range(4)
+        for dx, dy in ((1, 0), (0, 1), (1, 1))
+    ]
     return build_from_edge_list(16, edges)
 
 
@@ -239,12 +259,11 @@ def random_regular_graph(n: int, k: int, seed: int) -> Graph:
         v = points[1::2]
         if (u == v).any():
             continue
-        # np.unique sorts, so the codes i*n + j decode to the edges in order
-        codes = np.unique(np.minimum(u, v) * n + np.maximum(u, v))
-        if codes.size != u.size:
+        # a repeated pair shows as equal neighbours among the sorted codes i*n + j
+        codes = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
+        if (codes[1:] == codes[:-1]).any():
             continue
-        lo, hi = np.divmod(codes, n)
-        g = _assemble(n, tuple(zip(lo.tolist(), hi.tolist())))
+        g = _assemble(n, u, v)
         if g is not None:
             return g
     raise RuntimeError(
@@ -285,7 +304,7 @@ def detect_srg_parameters(g: Graph) -> SrgParameters | None:
 
 def serialize(g: Graph) -> str:
     """Compact JSON text {"n": ..., "edges": [[i, j], ...]}; edges appear sorted lexicographically."""
-    return json.dumps({"n": g.n, "edges": [[i, j] for i, j in g.edges]}, separators=(",", ":"))
+    return json.dumps({"n": g.n, "edges": g.edges.tolist()}, separators=(",", ":"))
 
 
 def deserialize(text: str) -> Graph:

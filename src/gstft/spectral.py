@@ -7,8 +7,8 @@ of the windowed transform in :mod:`gstft.gabor`; on ring graphs each
 eigenspace is spanned by classical DFT harmonics.
 
 Signals are complex-valued length-n vectors; plain numpy arrays are used
-throughout, with :func:`as_signal` validating shape and dtype at the API
-boundary.
+throughout, with :func:`as_signal` validating shape, dtype and finiteness at
+the API boundary.
 
 Eigenpairs come from LAPACK's symmetric solver (``numpy.linalg.eigh``).
 Heat kernels and the frame spectrum
@@ -74,12 +74,14 @@ class SpectralDecomposition:
 
 
 def as_signal(values, n: int | None = None) -> np.ndarray:
-    """Coerce to a 1-D complex128 vertex signal, optionally checking its length."""
+    """Coerce to a 1-D finite complex128 vertex signal, optionally checking its length."""
     signal = np.asarray(values, dtype=np.complex128)
     if signal.ndim != 1:
         raise ValueError(f"signal must be one-dimensional, got shape {signal.shape}")
     if n is not None and signal.shape[0] != n:
         raise ValueError(f"signal length {signal.shape[0]} does not match n={n}")
+    if not np.isfinite(signal).all():
+        raise ValueError("signal contains NaN or infinite entries")
     return signal
 
 

@@ -184,6 +184,8 @@ class TestTransformRoundTrip:
             ('{"matrix": [[[1, 0]', "is not valid JSON"),
             ('{"matrix": [[[1, 0], 2]]}', "[re, im] pair of numbers"),
             ('{"matrix": [[["a", "b"]]]}', "[re, im] pair of numbers"),
+            ('{"matrix": [[[NaN, 0]]]}', "'matrix' entries must be finite"),
+            ('{"matrix": [[[0, -Infinity]]]}', "'matrix' entries must be finite"),
             ('{"meta": 5, "matrix": [[[1, 0]]]}', "'meta' must be an object"),
             ('{"meta": {"n": "3"}, "matrix": [[[1, 0]]]}', "meta 'n' must be an integer"),
             ('{"meta": {"t": "1"}, "matrix": [[[1, 0]]]}', "meta 't' must be a number"),
@@ -192,11 +194,13 @@ class TestTransformRoundTrip:
             ("# meta {bad\n1+0j\n", "line 1: malformed '# meta' line"),
             ("abc,1+0j\n", "row 1 (line 1): invalid complex value 'abc'"),
             ('# meta {"n": 8}\n\n1+0j,2+0j\n1+0j\n', "row 2 (line 4) has 1 entries but row 1 has 2"),
+            ("1+0j,2+0j\n# note\n1+0j,nan+0j\n", "row 2 (line 3): non-finite entry"),
+            ("1+0j\n0+infj\n", "row 2 (line 2): non-finite entry"),
         ],
         ids=[
-            "no-matrix", "ragged", "scalar", "truncated", "bare-number", "strings",
+            "no-matrix", "ragged", "scalar", "truncated", "bare-number", "strings", "nan", "infinity",
             "meta-scalar", "meta-n-string", "meta-t-string", "meta-sha-number", "csv-meta-list", "csv-meta-truncated",
-            "csv-cell", "csv-ragged",
+            "csv-cell", "csv-ragged", "csv-nan", "csv-inf",
         ],
     )
     def test_json_coefficients_without_matrix_fail(self, tmp_path, capsys, ring8_setup, text, problem):
@@ -212,8 +216,10 @@ class TestTransformRoundTrip:
         [
             ("# meta {bad\n1,0\n2,0\n3,0\n", "line 1: malformed '# meta' line"),
             ("1,0\n# a comment\n\nx\n3,0\n", "line 4: could not convert string to float: 'x'"),
+            ("1,0\nnan,0\n3,0\n", "line 2: non-finite value 'nan,0'"),
+            ("1,0\n2,-inf\n3,0\n", "line 2: non-finite value '2,-inf'"),
         ],
-        ids=["meta-truncated", "entry"],
+        ids=["meta-truncated", "entry", "nan", "infinity"],
     )
     @pytest.mark.parametrize("command", ["gstft", "spectrogram"])
     def test_malformed_signal_names_file_and_line(self, tmp_path, capsys, command, text, problem):

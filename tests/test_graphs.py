@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gstft import graphs
+from gstft.formats import graph_sha256
 
 
 def srg_counts_oracle(g):
@@ -33,7 +34,7 @@ class TestBuildFromEdgeList:
     def test_k2(self):
         g = graphs.build_from_edge_list(2, [(0, 1)])
         assert g.n == 2
-        assert g.edges == ((0, 1),)
+        assert g.edges.tolist() == [[0, 1]]
         assert g.degrees.tolist() == [1, 1]
 
     def test_disconnected_rejected(self):
@@ -71,6 +72,36 @@ class TestBuildFromEdgeList:
         with pytest.raises(ValueError):
             g.adjacency[0, 1] = 0
 
+    def test_edges_is_a_fresh_sorted_array(self):
+        g = graphs.build_from_edge_list(4, np.array([[3, 0], [2, 1], [0, 1], [1, 0]]))
+        edges = g.edges
+        assert edges.shape == (3, 2) and edges.dtype.kind == "i"
+        assert edges.tolist() == [[0, 1], [0, 3], [1, 2]]
+        edges[0] = 9
+        assert g.edges.tolist() == [[0, 1], [0, 3], [1, 2]]
+
+    @pytest.mark.parametrize(
+        "n, edges",
+        [
+            (3, [(0, 1.7), (1, 2)]),
+            (2, [(False, True)]),
+            (2, [("0", "1")]),
+            (3, np.array([[0.0, 1.0], [1.0, 2.0]])),
+            (3, [(0, None), (1, 2)]),
+        ],
+        ids=["float", "bool", "string", "float-array", "none"],
+    )
+    def test_non_integer_endpoints_rejected(self, n, edges):
+        with pytest.raises(TypeError, match="integers"):
+            graphs.build_from_edge_list(n, edges)
+
+    @pytest.mark.parametrize(
+        "edges", [[(0, 1, 2)], [[]], [(0, 1), (1, 2, 0)], 5], ids=["triple", "empty-pair", "ragged", "scalar"]
+    )
+    def test_non_pair_shapes_rejected(self, edges):
+        with pytest.raises(ValueError, match=r"\(m, 2\) array"):
+            graphs.build_from_edge_list(3, edges)
+
 
 class TestFamilies:
     def test_ring_sizes(self):
@@ -79,7 +110,7 @@ class TestFamilies:
         assert g.edge_count == 4
 
     def test_ring_3_is_triangle(self):
-        assert graphs.ring_graph(3).edges == ((0, 1), (0, 2), (1, 2))
+        assert graphs.ring_graph(3).edges.tolist() == [[0, 1], [0, 2], [1, 2]]
 
     def test_ring_too_small(self):
         with pytest.raises(ValueError):
@@ -110,6 +141,10 @@ class TestFamilies:
             lambda: graphs.build_from_edge_list(over, never_consumed()),
             lambda: graphs.deserialize(json.dumps({"n": over, "edges": [[0, 1]]})),
             lambda: graphs.graph_from_edge_list_text(f"0 {over - 1}\n"),
+            # far above the limit: refused before any array is allocated
+            lambda: graphs.complete_graph(10**9),
+            lambda: graphs.ring_graph(10**12),
+            lambda: graphs.hypercube_graph(40),
         ]
         for build in sources:
             with pytest.raises(ValueError, match="limit"):
@@ -152,7 +187,7 @@ class TestFamilies:
 class TestRandomRegular:
     def test_four_vertices_gives_k4(self):
         g = graphs.random_regular_graph(4, 3, seed=123)
-        assert g.edges == tuple(combinations(range(4), 2))
+        assert g.edges.tolist() == [list(pair) for pair in combinations(range(4), 2)]
 
     def test_odd_product_rejected(self):
         with pytest.raises(ValueError, match="even"):
@@ -171,12 +206,12 @@ class TestRandomRegular:
     def test_reproducible(self):
         a = graphs.random_regular_graph(30, 3, seed=7)
         b = graphs.random_regular_graph(30, 3, seed=7)
-        assert a.edges == b.edges
+        assert np.array_equal(a.edges, b.edges)
 
     def test_seed_changes_graph(self):
         a = graphs.random_regular_graph(30, 3, seed=0)
         b = graphs.random_regular_graph(30, 3, seed=1)
-        assert a.edges != b.edges
+        assert not np.array_equal(a.edges, b.edges)
 
     @pytest.mark.parametrize("n,k,seed", [(24, 3, 7), (100, 3, 42), (60, 5, 4), (100, 5, 42)])
     def test_same_stream_as_dividing_permuted_half_edges(self, n, k, seed):
@@ -197,7 +232,7 @@ class TestRandomRegular:
                         frontier.append(b)
             if len(seen) == n:
                 break
-        assert graphs.random_regular_graph(n, k, seed).edges == tuple(sorted(pairs))
+        assert graphs.random_regular_graph(n, k, seed).edges.tolist() == sorted(map(list, pairs))
 
     @pytest.mark.parametrize("n,k,seed", [(6, 1, 0), (5, 0, 0), (4096, 1, 0)])
     def test_disconnected_degree_refused_before_drawing(self, n, k, seed):
@@ -282,7 +317,7 @@ class TestSerialization:
     def test_round_trip(self):
         for build in (graphs.shrikhande_graph, lambda: graphs.ring_graph(9)):
             g = build()
-            assert graphs.deserialize(graphs.serialize(g)).edges == g.edges
+            assert np.array_equal(graphs.deserialize(graphs.serialize(g)).edges, g.edges)
 
     def test_self_loop_document_rejected(self):
         with pytest.raises(ValueError, match="self-loop"):
@@ -305,6 +340,21 @@ class TestSerialization:
         ):
             with pytest.raises(ValueError):
                 graphs.deserialize(text)
+
+    def test_serialized_bytes_pinned(self):
+        # serialize(g) feeds every graph_sha256 in coefficient metadata, so a
+        # change to the edge order or the JSON text must show here
+        pinned = [
+            (graphs.ring_graph, (7,), "db1d924b292edc6097c2863c02d4a24eba311bfe73d8a81553b17dabe1713df6"),
+            (graphs.complete_graph, (6,), "b4581273d991b8eac662dd1c0ae589ff2bae1d3be48e9b11c52911ee18b22947"),
+            (graphs.hypercube_graph, (4,), "0b24c65f590e803178c0b47ca36ec10fb9031fe56908f320db4a38114d399453"),
+            (graphs.petersen_graph, (), "2453660804ac92fcab576d6f23c59c5e695c098d7062f366f566b28318896851"),
+            (graphs.shrikhande_graph, (), "7ab2a45290b8cd6f6b14ed87cb652d9e2f773ac80422d9c295983f9a2a8a3982"),
+            (graphs.random_regular_graph, (100, 3, 42), "ff09102e0aff1b611040a216e8d302126f5b3567b1c83bdf1556270438ba8633"),
+            (graphs.random_regular_graph, (100, 5, 42), "0bd795847802987a3d7459f4c2536766a2aa358941c97b2055bc64c82eb307cd"),
+        ]
+        for build, args, digest in pinned:
+            assert graph_sha256(graphs.serialize(build(*args))) == digest, (build.__name__, args)
 
     def test_edges_sorted_in_output(self):
         g = graphs.build_from_edge_list(3, [(2, 1), (1, 0), (0, 2)])

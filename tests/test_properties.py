@@ -81,12 +81,14 @@ def edge_lists(draw):
 def test_build_from_edge_list_agrees_with_set_oracle(case):
     n, pairs = case
     error, edges = edge_list_oracle(n, pairs)
+    array = np.array(pairs, dtype=np.int64).reshape(-1, 2)
     if error is not None:
-        with pytest.raises(ValueError, match=re.escape(error)):
-            graphs.build_from_edge_list(n, pairs)
+        for given_pairs in (pairs, array):
+            with pytest.raises(ValueError, match=re.escape(error)):
+                graphs.build_from_edge_list(n, given_pairs)
         return
     g = graphs.build_from_edge_list(n, pairs)
-    assert g.edges == edges
+    assert g.edges.tolist() == list(map(list, edges))
     adjacency = g.adjacency
     assert adjacency.dtype == bool
     assert np.array_equal(adjacency, adjacency.T)
@@ -94,8 +96,10 @@ def test_build_from_edge_list_agrees_with_set_oracle(case):
     assert list(zip(*np.nonzero(np.triu(adjacency)))) == list(edges)
     assert np.array_equal(g.degrees, adjacency.sum(axis=1))
     back = graphs.deserialize(graphs.serialize(g))
-    assert back.edges == g.edges
+    assert np.array_equal(back.edges, g.edges)
     assert np.array_equal(back.adjacency, adjacency)
+    assert np.array_equal(graphs.build_from_edge_list(n, array).adjacency, adjacency)
+    assert np.array_equal(graphs.build_from_edge_list(n, g.edges).adjacency, adjacency)
 
 
 @st.composite

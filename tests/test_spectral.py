@@ -52,6 +52,12 @@ def test_laplacian_rows_sum_to_zero():
     assert np.abs(lap.sum(axis=1)).max() == 0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_as_signal_refuses_non_finite(bad):
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        spectral.as_signal([1.0, bad, 2.0])
+
+
 class TestDecompose:
     def test_eigenvalues_match_lapack_oracle(self, graph):
         lap = spectral.laplacian(graph)
