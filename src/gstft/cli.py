@@ -249,10 +249,9 @@ def cmd_reconstruct(args) -> None:
         raise ValueError(f"coefficient file is for n={meta['n']} but graph has n={g.n}")
     if matrix.shape != (g.n, g.n):
         raise ValueError(f"coefficient matrix shape {matrix.shape} does not match n={g.n}")
-    if "graph_sha256" in meta:
-        actual = graph_sha256(graphs.serialize(g))
-        if meta["graph_sha256"] != actual:
-            raise ValueError("coefficient file was produced from a different graph")
+    graph_meta = _graph_meta(g)  # serializing and hashing a large graph is costly: do it once
+    if "graph_sha256" in meta and meta["graph_sha256"] != graph_meta["graph_sha256"]:
+        raise ValueError("coefficient file was produced from a different graph")
     meta_t = meta.get("t")
     if args.t is None and meta_t is None:
         raise ValueError("no window time available: pass --t or use a coefficient file with metadata")
@@ -265,7 +264,7 @@ def cmd_reconstruct(args) -> None:
     f = gabor.inverse_gstft(dec, hk, gabor.GstftCoefficients(t=hk.t, matrix=matrix))
     _write_report(
         args,
-        lambda: {"meta": _graph_meta(g, t=hk.t), "signal": f},
+        lambda: {"meta": {**graph_meta, "t": hk.t}, "signal": f},
         lambda: signal_to_csv(f),
     )
 

@@ -154,6 +154,19 @@ class TestTransformRoundTrip:
         run_ok(capsys, "reconstruct", "--graph", str(graph_path), "--coeffs", str(coeffs), "--out", str(back))
         assert np.abs(signal_from_csv(back.read_text()) - f).max() <= 1e-9
 
+    def test_reconstruct_serializes_the_graph_once(self, tmp_path, capsys, ring8_setup, monkeypatch):
+        # the metadata check and the JSON output share one digest; serializing K1024 alone takes ~0.6 s
+        graph_path, signal_path, _ = ring8_setup
+        coeffs = tmp_path / "coeffs.json"
+        run_ok(capsys, "gstft", "--graph", str(graph_path), "--signal", str(signal_path), "--t", "1.0", "--format", "json", "--out", str(coeffs))
+        calls = []
+        serialize = graphs.serialize
+        monkeypatch.setattr(graphs, "serialize", lambda g: calls.append(g) or serialize(g))
+        back = tmp_path / "back.json"
+        run_ok(capsys, "reconstruct", "--graph", str(graph_path), "--coeffs", str(coeffs), "--format", "json", "--out", str(back))
+        assert len(calls) == 1
+        assert json.loads(back.read_text())["meta"] == json.loads(coeffs.read_text())["meta"]
+
     def test_wrong_n_fails(self, tmp_path, capsys, ring8_setup):
         graph_path, signal_path, _ = ring8_setup
         coeffs = tmp_path / "coeffs.csv"

@@ -213,9 +213,10 @@ class TestRandomRegular:
         b = graphs.random_regular_graph(30, 3, seed=1)
         assert not np.array_equal(a.edges, b.edges)
 
-    @pytest.mark.parametrize("n,k,seed", [(24, 3, 7), (100, 3, 42), (60, 5, 4), (100, 5, 42)])
+    # accepted at attempts 11, 6, 322, 90 and 8,200: the last spans many full batches
+    @pytest.mark.parametrize("n,k,seed", [(24, 3, 7), (100, 3, 42), (60, 5, 4), (100, 5, 42), (40, 6, 1)])
     def test_same_stream_as_dividing_permuted_half_edges(self, n, k, seed):
-        """Permuting vertex labels draws what permuting half-edges then dividing by k drew."""
+        """Batched label shuffles draw what one permutation of half-edges per attempt, divided by k, drew."""
         rng = np.random.default_rng(seed)
         while True:
             points = rng.permutation(n * k) // k
@@ -255,12 +256,20 @@ class TestRandomRegular:
         assert time.monotonic() - started < 1.0
 
     def test_retry_loop_still_exhausts(self, monkeypatch):
-        # k = 3 expects exp(2) = 7.4 attempts, within a budget of 8; seed 6 needs more
-        monkeypatch.setattr(graphs, "PAIRING_RETRIES", 8)
-        with pytest.raises(RuntimeError, match="within 8 attempts"):
-            graphs.random_regular_graph(100, 3, seed=6)
-        monkeypatch.setattr(graphs, "PAIRING_RETRIES", 1000)
-        assert_valid(graphs.random_regular_graph(100, 3, seed=6))
+        # The up-front estimate lets each budget below through: k = 3 expects
+        # exp(2) = 7.4 attempts and (100, 3, 6) is accepted at attempt 9; k = 6
+        # expects exp(8.75) = 6.3e3 and (40, 6, 1) is accepted at attempt 8,200,
+        # deep inside a batch, so the budget must count single attempts there
+        for n, k, seed, accepted_at in ((100, 3, 6, 9), (40, 6, 1, 8200)):
+            expected = graphs.random_regular_graph(n, k, seed)
+            monkeypatch.setattr(graphs, "PAIRING_RETRIES", accepted_at - 1)
+            with pytest.raises(RuntimeError, match=f"within {accepted_at - 1} attempts"):
+                graphs.random_regular_graph(n, k, seed)
+            monkeypatch.setattr(graphs, "PAIRING_RETRIES", accepted_at)
+            g = graphs.random_regular_graph(n, k, seed)
+            assert_valid(g)
+            assert np.array_equal(g.adjacency, expected.adjacency)
+            monkeypatch.undo()
 
 
 class TestSrgDetection:
@@ -352,6 +361,7 @@ class TestSerialization:
             (graphs.shrikhande_graph, (), "7ab2a45290b8cd6f6b14ed87cb652d9e2f773ac80422d9c295983f9a2a8a3982"),
             (graphs.random_regular_graph, (100, 3, 42), "ff09102e0aff1b611040a216e8d302126f5b3567b1c83bdf1556270438ba8633"),
             (graphs.random_regular_graph, (100, 5, 42), "0bd795847802987a3d7459f4c2536766a2aa358941c97b2055bc64c82eb307cd"),
+            (graphs.random_regular_graph, (40, 6, 1), "d3216b71d9ef4b3cf4b9535e75edd214557ad0e8d1dac5dc9f117c49345a5518"),
         ]
         for build, args, digest in pinned:
             assert graph_sha256(graphs.serialize(build(*args))) == digest, (build.__name__, args)
