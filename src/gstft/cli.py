@@ -20,7 +20,6 @@ import numpy as np
 
 from . import classical, gabor, graphs, heat, spectral
 from .formats import (
-    format_float,
     graph_sha256,
     matrix_from_csv,
     matrix_to_csv,
@@ -63,7 +62,10 @@ def _write_output(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
     else:
-        write_text_atomic(path, text)
+        try:
+            write_text_atomic(path, text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _write_report(args, doc, csv, companion=None) -> None:
@@ -88,7 +90,7 @@ def _csv_cell(value) -> str:
         return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
-    return format_float(value)
+    return "%.17g" % value
 
 
 def _csv_table(meta: dict, columns, rows) -> str:
@@ -172,7 +174,7 @@ def cmd_spectrum(args) -> None:
         lambda: {"meta": _graph_meta(g), "eigenvalues": dec.eigenvalues, "eigenvectors": dec.eigenvectors},
         lambda: matrix_to_csv(np.column_stack([dec.eigenvalues, dec.eigenvectors])),
     )
-    print(format_float(dec.fiedler_value))
+    print("%.17g" % dec.fiedler_value)
 
 
 def cmd_heat(args) -> None:
@@ -199,7 +201,7 @@ def cmd_gstft(args) -> None:
     _write_report(
         args,
         lambda: {"meta": meta, "matrix": coeffs.matrix},
-        lambda: matrix_to_csv(coeffs.matrix, complex_entries=True, meta=meta),
+        lambda: matrix_to_csv(coeffs.matrix, meta=meta),
     )
 
 
@@ -209,7 +211,7 @@ def _read_coefficients(path: str) -> tuple[np.ndarray, dict]:
         matrix, meta = _json_coefficients(path, text)
     else:
         try:
-            matrix, meta = matrix_from_csv(text, complex_entries=True)
+            matrix, meta = matrix_from_csv(text)
         except ValueError as exc:
             raise ValueError(f"coefficient file {path}: {exc}") from None
     if not isinstance(meta, dict):
@@ -285,7 +287,8 @@ def cmd_frame_report(args) -> None:
             "gammas": [r.gammas for r in sweep.reports],
         },
         lambda: _csv_table(meta, columns, rows),
-        ("gammas", lambda: _csv_table(meta, gamma_columns, ((r.t, *r.gammas) for r in sweep.reports))),
+        ("gammas", lambda: _csv_table(meta, gamma_columns, ())
+         + matrix_to_csv(np.column_stack([sweep.ts, [r.gammas for r in sweep.reports]]))),
     )
 
 

@@ -23,23 +23,6 @@ META_PREFIX = "# meta "
 MAX_T_GRID_POINTS = 10_001
 
 
-def format_float(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def format_complex(z: complex) -> str:
-    z = complex(z)
-    sign = "+" if z.imag >= 0 else "-"
-    return f"{format_float(z.real)}{sign}{format_float(abs(z.imag))}j"
-
-
-def parse_complex(text: str) -> complex:
-    try:
-        return complex(text.strip())
-    except ValueError as exc:
-        raise ValueError(f"invalid complex value {text!r}") from exc
-
-
 def meta_line(meta: dict) -> str:
     return META_PREFIX + json.dumps(meta, sort_keys=True, separators=(",", ":"))
 
@@ -72,8 +55,7 @@ def split_meta(text: str) -> tuple[dict, list[tuple[int, str]]]:
 def signal_to_csv(values) -> str:
     """One "re,im" line per vertex."""
     values = np.asarray(values, dtype=np.complex128)
-    lines = [f"{format_float(z.real)},{format_float(z.imag)}" for z in values]
-    return "\n".join(lines) + "\n"
+    return matrix_to_csv(np.column_stack([values.real, values.imag]))
 
 
 def signal_from_csv(text: str) -> np.ndarray:
@@ -101,36 +83,43 @@ def signal_from_csv(text: str) -> np.ndarray:
     return signal
 
 
-def matrix_to_csv(matrix, complex_entries: bool = False, meta: dict | None = None) -> str:
-    """Row-major CSV with 17-significant-digit entries and an optional meta line."""
-    matrix = np.asarray(matrix)
-    entry = format_complex if complex_entries else format_float
+def matrix_to_csv(matrix, meta: dict | None = None) -> str:
+    """Row-major CSV with 17-significant-digit entries and an optional meta line.
+
+    Complex entries are "re+imj" with the imaginary part always signed: "+0"
+    for -0 and "-nan" for NaN.
+    """
+    matrix = np.atleast_2d(np.asarray(matrix))
     lines = [] if meta is None else [meta_line(meta)]
-    lines.extend(",".join(entry(x) for x in row) for row in np.atleast_2d(matrix))
+    cell, rows = "%.17g", matrix
+    if np.iscomplexobj(matrix):  # one template over interleaved re/im; -0+0j adds +0 to imag only
+        cell, rows = "%.17g%+.17gj", ((row + complex(-0.0, 0.0)).view(np.float64) for row in matrix)
+    template = ",".join([cell] * matrix.shape[1])
+    lines.extend((template % tuple(row.tolist())).replace("+nanj", "-nanj") for row in rows)
     return "\n".join(lines) + "\n"
 
 
-def matrix_from_csv(text: str, complex_entries: bool = False) -> tuple[np.ndarray, dict]:
-    """Parse a matrix CSV, returning (array, metadata); errors name the row and line.
+def matrix_from_csv(text: str) -> tuple[np.ndarray, dict]:
+    """Parse a matrix CSV into a complex128 array and its metadata; errors name the row and line.
 
     NaN and infinite entries are refused.
     """
     meta, lines = split_meta(text)
     if not lines:
         raise ValueError("no matrix rows")
-    parse = parse_complex if complex_entries else float
     rows = []
     for row, (lineno, line) in enumerate(lines, start=1):
+        rows.append([])
         try:
-            rows.append([parse(cell) for cell in line.split(",")])
-        except ValueError as exc:
-            raise ValueError(f"row {row} (line {lineno}): {exc}") from None
+            for cell in line.split(","):
+                rows[-1].append(complex(cell))
+        except ValueError:
+            raise ValueError(f"row {row} (line {lineno}): invalid complex value {cell!r}") from None
         if len(rows[-1]) != len(rows[0]):
             raise ValueError(
                 f"row {row} (line {lineno}) has {len(rows[-1])} entries but row 1 has {len(rows[0])}"
             )
-    dtype = np.complex128 if complex_entries else np.float64
-    matrix = np.asarray(rows, dtype=dtype)
+    matrix = np.asarray(rows, dtype=np.complex128)
     finite = np.isfinite(matrix).all(axis=1)
     if not finite.all():
         row = int(np.argmin(finite))

@@ -162,7 +162,8 @@ def inverse_gstft(
         raise ValueError(f"coefficient time {coefficients.t} does not match kernel time {hk.t}")
     coeffs = np.ascontiguousarray(coefficients.matrix, dtype=np.complex128)
     inner = (hk.matrix @ coeffs.view(np.float64)).view(np.complex128)
-    return (dec.eigenvectors * inner).sum(axis=1) / hk.column_norms_sq
+    inner *= dec.eigenvectors
+    return inner.sum(axis=1) / hk.column_norms_sq
 
 
 def tightness_sweep(dec: SpectralDecomposition, t_grid) -> TightnessSweep:

@@ -4,10 +4,10 @@ Each oracle builds a quantity the library computes in closed form, but by an
 independent route: the frame operator from all n^2 explicit atoms (O(n^4)),
 frame bounds by sampling random signals, the transform from Shuman's
 spectral-window formulation, the graph Fourier transform pair, eigenspace
-projectors, and the classical DFT matrix, shift, modulation and tight-frame
-reconstruction on C^N. The library itself never calls them. Tolerances are
-the library's own (``gabor.TIGHT_TOL``, ``spectral.CLUSTER_TOL``), so each is
-defined once.
+projectors, the classical DFT matrix, shift, modulation and tight-frame
+reconstruction on C^N, and CSV text written one entry at a time. The library
+itself never calls them. Tolerances are the library's own
+(``gabor.TIGHT_TOL``, ``spectral.CLUSTER_TOL``), so each is defined once.
 """
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from gstft.classical import _as_vector, _harmonics, _shifted_windows
+from gstft.formats import meta_line
 from gstft.gabor import TIGHT_TOL, _check_same_graph, gstft
 from gstft.heat import HeatKernel, heat_kernel, spectral_column_norms_sq
 from gstft.spectral import CLUSTER_TOL, SpectralDecomposition, as_signal
@@ -228,3 +229,30 @@ def dstft_reconstruct(coefficients, g) -> np.ndarray:
         raise ValueError(f"coefficients must be shape ({n}, {n}), got {v.shape}")
     synthesis = (v @ _harmonics(n)) * _shifted_windows(g)
     return synthesis.sum(axis=0) / (n * float(np.linalg.norm(g) ** 2))
+
+
+# --- CSV text (gstft.formats) --------------------------------------------
+
+
+def format_entry(x) -> str:
+    """One CSV entry, formatted on its own: 17 significant digits; a complex
+    entry is "re", then "+" if its imaginary part is >= 0 (else "-", so NaN
+    gets "-"), then abs(imaginary part) and "j"."""
+    if isinstance(x, complex):
+        sign = "+" if x.imag >= 0 else "-"
+        return f"{format(x.real, '.17g')}{sign}{format(abs(x.imag), '.17g')}j"
+    return format(float(x), ".17g")
+
+
+def matrix_to_csv(matrix, meta: dict | None = None) -> str:
+    """Reference for :func:`gstft.formats.matrix_to_csv`, one entry at a time."""
+    matrix = np.atleast_2d(np.asarray(matrix))
+    lines = [] if meta is None else [meta_line(meta)]
+    lines.extend(",".join(format_entry(x) for x in row.tolist()) for row in matrix)
+    return "\n".join(lines) + "\n"
+
+
+def signal_to_csv(values) -> str:
+    """Reference for :func:`gstft.formats.signal_to_csv`: one "re,im" line per value."""
+    values = np.asarray(values, dtype=np.complex128)
+    return "\n".join(f"{format_entry(z.real)},{format_entry(z.imag)}" for z in values.tolist()) + "\n"

@@ -1,4 +1,6 @@
 """Command-line interface: subcommands, formats, errors, determinism."""
+import errno
+import hashlib
 import json
 import os
 import subprocess
@@ -77,14 +79,14 @@ class TestSpectrum:
         out = tmp_path / "dec.csv"
         stdout = run_ok(capsys, "spectrum", "--family", "ring", "--n", "4", "--out", str(out))
         assert abs(float(stdout.strip()) - 2.0) <= 1e-10
-        table, _ = matrix_from_csv(out.read_text())
+        table = matrix_from_csv(out.read_text())[0].real
         assert table.shape == (4, 5)
         assert np.abs(table[:, 0] - [0.0, 2.0, 2.0, 4.0]).max() <= 1e-10
 
     def test_k2(self, tmp_path, capsys):
         out = tmp_path / "dec.csv"
         run_ok(capsys, "spectrum", "--family", "complete", "--n", "2", "--out", str(out))
-        table, _ = matrix_from_csv(out.read_text())
+        table = matrix_from_csv(out.read_text())[0].real
         assert np.abs(table[:, 0] - [0.0, 2.0]).max() <= 1e-12
 
     def test_disconnected_graph_file_fails(self, tmp_path, capsys):
@@ -105,7 +107,7 @@ class TestHeat:
     def test_matrix_properties(self, tmp_path, capsys):
         out = tmp_path / "h.csv"
         run_ok(capsys, "heat", "--family", "ring", "--n", "6", "--t", "1.0", "--out", str(out))
-        h, _ = matrix_from_csv(out.read_text())
+        h = matrix_from_csv(out.read_text())[0].real
         assert h.shape == (6, 6)
         assert np.abs(h.sum(axis=1) - 1.0).max() <= 1e-10
         assert np.abs(h - h.T).max() == 0.0
@@ -340,6 +342,7 @@ class TestSpectrogram:
         out = tmp_path / "spec.csv"
         run_ok(capsys, "spectrogram", "--out", str(out))
         power, meta = matrix_from_csv(out.read_text())
+        power = power.real
         assert meta["n"] == 256 and power.shape == (256, 256)
         assert (tmp_path / "spec_dft.csv").exists()
         high_wins = power[:, 32] > power[:, 8]
@@ -358,7 +361,7 @@ class TestSpectrogram:
         signal.write_text("".join("1,0\n" for _ in range(64)))
         out = tmp_path / "spec.csv"
         run_ok(capsys, "spectrogram", "--signal", str(signal), "--width", "16", "--out", str(out))
-        power, _ = matrix_from_csv(out.read_text())
+        power = matrix_from_csv(out.read_text())[0].real
         assert int(np.argmax(power.sum(axis=0))) == 0
 
     def test_zero_width_fails(self, tmp_path, capsys):
@@ -367,7 +370,7 @@ class TestSpectrogram:
     def test_delta_window(self, tmp_path, capsys):
         out = tmp_path / "spec.csv"
         run_ok(capsys, "spectrogram", "--n", "32", "--window", "delta", "--out", str(out))
-        power, _ = matrix_from_csv(out.read_text())
+        power = matrix_from_csv(out.read_text())[0].real
         assert power.shape == (32, 32)
 
     def test_signal_and_n_conflict(self, tmp_path, capsys):
@@ -416,6 +419,7 @@ def _csv_rows(text):
 
 def _agree_heat(csv, doc):
     matrix, meta = matrix_from_csv(csv["r.csv"])
+    matrix = matrix.real
     assert meta == {}  # heat CSV carries no meta line
     assert np.array_equal(matrix, np.array(doc["matrix"]))
     assert (doc["meta"]["n"], doc["meta"]["t"]) == (6, 0.7)
@@ -455,9 +459,11 @@ def _agree_sweep_decay(csv, doc):
 
 def _agree_spectrogram(csv, doc):
     power, meta = matrix_from_csv(csv["r.csv"])
+    power = power.real
     assert meta == doc["meta"] == {"n": 16, "window": "boxcar", "width": 4}
     assert np.array_equal(power, np.array(doc["spectrogram"]))
     dft, dft_meta = matrix_from_csv(csv["r_dft.csv"])
+    dft = dft.real
     assert dft_meta == doc["meta"]
     assert np.array_equal(dft[:, 0], np.array(doc["dft_magnitude"]))
 
@@ -513,6 +519,19 @@ class TestAtomicWrite:
             write_text_atomic(str(target), "bad \ud800\n")
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
+    @pytest.mark.parametrize(
+        "target, errno_",
+        [("nodir/g.json", errno.ENOENT), ("adir", errno.EISDIR)],
+        ids=["missing-directory", "directory"],
+    )
+    def test_cli_failure_names_the_path_and_leaves_no_temp_file(self, tmp_path, capsys, target, errno_):
+        (tmp_path / "adir").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        path = tmp_path / target
+        err = run_err(capsys, "gen", "--family", "ring", "--n", "4", "--out", str(path))
+        assert err == f"error: cannot write {path}: {os.strerror(errno_)}\n"
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_mode_matches_plain_open(self, tmp_path):
         plain = tmp_path / "plain.csv"
         with open(plain, "w", encoding="utf-8") as handle:
@@ -522,6 +541,49 @@ class TestAtomicWrite:
         assert atomic.read_text() == "x\n"
         assert os.stat(atomic).st_mode == os.stat(plain).st_mode
         assert sorted(p.name for p in tmp_path.iterdir()) == ["atomic.csv", "plain.csv"]
+
+
+# One complex signal on the 8-ring; the second entry has a negative-zero imaginary part.
+PINNED_SIGNAL = "1,0\n-0.5,-0\n0.25,2\n3,-1.5\n0,0.125\n-2,4\n0.75,-0.25\n1e-3,1e3\n"
+
+# Arguments, stdout and the SHA-256 of every file each CSV report writes,
+# recorded with the per-entry CSV writer on Linux x86-64, numpy 2.4.6, one
+# OpenBLAS thread; byte identity is promised only at such a fixed scope.
+PINNED = {
+    "spectrum": (["spectrum", "--family", "petersen"], "1.9999999999999989\n", {
+        "r.csv": "a12dfd468e06170065d6ffff50179e97a18f34266998740a5a9dc0d145b5b804"}),
+    "heat": (["heat", "--family", "ring", "--n", "6", "--t", "0.7"], "", {
+        "r.csv": "df230a89332c7d75d3cb7a2f41b577725870799e7bffb419dfc8291cb2d626ce"}),
+    "gstft": (["gstft", "--family", "ring", "--n", "8", "--signal", "f.csv", "--t", "0.5"], "", {
+        "r.csv": "13b816e44b9f29c4d1bffb8d2a72d1bd2371c72fb3cf2245971a12dd147f7fdf"}),
+    "reconstruct-csv": (["reconstruct", "--family", "ring", "--n", "8", "--coeffs", "c.csv"], "", {
+        "r.csv": "2618e077e657f0b84780096d6f69c51aafb0bb8061c77bbeabd53dced6f25dc8"}),
+    "reconstruct-json": (["reconstruct", "--family", "ring", "--n", "8", "--coeffs", "c.json"], "", {
+        "r.csv": "2618e077e657f0b84780096d6f69c51aafb0bb8061c77bbeabd53dced6f25dc8"}),
+    "frame-report": (["frame-report", "--family", "ring", "--n", "5", "--t-grid", "0:1:0.5"], "", {
+        "r.csv": "d4bb4c360c8b6b5aac351e9e0a58522ede62d9a329952e775b77862439ef5bb1",
+        "r_gammas.csv": "3380a6b5a1aefb41ec2d02dd945f0d5d469026d772c40ee31711f895351767aa"}),
+    "sweep-decay": (["sweep-decay", "--n", "20", "--k-list", "3,5", "--seed", "3", "--t-grid", "0:1:0.5"], "", {
+        "r.csv": "fc7cc29e398478373ca695e5eb038db7ff082a5619fcf94149c07855cf02c249"}),
+    "spectrogram": (["spectrogram", "--n", "16", "--width", "4"], "", {
+        "r.csv": "672daf2cd141e77adcad8a7b547d4b22fa5d8363171d1b187ff1db1090a51e1a",
+        "r_dft.csv": "147f7f22ba5738cc563bbb3b9ebe5371196bd5043f8fa373bb6e14bbca964338"}),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED))
+def test_csv_reports_match_pinned_digests(tmp_path, capsys, name):
+    (tmp_path / "f.csv").write_text(PINNED_SIGNAL)
+    for fmt in ("csv", "json"):
+        run_ok(capsys, "gstft", "--family", "ring", "--n", "8", "--signal", str(tmp_path / "f.csv"),
+               "--t", "0.5", "--format", fmt, "--out", str(tmp_path / f"c.{fmt}"))
+    argv, expected_stdout, expected_digests = PINNED[name]
+    argv = [str(tmp_path / a) if a.endswith((".csv", ".json")) else a for a in argv]
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    stdout = run_ok(capsys, *argv, "--out", str(out_dir / "r.csv"))
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out_dir.iterdir()}
+    assert (stdout, digests) == (expected_stdout, expected_digests)
 
 
 DOCUMENTED = [

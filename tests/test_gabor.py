@@ -212,6 +212,29 @@ class TestInverse:
         inverse = (dec.eigenvectors * (h @ coeffs.matrix)).sum(axis=1) / hk.column_norms_sq
         assert np.abs(gabor.inverse_gstft(dec, hk, coeffs) - inverse).max() <= tol
 
+    @pytest.mark.parametrize(
+        "g",
+        [
+            graphs.complete_graph(2),
+            graphs.ring_graph(8),
+            graphs.hypercube_graph(4),
+            graphs.petersen_graph(),
+            graphs.shrikhande_graph(),
+            graphs.random_regular_graph(24, 3, seed=7),
+        ],
+        ids=["k2", "ring8", "q4", "petersen", "shrikhande", "rr24"],
+    )
+    def test_in_place_product_matches_the_allocating_one(self, g):
+        """Multiplying H_t F by Phi in place gives the bits of the allocating product."""
+        dec = spectral.decompose(spectral.laplacian(g))
+        rng = np.random.default_rng(11)
+        for t in (0.0, 0.1, 1.0, 10.0):
+            hk = heat.heat_kernel(dec, t)
+            coeffs = gabor.gstft(dec, hk, rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n))
+            inner = (hk.matrix @ coeffs.matrix.view(np.float64)).view(np.complex128)
+            expected = (dec.eigenvectors * inner).sum(axis=1) / hk.column_norms_sq
+            assert np.array_equal(gabor.inverse_gstft(dec, hk, coeffs), expected)
+
     def test_coefficient_layout_and_dtype_do_not_matter(self):
         """Fortran-ordered and real-dtype coefficients invert like C-ordered complex ones."""
         dec, hk = pipeline(graphs.petersen_graph(), 1.3)

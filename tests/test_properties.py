@@ -1,10 +1,12 @@
-"""Property tests over random edge lists and random connected graphs.
+"""Property tests over random edge lists, random connected graphs and CSV text.
 
 Separate from the pinned acceptance suite: hypothesis draws the inputs. With
 ``derandomize=True`` every run draws the same examples, and with
 ``database=None`` no example is stored between runs.
 """
+import math
 import re
+import struct
 import tempfile
 from pathlib import Path
 
@@ -13,7 +15,9 @@ import pytest
 from hypothesis import configuration, given, settings
 from hypothesis import strategies as st
 
-from gstft import gabor, graphs, heat, spectral
+from gstft import formats, gabor, graphs, heat, spectral
+
+import oracles
 
 repeatable = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 # Even without an example database, hypothesis caches the constants it reads
@@ -127,3 +131,49 @@ def test_transform_inverts_and_respects_frame_bounds(g, t, seed):
     energy = np.sum(np.abs(coeffs.matrix) ** 2)
     norm_sq = np.sum(np.abs(f) ** 2)
     assert report.bound_a * norm_sq * (1 - 1e-9) <= energy <= report.bound_b * norm_sq * (1 + 1e-9)
+
+
+# Every float64 bit pattern, plus the values a writer gets wrong first.
+any_float = st.one_of(
+    st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", bits.to_bytes(8, "little"))[0]),
+    st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.2250738585072009e-308]),
+    st.integers(10**16, 10**300).map(float) | st.integers(-(10**300), -(10**16)).map(float),
+)
+
+
+@st.composite
+def text_matrices(draw, entries=any_float, min_side=0):
+    """A real or complex matrix of up to 5 x 5 entries; a complex entry is two draws."""
+    dtype = draw(st.sampled_from([np.float64, np.complex128]))
+    shape = (draw(st.integers(min_side, 5)), draw(st.integers(min_side, 5)))
+    size = shape[0] * shape[1] * (2 if dtype is np.complex128 else 1)
+    values = draw(st.lists(entries, min_size=size, max_size=size))
+    return np.array(values, dtype=np.float64).view(dtype).reshape(shape)
+
+
+metas = st.none() | st.dictionaries(
+    st.text(max_size=4), st.integers() | st.floats(allow_nan=False) | st.text(max_size=4), max_size=3
+)
+
+
+@repeatable
+@given(text_matrices(), metas)
+def test_matrix_csv_matches_the_per_entry_writer(matrix, meta):
+    assert formats.matrix_to_csv(matrix, meta=meta) == oracles.matrix_to_csv(matrix, meta)
+
+
+@repeatable
+@given(st.lists(st.tuples(any_float, any_float), max_size=8))
+def test_signal_csv_matches_the_per_entry_writer(pairs):
+    values = np.array(pairs, dtype=np.float64).reshape(-1, 2).view(np.complex128)[:, 0]
+    assert formats.signal_to_csv(values) == oracles.signal_to_csv(values)
+
+
+@repeatable
+@given(text_matrices(any_float.filter(math.isfinite), min_side=1), metas)
+def test_finite_matrix_csv_reads_back_bit_for_bit(matrix, meta):
+    """The reader returns the written bits as complex128; only an imaginary -0 becomes +0."""
+    back, back_meta = formats.matrix_from_csv(formats.matrix_to_csv(matrix, meta=meta))
+    assert back.dtype == np.complex128
+    assert np.array_equal(back.view(np.uint64), (matrix + complex(-0.0, 0.0)).view(np.uint64))
+    assert back_meta == (meta or {})
