@@ -14,9 +14,9 @@ import numpy as np
 from gstft import boxcar_window, dft, piecewise_cosine, spectrogram
 
 N = 256
-LOW, HIGH = 8, 32
+LOW, HIGH = 8, 32  # the bins piecewise_cosine switches between
 
-signal = piecewise_cosine(N, low_bin=LOW, high_bin=HIGH)
+signal = piecewise_cosine(N)
 power = np.abs(dft(signal)) ** 2
 
 top = np.argsort(power[: N // 2 + 1])[-2:]

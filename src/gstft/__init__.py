@@ -18,7 +18,6 @@ The package builds the transform stack bottom-up:
 
 from .classical import (
     boxcar_window,
-    delta_window,
     dft,
     dstft,
     full_gabor_system,
@@ -47,7 +46,6 @@ from .graphs import (
     detect_srg_parameters,
     graph_from_edge_list_text,
     hypercube_graph,
-    parse_edge_list,
     petersen_graph,
     random_regular_graph,
     ring_graph,
@@ -79,7 +77,6 @@ __all__ = [
     "detect_srg_parameters",
     "serialize",
     "deserialize",
-    "parse_edge_list",
     "graph_from_edge_list_text",
     # spectral
     "SpectralDecomposition",
@@ -109,5 +106,4 @@ __all__ = [
     "spectrogram",
     "piecewise_cosine",
     "boxcar_window",
-    "delta_window",
 ]

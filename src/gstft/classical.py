@@ -72,8 +72,8 @@ def spectrogram(f, g) -> np.ndarray:
     return (v * v.conj()).real
 
 
-def piecewise_cosine(n: int = 256, low_bin: int = 8, high_bin: int = 32) -> np.ndarray:
-    """Test signal: cos at low_bin on the first half, cos at high_bin on the second.
+def piecewise_cosine(n: int) -> np.ndarray:
+    """Test signal: cos at DFT bin 8 on the first half, cos at bin 32 on the second.
 
     Frequencies are exact DFT bins of the full length, so the spectrum peaks
     at known indices and spectrograms show the switch at the midpoint.
@@ -81,24 +81,16 @@ def piecewise_cosine(n: int = 256, low_bin: int = 8, high_bin: int = 32) -> np.n
     if n < 2:
         raise ValueError(f"signal length must be >= 2, got {n}")
     m = np.arange(n)
-    first = np.cos(2 * np.pi * low_bin * m / n)
-    second = np.cos(2 * np.pi * high_bin * m / n)
+    first = np.cos(2 * np.pi * 8 * m / n)
+    second = np.cos(2 * np.pi * 32 * m / n)
     return np.where(m < n // 2, first, second).astype(np.float64)
 
 
 def boxcar_window(n: int, width: int) -> np.ndarray:
-    """Indicator window of the first ``width`` samples."""
+    """Indicator window of the first ``width`` samples; width 1 is the unit impulse."""
     if not 1 <= width <= n:
         raise ValueError(f"window width must be in 1..{n}, got {width}")
     g = np.zeros(n)
     g[:width] = 1.0
     return g
 
-
-def delta_window(n: int) -> np.ndarray:
-    """The unit impulse window."""
-    if n < 1:
-        raise ValueError(f"size must be >= 1, got {n}")
-    g = np.zeros(n)
-    g[0] = 1.0
-    return g

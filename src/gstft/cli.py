@@ -30,15 +30,6 @@ from .formats import (
     write_text_atomic,
 )
 
-FAMILIES = (
-    "ring",
-    "complete",
-    "hypercube",
-    "petersen",
-    "shrikhande",
-    "random-regular",
-    "from-edgelist",
-)
 DEFAULT_T_GRID = "0:10:0.1"
 
 
@@ -105,34 +96,34 @@ def _json_array(a: np.ndarray) -> list:
     return (np.stack([a.real, a.imag], axis=-1) if np.iscomplexobj(a) else a).tolist()
 
 
-def _require(value, flag: str, context: str):
+def _require(args, name: str):
+    """The value of ``--<name>``, which the chosen family needs."""
+    value = getattr(args, name)
     if value is None:
-        raise ValueError(f"{flag} is required for {context}")
+        raise ValueError(f"--{name} is required for {args.family}")
     return value
 
 
+# Family name -> builder from the parsed arguments; the keys are --family's choices.
+FAMILIES = {
+    "ring": lambda args: graphs.ring_graph(_require(args, "n")),
+    "complete": lambda args: graphs.complete_graph(_require(args, "n")),
+    "hypercube": lambda args: graphs.hypercube_graph(_require(args, "d")),
+    "petersen": lambda args: graphs.petersen_graph(),
+    "shrikhande": lambda args: graphs.shrikhande_graph(),
+    "random-regular": lambda args: graphs.random_regular_graph(
+        _require(args, "n"), _require(args, "k"), args.seed
+    ),
+    "from-edgelist": lambda args: graphs.graph_from_edge_list_text(
+        _read_text(_require(args, "edgelist")), args.n
+    ),
+}
+
+
 def _build_family(args) -> graphs.Graph:
-    family = args.family
-    if family is None:
+    if args.family is None:
         raise ValueError("--family is required")
-    if family == "ring":
-        return graphs.ring_graph(_require(args.n, "--n", "ring"))
-    if family == "complete":
-        return graphs.complete_graph(_require(args.n, "--n", "complete"))
-    if family == "hypercube":
-        return graphs.hypercube_graph(_require(args.d, "--d", "hypercube"))
-    if family == "petersen":
-        return graphs.petersen_graph()
-    if family == "shrikhande":
-        return graphs.shrikhande_graph()
-    if family == "random-regular":
-        n = _require(args.n, "--n", "random-regular")
-        k = _require(args.k, "--k", "random-regular")
-        return graphs.random_regular_graph(n, k, args.seed)
-    if family == "from-edgelist":
-        path = _require(args.edgelist, "--edgelist", "from-edgelist")
-        return graphs.graph_from_edge_list_text(_read_text(path), args.n)
-    raise ValueError(f"unknown family {family!r}")
+    return FAMILIES[args.family](args)
 
 
 def _resolve_graph(args) -> graphs.Graph:
@@ -330,15 +321,11 @@ def cmd_spectrogram(args) -> None:
     if args.signal is None:
         f = classical.piecewise_cosine(n)
 
-    if args.window == "delta":
-        window = classical.delta_window(n)
-    else:
-        window = classical.boxcar_window(n, args.width)
-
-    power = classical.spectrogram(f, window)
+    width = args.width if args.window == "boxcar" else 1  # the delta window is a width-1 boxcar
+    power = classical.spectrogram(f, classical.boxcar_window(n, width))
     f_hat = classical.dft(f)
     dft_power = (f_hat * f_hat.conj()).real
-    meta = {"n": n, "window": args.window, "width": args.width if args.window == "boxcar" else 1}
+    meta = {"n": n, "window": args.window, "width": width}
     _write_report(
         args,
         lambda: {"meta": meta, "spectrogram": power, "dft_magnitude": dft_power},

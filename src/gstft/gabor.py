@@ -26,12 +26,12 @@ strongly-regular eigenvector partial-sum identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .graphs import SrgParameters
-from .heat import HeatKernel, heat_kernel, spectral_column_norms_sq
+from .heat import HeatKernel, _window_time, heat_kernel, spectral_column_norms_sq
 from .spectral import CLUSTER_TOL, SpectralDecomposition, as_signal
 
 # Roundoff allowance for the tight verdict of frame_report, relative to
@@ -45,12 +45,18 @@ GAMMA_CROSSCHECK_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class GstftCoefficients:
-    """Transform values: matrix[i, j] = (V_t f)(v_i, lambda_j) = <f, psi_ij(t)>."""
+    """Transform values: matrix[i, j] = (V_t f)(v_i, lambda_j) = <f, psi_ij(t)>.
+
+    ``matrix`` must be square and two-dimensional.
+    """
 
     t: float
     matrix: np.ndarray
 
     def __post_init__(self):
+        shape = self.matrix.shape
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise ValueError(f"coefficient matrix must be square, got shape {shape}")
         self.matrix.setflags(write=False)
 
     @property
@@ -76,17 +82,24 @@ class FrameReport:
 
 @dataclass(frozen=True, eq=False)
 class TightnessSweep:
-    """Frame reports over an ascending time grid and their gaps.
+    """Frame reports over an ascending time grid, with their times and gaps.
 
     ``fiedler_value`` is the graph's second Laplacian eigenvalue lambda_2.
     It bounds the decay of the gap: gap(t) <= B(t) - 1/N <= (B(s) - 1/N)
-    exp(-2 lambda_2 (t - s)) for t >= s.
+    exp(-2 lambda_2 (t - s)) for t >= s. ``ts`` and ``gaps`` are computed
+    from ``reports`` at construction.
     """
 
     fiedler_value: float
     reports: tuple[FrameReport, ...]
-    ts: np.ndarray
-    gaps: np.ndarray
+    ts: np.ndarray = field(init=False)
+    gaps: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "ts", np.array([r.t for r in self.reports]))
+        object.__setattr__(self, "gaps", np.array([r.gap for r in self.reports]))
+        self.ts.setflags(write=False)
+        self.gaps.setflags(write=False)
 
 
 def _check_same_graph(dec: SpectralDecomposition, hk: HeatKernel) -> None:
@@ -180,14 +193,11 @@ def tightness_sweep(dec: SpectralDecomposition, t_grid) -> TightnessSweep:
         raise ValueError(f"t_grid values must be nonnegative, got {ts[0]}")
     if (np.diff(ts) <= 0).any():
         raise ValueError("t_grid must be strictly ascending")
+    for t in ts:  # refuse NaN and infinite times before building any kernel
+        _window_time(t)
 
     reports = tuple(frame_report(dec, heat_kernel(dec, t)) for t in ts)
-    return TightnessSweep(
-        fiedler_value=dec.fiedler_value,
-        reports=reports,
-        ts=ts,
-        gaps=np.array([r.gap for r in reports]),
-    )
+    return TightnessSweep(fiedler_value=dec.fiedler_value, reports=reports)
 
 
 def permutation_commutator(hk: HeatKernel, permutation) -> float:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -43,18 +43,23 @@ class Graph:
     """Undirected simple connected graph on ``n`` vertices.
 
     ``adjacency`` is the dense symmetric boolean matrix (16 MiB at
-    ``MAX_VERTICES``) and the only stored edge representation; ``degrees`` is
-    its integer row sums. Instances are immutable and safe to share across
-    threads; equality and hashing go by identity.
+    ``MAX_VERTICES``) and the only constructor argument; ``degrees``, its
+    integer row sums, is computed once at construction, and ``n`` and
+    ``edges`` are derived on request. Instances are immutable and safe to
+    share across threads; equality and hashing go by identity.
     """
 
-    n: int
     adjacency: np.ndarray
-    degrees: np.ndarray
+    degrees: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "degrees", self.adjacency.sum(axis=1))
         self.adjacency.setflags(write=False)
         self.degrees.setflags(write=False)
+
+    @property
+    def n(self) -> int:
+        return self.adjacency.shape[0]
 
     @property
     def edges(self) -> np.ndarray:
@@ -114,7 +119,7 @@ def _assemble(n: int, lo: np.ndarray, hi: np.ndarray) -> Graph | None:
     adjacency[hi, lo] = True
     if not _is_connected(n, adjacency):
         return None
-    return Graph(n=n, adjacency=adjacency, degrees=adjacency.sum(axis=1))
+    return Graph(adjacency)
 
 
 def _check_vertex_count(n: int) -> None:
@@ -349,8 +354,11 @@ def deserialize(text: str) -> Graph:
     return build_from_edge_list(doc["n"], edges)
 
 
-def parse_edge_list(text: str) -> list[tuple[int, int]]:
-    """Parse the "i j" per-line edge-list text format. '#' starts a comment."""
+def graph_from_edge_list_text(text: str, n: int | None = None) -> Graph:
+    """Build a graph from "i j" per-line edge-list text ('#' starts a comment).
+
+    ``n`` defaults to the largest vertex index plus one.
+    """
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -363,12 +371,6 @@ def parse_edge_list(text: str) -> list[tuple[int, int]]:
             edges.append((int(parts[0]), int(parts[1])))
         except ValueError as exc:
             raise ValueError(f"edge-list line {lineno}: {exc}") from exc
-    return edges
-
-
-def graph_from_edge_list_text(text: str, n: int | None = None) -> Graph:
-    """Build a graph from edge-list text; n defaults to max vertex index + 1."""
-    edges = parse_edge_list(text)
     if n is None:
         if not edges:
             raise ValueError("cannot infer vertex count from an empty edge list")

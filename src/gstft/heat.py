@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import threading
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,16 +56,18 @@ _slots_lock = threading.Lock()
 class HeatKernel:
     """Heat kernel at a fixed time: t, the dense matrix H_t, and its squared column norms.
 
-    ``column_norms_sq[j]`` stores the direct sum over entries of column j;
-    the spectral formula is available via :func:`spectral_column_norms_sq`.
-    ``matrix[:, i]`` is the window h_t(v_i) = H_t(., v_i).
+    ``column_norms_sq[j]`` is computed at construction as the direct sum over
+    entries of column j; the spectral formula is available via
+    :func:`spectral_column_norms_sq`. ``matrix[:, i]`` is the window
+    h_t(v_i) = H_t(., v_i).
     """
 
     t: float
     matrix: np.ndarray
-    column_norms_sq: np.ndarray
+    column_norms_sq: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "column_norms_sq", (self.matrix * self.matrix).sum(axis=0))
         self.matrix.setflags(write=False)
         self.column_norms_sq.setflags(write=False)
 
@@ -144,7 +146,7 @@ def _build(dec: SpectralDecomposition, t: float) -> HeatKernel:
     if not row_sum_err <= ROW_SUM_TOL:
         raise ValueError(f"heat kernel rows deviate from stochasticity by {row_sum_err:.3e}")
 
-    return HeatKernel(t=t, matrix=matrix, column_norms_sq=(matrix * matrix).sum(axis=0))
+    return HeatKernel(t=t, matrix=matrix)
 
 
 def spectral_column_norms_sq(dec: SpectralDecomposition, t: float) -> np.ndarray:

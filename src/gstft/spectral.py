@@ -73,12 +73,12 @@ class SpectralDecomposition:
         return float(self.eigenvalues[1])
 
 
-def as_signal(values, n: int | None = None) -> np.ndarray:
-    """Coerce to a 1-D finite complex128 vertex signal, optionally checking its length."""
+def as_signal(values, n: int) -> np.ndarray:
+    """Coerce to a 1-D finite complex128 vertex signal of length ``n``."""
     signal = np.asarray(values, dtype=np.complex128)
     if signal.ndim != 1:
         raise ValueError(f"signal must be one-dimensional, got shape {signal.shape}")
-    if n is not None and signal.shape[0] != n:
+    if signal.shape[0] != n:
         raise ValueError(f"signal length {signal.shape[0]} does not match n={n}")
     if not np.isfinite(signal).all():
         raise ValueError("signal contains NaN or infinite entries")

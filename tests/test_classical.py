@@ -48,7 +48,7 @@ class TestDft:
             classical.dft(np.array([]))
 
     def test_piecewise_cosine_peaks(self):
-        f = classical.piecewise_cosine(256, low_bin=8, high_bin=32)
+        f = classical.piecewise_cosine(256)
         power = np.abs(classical.dft(f)) ** 2
         top_two = set(np.argsort(power[: 256 // 2 + 1])[-2:])
         assert top_two == {8, 32}
@@ -92,7 +92,7 @@ class TestDstft:
     def test_impulse_window_formula(self):
         n = 8
         f = random_vector(n, seed=2)
-        v = classical.dstft(f, classical.delta_window(n))
+        v = classical.dstft(f, classical.boxcar_window(n, 1))
         grid = np.arange(n)
         expected = f[:, None] * np.exp(-2j * np.pi * np.outer(grid, grid) / n)
         assert np.abs(v - expected).max() <= 1e-12
@@ -123,7 +123,7 @@ class TestDstft:
 
     def test_spectrogram_localizes_frequency_switch(self):
         n = 256
-        f = classical.piecewise_cosine(n, low_bin=8, high_bin=32)
+        f = classical.piecewise_cosine(n)
         width = 32
         power = classical.spectrogram(f, classical.boxcar_window(n, width))
         # dominant positive-frequency bin per translate k, away from the wrap;
@@ -150,7 +150,7 @@ class TestReconstruction:
     def test_impulse_window_round_trip(self):
         n = 8
         f = random_vector(n, seed=6)
-        g = classical.delta_window(n)
+        g = classical.boxcar_window(n, 1)
         back = oracles.dstft_reconstruct(classical.dstft(f, g), g)
         assert np.abs(back - f).max() <= 1e-12
 
@@ -207,7 +207,7 @@ class TestWindows:
         assert classical.boxcar_window(8, 3).sum() == 3.0
 
     def test_piecewise_cosine_halves(self):
-        f = classical.piecewise_cosine(16, low_bin=1, high_bin=2)
-        m = np.arange(16)
-        assert np.abs(f[:8] - np.cos(2 * np.pi * m[:8] / 16)).max() <= 1e-12
-        assert np.abs(f[8:] - np.cos(2 * np.pi * 2 * m[8:] / 16)).max() <= 1e-12
+        f = classical.piecewise_cosine(64)
+        m = np.arange(64)
+        assert np.abs(f[:32] - np.cos(2 * np.pi * 8 * m[:32] / 64)).max() <= 1e-12
+        assert np.abs(f[32:] - np.cos(2 * np.pi * 32 * m[32:] / 64)).max() <= 1e-12

@@ -4,6 +4,7 @@ Oracles: explicit single-atom construction with Python loops for the
 transform entries, the n^2-atom Gram composition for the frame operator,
 and scipy's expm-based column norms for the frame spectrum.
 """
+import dataclasses
 import math
 import tracemalloc
 
@@ -178,6 +179,18 @@ class TestFrameReport:
             assert report.gammas.min() > 0
             assert 0 < report.bound_a <= report.bound_b
 
+    def test_inconsistent_decomposition_fails_the_gamma_crosscheck(self):
+        # Columns 1.. scaled by 1.001 are no longer orthonormal, yet the kernel
+        # passes its own checks (the constant column keeps the rows stochastic)
+        dec = spectral.decompose(spectral.laplacian(graphs.petersen_graph()))
+        vectors = dec.eigenvectors.copy()
+        vectors[:, 1:] *= 1.001
+        skewed = spectral.SpectralDecomposition(dec.eigenvalues, vectors)
+        hk = heat.heat_kernel(skewed, 1.0)
+        assert np.abs(hk.matrix.sum(axis=1) - 1.0).max() <= 1e-15
+        with pytest.raises(ValueError, match=r"spectral gammas disagree with direct column norms by 1\.840e-05"):
+            gabor.frame_report(skewed, hk)
+
 
 class TestInverse:
     @pytest.mark.parametrize("t", [0.0, 0.5, 2.0])
@@ -260,6 +273,11 @@ class TestInverse:
         with pytest.raises(ValueError):
             gabor.inverse_gstft(dec5, hk5, coeffs)
 
+    @pytest.mark.parametrize("shape", [(200, 3), (3, 200), (10,), (10, 10, 1), ()])
+    def test_non_square_coefficients_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"coefficient matrix must be square, got shape"):
+            gabor.GstftCoefficients(1.0, np.ones(shape))
+
 
 class TestFrameInequality:
     def test_basis_vectors_hit_gammas(self):
@@ -324,6 +342,37 @@ class TestTightnessSweep:
             gabor.tightness_sweep(dec, [0.5, 0.4])
         with pytest.raises(ValueError):
             gabor.tightness_sweep(dec, [-1.0, 0.5])
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ([0.0, 1.0, math.nan], "t must not be NaN"),
+            ([math.nan, 1.0], "t must not be NaN"),
+            ([0.0, math.inf], "t must be finite, got inf"),
+            ([0.5, math.inf, math.nan], "t must be finite, got inf"),
+        ],
+    )
+    def test_non_finite_times_refused_before_any_kernel(self, monkeypatch, grid, message):
+        dec = spectral.decompose(spectral.laplacian(graphs.ring_graph(4)))
+        built = []
+        monkeypatch.setattr(gabor, "heat_kernel", lambda d, t: built.append(t) or heat.heat_kernel(d, t))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            gabor.tightness_sweep(dec, grid)
+        assert built == []
+
+    def test_times_and_gaps_derive_from_reports(self):
+        dec = spectral.decompose(spectral.laplacian(graphs.build_from_edge_list(3, [(0, 1), (1, 2)])))
+        sweep = gabor.tightness_sweep(dec, [0.0, 0.5, 2.0])
+        assert [f.name for f in dataclasses.fields(sweep) if f.init] == ["fiedler_value", "reports"]
+        assert sweep.ts.tolist() == [0.0, 0.5, 2.0]
+        assert sweep.gaps.tolist() == [r.gap for r in sweep.reports]
+        assert not (sweep.ts.flags.writeable or sweep.gaps.flags.writeable)
+        # replacing the reports replaces what is derived from them
+        zeroed = tuple(dataclasses.replace(r, gap=0.0) for r in sweep.reports[1:])
+        replaced = dataclasses.replace(sweep, reports=zeroed)
+        assert replaced.ts.tolist() == [0.5, 2.0]
+        assert replaced.gaps.tolist() == [0.0, 0.0]
+        assert sweep.gaps[1] > 1e-3
 
     def test_max_gamma_envelope_decays_at_fiedler_rate(self):
         # gamma_j(t) - 1/N is a positive combination of exp(-2 lambda t) with

@@ -1,4 +1,5 @@
 """Graph construction, classification, and serialization."""
+import dataclasses
 import json
 import time
 from itertools import combinations
@@ -40,6 +41,15 @@ class TestBuildFromEdgeList:
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError, match="disconnected"):
             graphs.build_from_edge_list(3, [(0, 1)])
+
+    def test_adjacency_is_the_only_constructor_argument(self):
+        g = graphs.petersen_graph()
+        assert [f.name for f in dataclasses.fields(g) if f.init] == ["adjacency"]
+        assert g.n == 10 and g.degrees.tolist() == [3] * 10
+        with pytest.raises(ValueError, match="read-only"):
+            g.degrees[0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.degrees = np.zeros(10, dtype=int)
 
     def test_four_cycle(self):
         g = graphs.build_from_edge_list(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -374,11 +384,12 @@ class TestSerialization:
 class TestEdgeListText:
     def test_parse_with_comments(self):
         text = "# a triangle\n0 1\n1 2   # second edge\n\n2 0\n"
-        assert graphs.parse_edge_list(text) == [(0, 1), (1, 2), (2, 0)]
+        g = graphs.graph_from_edge_list_text(text)
+        assert g.edges.tolist() == [[0, 1], [0, 2], [1, 2]]
 
     def test_bad_line_rejected(self):
         with pytest.raises(ValueError, match="line 1"):
-            graphs.parse_edge_list("0 1 2\n")
+            graphs.graph_from_edge_list_text("0 1 2\n")
 
     def test_graph_from_text_infers_n(self):
         g = graphs.graph_from_edge_list_text("0 1\n1 2\n")

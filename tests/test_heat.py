@@ -3,6 +3,7 @@
 scipy.linalg.expm is the independent oracle for the matrix exponential; the
 library's own path goes through the eigendecomposition.
 """
+import dataclasses
 import gc
 import math
 import sys
@@ -152,6 +153,13 @@ class TestColumnNorms:
                 assert np.abs(
                     hk.column_norms_sq - heat.spectral_column_norms_sq(dec, t)
                 ).max() <= 1e-10
+
+    def test_derived_from_the_matrix(self):
+        _, dec = make(graphs.petersen_graph())
+        hk = heat.heat_kernel(dec, 0.7)
+        assert [f.name for f in dataclasses.fields(hk) if f.init] == ["t", "matrix"]
+        assert np.array_equal(hk.column_norms_sq, (hk.matrix * hk.matrix).sum(axis=0))
+        assert not hk.column_norms_sq.flags.writeable
 
     def test_large_t_limit_is_one_over_n(self):
         # only the zero eigenvalue survives: e^0 * |1/sqrt(N)|^2 = 1/N

@@ -55,7 +55,7 @@ def test_laplacian_rows_sum_to_zero():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
 def test_as_signal_refuses_non_finite(bad):
     with pytest.raises(ValueError, match="NaN or infinite"):
-        spectral.as_signal([1.0, bad, 2.0])
+        spectral.as_signal([1.0, bad, 2.0], 3)
 
 
 class TestDecompose:
