@@ -6,8 +6,10 @@ render its JSON document and its CSV text; the writer renders only the format
 ``--format`` asks for (CSV by default) and writes it atomically. A CSV report
 may add a companion file named ``<root>_<suffix><ext or .csv>`` next to
 ``--out``, which must then be a path. Every invocation is deterministic given
-its inputs and seed, so repeated runs produce byte-identical files. Errors
-print a single "error: ..." line on stderr and exit with status 1.
+its inputs and seed, so repeated runs produce byte-identical files. Errors,
+usage errors included, print a single "error: ..." line on stderr and exit
+with status 1. A value that starts with ``-`` but is not a plain negative
+number must be attached to its option: ``--t=-inf``, ``--t-grid=-1:1:0.5``.
 """
 from __future__ import annotations
 
@@ -120,18 +122,10 @@ FAMILIES = {
 }
 
 
-def _build_family(args) -> graphs.Graph:
-    if args.family is None:
-        raise ValueError("--family is required")
-    return FAMILIES[args.family](args)
-
-
 def _resolve_graph(args) -> graphs.Graph:
-    if (args.graph is None) == (args.family is None):
-        raise ValueError("exactly one graph source is required: --graph FILE or --family NAME")
     if args.graph is not None:
         return graphs.deserialize(_read_text(args.graph))
-    return _build_family(args)
+    return FAMILIES[args.family](args)
 
 
 def _graph_meta(g: graphs.Graph, **extra) -> dict:
@@ -143,17 +137,13 @@ def _decompose(g: graphs.Graph) -> spectral.SpectralDecomposition:
 
 
 def _resolve_t_grid(args) -> np.ndarray:
-    if args.t is not None and args.t_grid is not None:
-        raise ValueError("--t and --t-grid are mutually exclusive")
     if args.t is not None:
-        if args.t < 0:
-            raise ValueError(f"t must be nonnegative, got {args.t}")
         return np.array([args.t])
     return parse_t_grid(args.t_grid if args.t_grid is not None else DEFAULT_T_GRID)
 
 
 def cmd_gen(args) -> None:
-    g = _build_family(args)
+    g = FAMILIES[args.family](args)
     _write_output(args.out, graphs.serialize(g) + "\n")
 
 
@@ -170,8 +160,6 @@ def cmd_spectrum(args) -> None:
 
 def cmd_heat(args) -> None:
     g = _resolve_graph(args)
-    if args.t is None:
-        raise ValueError("--t is required")
     hk = heat.heat_kernel(_decompose(g), args.t)
     _write_report(
         args,
@@ -182,8 +170,6 @@ def cmd_heat(args) -> None:
 
 def cmd_gstft(args) -> None:
     g = _resolve_graph(args)
-    if args.t is None:
-        raise ValueError("--t is required")
     f = _read_signal(args.signal)
     dec = _decompose(g)
     hk = heat.heat_kernel(dec, args.t)
@@ -308,8 +294,6 @@ def cmd_sweep_decay(args) -> None:
 
 
 def cmd_spectrogram(args) -> None:
-    if args.signal is not None and args.n is not None:
-        raise ValueError("use either --signal FILE or --n LENGTH, not both")
     # dstft holds N x N complex arrays (256 MiB each at N = 4096); refuse long signals up front
     if args.signal is not None:
         f = _read_signal(args.signal)
@@ -334,8 +318,18 @@ def cmd_spectrogram(args) -> None:
     )
 
 
-def _add_family_source(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--family", choices=FAMILIES, help="graph family to generate")
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises usage errors as ValueError, so :func:`main` reports them like any other."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _add_family_source(parser: argparse.ArgumentParser, group=None) -> None:
+    """Add --family and its parameters; --family joins ``group`` if given, else it is required."""
+    (group or parser).add_argument(
+        "--family", choices=FAMILIES, required=group is None, help="graph family to generate"
+    )
     parser.add_argument("--n", type=int, help="vertex count (ring, complete, random-regular)")
     parser.add_argument("--k", type=int, help="degree (random-regular)")
     parser.add_argument("--d", type=int, help="dimension (hypercube)")
@@ -344,8 +338,9 @@ def _add_family_source(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_graph_source(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--graph", metavar="FILE", help="graph JSON file")
-    _add_family_source(parser)
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--graph", metavar="FILE", help="graph JSON file")
+    _add_family_source(parser, source)
 
 
 def _add_common_output(parser: argparse.ArgumentParser) -> None:
@@ -354,7 +349,7 @@ def _add_common_output(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="gstft",
         description="Heat-windowed short-time Fourier analysis on graphs.",
     )
@@ -372,14 +367,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("heat", help="heat-kernel matrix at a fixed time")
     _add_graph_source(p)
-    p.add_argument("--t", type=float, help="window time (>= 0)")
+    p.add_argument("--t", type=float, required=True, help="window time (>= 0)")
     _add_common_output(p)
     p.set_defaults(func=cmd_heat)
 
     p = sub.add_parser("gstft", help="transform a vertex signal")
     _add_graph_source(p)
     p.add_argument("--signal", required=True, metavar="FILE", help="signal CSV ('re,im' per line)")
-    p.add_argument("--t", type=float, help="window time (>= 0)")
+    p.add_argument("--t", type=float, required=True, help="window time (>= 0)")
     _add_common_output(p)
     p.set_defaults(func=cmd_gstft)
 
@@ -392,8 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("frame-report", help="frame bounds A, B, gap, ratio over a time grid")
     _add_graph_source(p)
-    p.add_argument("--t", type=float, help="single window time")
-    p.add_argument("--t-grid", metavar="A:B:STEP", help=f"inclusive time grid (default {DEFAULT_T_GRID})")
+    times = p.add_mutually_exclusive_group()
+    times.add_argument("--t", type=float, help="single window time")
+    times.add_argument("--t-grid", metavar="A:B:STEP", help=f"inclusive time grid (default {DEFAULT_T_GRID})")
     _add_common_output(p)
     p.set_defaults(func=cmd_frame_report)
 
@@ -406,8 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep_decay, t=None)
 
     p = sub.add_parser("spectrogram", help="DFT magnitude and windowed-transform spectrogram")
-    p.add_argument("--signal", metavar="FILE", help="signal CSV; default is the built-in piecewise cosine")
-    p.add_argument("--n", type=int, help="length of the built-in signal (default 256)")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--signal", metavar="FILE", help="signal CSV; default is the built-in piecewise cosine")
+    source.add_argument("--n", type=int, help="length of the built-in signal (default 256)")
     p.add_argument("--window", choices=("boxcar", "delta"), default="boxcar", help="window shape")
     p.add_argument("--width", type=int, default=32, help="boxcar width (default 32)")
     _add_common_output(p)
@@ -417,8 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         args.func(args)
     except Exception as exc:  # single reporting point: one parseable line on stderr
         print(f"error: {exc}", file=sys.stderr)

@@ -189,11 +189,9 @@ def tightness_sweep(dec: SpectralDecomposition, t_grid) -> TightnessSweep:
     ts = np.asarray(t_grid, dtype=np.float64)
     if ts.ndim != 1 or ts.size == 0:
         raise ValueError("t_grid must be a nonempty one-dimensional sequence")
-    if ts[0] < 0:
-        raise ValueError(f"t_grid values must be nonnegative, got {ts[0]}")
     if (np.diff(ts) <= 0).any():
         raise ValueError("t_grid must be strictly ascending")
-    for t in ts:  # refuse NaN and infinite times before building any kernel
+    for t in ts:  # refuse NaN, infinite and negative times before building any kernel
         _window_time(t)
 
     reports = tuple(frame_report(dec, heat_kernel(dec, t)) for t in ts)

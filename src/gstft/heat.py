@@ -56,6 +56,8 @@ _slots_lock = threading.Lock()
 class HeatKernel:
     """Heat kernel at a fixed time: t, the dense matrix H_t, and its squared column norms.
 
+    Construction raises ValueError unless every entry is above ``ENTRY_FLOOR``
+    and every row sums to one within ``ROW_SUM_TOL`` (a NaN fails both).
     ``column_norms_sq[j]`` is computed at construction as the direct sum over
     entries of column j; the spectral formula is available via
     :func:`spectral_column_norms_sq`. ``matrix[:, i]`` is the window
@@ -67,6 +69,12 @@ class HeatKernel:
     column_norms_sq: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        min_entry = float(self.matrix.min())
+        if not min_entry > ENTRY_FLOOR:
+            raise ValueError(f"heat kernel entry {min_entry:.3e} below {ENTRY_FLOOR:g}")
+        row_sum_err = float(np.abs(self.matrix.sum(axis=1) - 1.0).max())
+        if not row_sum_err <= ROW_SUM_TOL:
+            raise ValueError(f"heat kernel rows deviate from stochasticity by {row_sum_err:.3e}")
         object.__setattr__(self, "column_norms_sq", (self.matrix * self.matrix).sum(axis=0))
         self.matrix.setflags(write=False)
         self.column_norms_sq.setflags(write=False)
@@ -103,9 +111,8 @@ def heat_kernel(dec: SpectralDecomposition, t: float) -> HeatKernel:
     """Heat kernel H_t = Phi exp(-t Lambda) Phi^T for finite t >= 0.
 
     H_0 is returned as the exact identity. For t > 0 the matrix is symmetric
-    by construction (``X X^T`` with X = Phi exp(-t Lambda / 2)). It is
-    validated: entries above ``ENTRY_FLOOR`` and row sums within
-    ``ROW_SUM_TOL`` of one (a NaN fails both). Rejects negative, NaN or
+    by construction (``X X^T`` with X = Phi exp(-t Lambda / 2)); it is
+    validated once, by :class:`HeatKernel`. Rejects negative, NaN or
     infinite t and decompositions that are not Laplacian-like. From the
     second request for the same ``(dec, t)`` on, the same object is returned
     while it stays in the reuse slots (see the module docstring).
@@ -130,23 +137,12 @@ def heat_kernel(dec: SpectralDecomposition, t: float) -> HeatKernel:
 
 
 def _build(dec: SpectralDecomposition, t: float) -> HeatKernel:
-    """Compute and validate H_t; ``t`` has passed :func:`_window_time`."""
+    """Compute H_t; ``t`` has passed :func:`_window_time`."""
     w = _clamped_eigenvalues(dec)
-    n = dec.n
     if t == 0.0:
-        matrix = np.eye(n)
-    else:
-        half = dec.eigenvectors * np.exp(-0.5 * t * w)
-        matrix = half @ half.T
-
-    min_entry = float(matrix.min())
-    if not min_entry > ENTRY_FLOOR:
-        raise ValueError(f"heat kernel entry {min_entry:.3e} below {ENTRY_FLOOR:g}")
-    row_sum_err = float(np.abs(matrix.sum(axis=1) - 1.0).max())
-    if not row_sum_err <= ROW_SUM_TOL:
-        raise ValueError(f"heat kernel rows deviate from stochasticity by {row_sum_err:.3e}")
-
-    return HeatKernel(t=t, matrix=matrix)
+        return HeatKernel(t=t, matrix=np.eye(dec.n))
+    half = dec.eigenvectors * np.exp(-0.5 * t * w)
+    return HeatKernel(t=t, matrix=half @ half.T)
 
 
 def spectral_column_norms_sq(dec: SpectralDecomposition, t: float) -> np.ndarray:

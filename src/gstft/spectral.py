@@ -48,19 +48,26 @@ class SpectralDecomposition:
 
     ``eigenvectors[:, j]`` is the unit eigenvector for ``eigenvalues[j]``.
     For a connected-graph Laplacian the first eigenvalue is zero and
-    ``fiedler_value`` (the second) is strictly positive. NaN or infinite
-    entries are rejected with ValueError. Equality and hashing go by
-    identity, which is what :func:`gstft.heat.heat_kernel` keys reuse on.
+    ``fiedler_value`` (the second) is strictly positive. Construction raises
+    ValueError for NaN or infinite entries, then for eigenvalues that are not
+    an ``(n,)`` non-decreasing array or eigenvectors that are not ``(n, n)``;
+    orthonormality is not checked. Equality and hashing go by identity, which
+    is what :func:`gstft.heat.heat_kernel` keys reuse on.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     def __post_init__(self):
-        if not (np.isfinite(self.eigenvalues).all() and np.isfinite(self.eigenvectors).all()):
+        w, v = self.eigenvalues, self.eigenvectors
+        if not (np.isfinite(w).all() and np.isfinite(v).all()):
             raise ValueError("decomposition contains NaN or infinite entries")
-        self.eigenvalues.setflags(write=False)
-        self.eigenvectors.setflags(write=False)
+        if w.ndim != 1 or v.shape != (w.size, w.size):
+            raise ValueError(f"expected (n,) eigenvalues and (n, n) eigenvectors, got {w.shape} and {v.shape}")
+        if (np.diff(w) < 0).any():
+            raise ValueError("eigenvalues must be in non-decreasing order")
+        w.setflags(write=False)
+        v.setflags(write=False)
 
     @property
     def n(self) -> int:

@@ -117,6 +117,10 @@ class TestDstft:
         expected = windowed @ np.exp(-2j * np.pi * np.outer(grid, grid) / n).T
         assert np.abs(classical.dstft(f, g) - expected).max() <= 1e-12 * np.abs(expected).max()
 
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="signal length 4 does not match window length 3"):
+            classical.dstft(np.ones(4), np.ones(3))
+
     def test_zero_window_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
             classical.dstft(np.ones(4), np.zeros(4))
@@ -205,6 +209,10 @@ class TestWindows:
         with pytest.raises(ValueError):
             classical.boxcar_window(8, 9)
         assert classical.boxcar_window(8, 3).sum() == 3.0
+
+    def test_piecewise_cosine_needs_two_samples(self):
+        with pytest.raises(ValueError, match="signal length must be >= 2, got 1"):
+            classical.piecewise_cosine(1)
 
     def test_piecewise_cosine_halves(self):
         f = classical.piecewise_cosine(64)

@@ -11,7 +11,9 @@ import pytest
 
 from gstft import graphs
 from gstft.cli import main
-from gstft.formats import matrix_from_csv, signal_from_csv, signal_to_csv, split_meta, write_text_atomic
+from gstft.formats import (
+    matrix_from_csv, matrix_to_csv, signal_from_csv, signal_to_csv, split_meta, write_text_atomic,
+)
 
 
 def run(capsys, *argv):
@@ -211,11 +213,12 @@ class TestTransformRoundTrip:
             ('# meta {"n": 8}\n\n1+0j,2+0j\n1+0j\n', "row 2 (line 4) has 1 entries but row 1 has 2"),
             ("1+0j,2+0j\n# note\n1+0j,nan+0j\n", "row 2 (line 3): non-finite entry"),
             ("1+0j\n0+infj\n", "row 2 (line 2): non-finite entry"),
+            ('# meta {"n": 8}\n# no rows\n', "no matrix rows"),
         ],
         ids=[
             "no-matrix", "ragged", "scalar", "truncated", "bare-number", "strings", "nan", "infinity",
             "meta-scalar", "meta-n-string", "meta-t-string", "meta-sha-number", "csv-meta-list", "csv-meta-truncated",
-            "csv-cell", "csv-ragged", "csv-nan", "csv-inf",
+            "csv-cell", "csv-ragged", "csv-nan", "csv-inf", "csv-no-rows",
         ],
     )
     def test_json_coefficients_without_matrix_fail(self, tmp_path, capsys, ring8_setup, text, problem):
@@ -233,8 +236,10 @@ class TestTransformRoundTrip:
             ("1,0\n# a comment\n\nx\n3,0\n", "line 4: could not convert string to float: 'x'"),
             ("1,0\nnan,0\n3,0\n", "line 2: non-finite value 'nan,0'"),
             ("1,0\n2,-inf\n3,0\n", "line 2: non-finite value '2,-inf'"),
+            ("1,0\n2,0,0\n3,0\n", "line 2: expected 're' or 're,im', got '2,0,0'"),
+            ("# meta {}\n# no values\n", "no signal values"),
         ],
-        ids=["meta-truncated", "entry", "nan", "infinity"],
+        ids=["meta-truncated", "entry", "nan", "infinity", "three-parts", "empty"],
     )
     @pytest.mark.parametrize("command", ["gstft", "spectrogram"])
     def test_malformed_signal_names_file_and_line(self, tmp_path, capsys, command, text, problem):
@@ -243,6 +248,21 @@ class TestTransformRoundTrip:
         graph = ("--family", "ring", "--n", "3", "--t", "1") if command == "gstft" else ()
         err = run_err(capsys, command, *graph, "--signal", str(signal), "--out", "-")
         assert f"signal file {signal}: {problem}" in err
+
+    @pytest.mark.parametrize(
+        "size, t, problem",
+        [
+            (2, ("--t", "1"), "coefficient matrix shape (2, 2) does not match n=8"),
+            (8, (), "no window time available: pass --t or use a coefficient file with metadata"),
+        ],
+        ids=["wrong-shape", "no-time"],
+    )
+    def test_coefficients_without_metadata_fail(self, tmp_path, capsys, ring8_setup, size, t, problem):
+        graph_path, _, _ = ring8_setup
+        coeffs = tmp_path / "bare.csv"
+        coeffs.write_text(matrix_to_csv(np.eye(size, dtype=complex)))
+        err = run_err(capsys, "reconstruct", "--graph", str(graph_path), "--coeffs", str(coeffs), *t, "--out", "-")
+        assert err == f"error: {problem}\n"
 
     def test_signal_length_mismatch_fails(self, tmp_path, capsys, ring8_setup):
         graph_path, _, _ = ring8_setup
@@ -297,7 +317,7 @@ class TestFrameReport:
             capsys, "frame-report", "--family", "ring", "--n", "5",
             "--t", "1", "--t-grid", "0:1:1", "--out", str(tmp_path / "r.csv"),
         )
-        assert "mutually exclusive" in err
+        assert "not allowed with argument --t" in err
 
     def test_single_t(self, tmp_path, capsys):
         out = tmp_path / "report.csv"
@@ -402,14 +422,64 @@ class TestSpectrogram:
         (["frame-report", "--family", "ring", "--n", "4", "--t-grid", "0:inf:1"], "finite"),
         (["frame-report", "--family", "ring", "--n", "4", "--t-grid", "0:1:1e-7"], "'0:1:1e-7' has more than 10001 points"),
         (["frame-report", "--family", "ring", "--n", "4", "--t-grid", "0:1e300:1e-300"], "more than 10001 points"),
+        (["heat", "--family", "ring", "--n", "4", "--t=-inf"], "t must be finite, got -inf"),
+        (["frame-report", "--family", "ring", "--n", "4", "--t", "-1"], "t must be nonnegative, got -1.0"),
+        (["frame-report", "--family", "ring", "--n", "4", "--t-grid", "0:1"], "t-grid must be start:stop:step"),
+        (["frame-report", "--family", "ring", "--n", "4", "--t-grid", "0:1:0"], "t-grid step must be positive"),
+        (["frame-report", "--family", "ring", "--n", "4", "--t-grid=-1:1:0.5"], "t-grid start must be nonnegative"),
     ],
-    ids=["heat-t", "frame-report-t", "frame-report-grid", "grid-too-fine", "grid-count-overflows"],
+    ids=[
+        "heat-t", "frame-report-t", "frame-report-grid", "grid-too-fine", "grid-count-overflows",
+        "heat-attached-negative-inf", "frame-report-negative-t", "grid-shape", "grid-step", "grid-negative-start",
+    ],
 )
 def test_non_finite_time_fails(tmp_path, capsys, argv, problem):
     out = tmp_path / "r.out"
     err = run_err(capsys, *argv, "--out", str(out))
     assert problem in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, problem",
+    [
+        ([], "the following arguments are required: command"),
+        (["gen", "--family", "ring", "--n", "4", "--bogus"], "unrecognized arguments: --bogus"),
+        (["heat", "--family", "ring", "--n", "4", "--t", "abc"], "argument --t: invalid float value: 'abc'"),
+        (["frame-report", "--family", "petersen", "--t", "-inf"], "argument --t: expected one argument"),
+        (["frame-report", "--family", "petersen", "--t-grid", "-1:1:0.5"], "argument --t-grid: expected one argument"),
+        (["heat", "--family", "ring", "--n", "4"], "the following arguments are required: --t"),
+        (["gstft", "--family", "ring", "--n", "4", "--signal", "f.csv"], "the following arguments are required: --t"),
+        (["gen", "--n", "4"], "the following arguments are required: --family"),
+        (["spectrum", "--graph", "g.json", "--family", "ring"], "argument --family: not allowed with argument --graph"),
+        (["spectrum", "--n", "4"], "one of the arguments --graph --family is required"),
+        (["frame-report", "--family", "petersen", "--t", "1", "--t-grid", "0:1:1"],
+         "argument --t-grid: not allowed with argument --t"),
+        (["spectrogram", "--signal", "f.csv", "--n", "16"], "argument --n: not allowed with argument --signal"),
+    ],
+    ids=[
+        "no-subcommand", "unknown-flag", "t-not-a-number", "t-negative-inf", "grid-negative-start", "heat-missing-t",
+        "gstft-missing-t", "gen-missing-family", "both-graph-sources", "no-graph-source", "t-and-grid", "signal-and-n",
+    ],
+)
+def test_usage_errors_print_one_line_and_return_1(capsys, argv, problem):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {problem}\n")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["frame-report", "--help"]], ids=["top", "subcommand"])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: gstft")
+
+
+def test_unreadable_input_names_the_path(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    err = run_err(capsys, "spectrum", "--graph", str(missing))
+    assert err.startswith(f"error: cannot read {missing}: ")
+    assert err.count("\n") == 1
 
 
 def _csv_rows(text):
@@ -643,3 +713,9 @@ def test_module_entry_point_error_status():
     )
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ")
+
+
+def test_module_entry_point_usage_error_status():
+    proc = subprocess.run([sys.executable, "-m", "gstft"], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: the following arguments are required: command\n"

@@ -350,6 +350,7 @@ class TestTightnessSweep:
             ([math.nan, 1.0], "t must not be NaN"),
             ([0.0, math.inf], "t must be finite, got inf"),
             ([0.5, math.inf, math.nan], "t must be finite, got inf"),
+            ([-1.0, 0.5], "t must be nonnegative, got -1.0"),
         ],
     )
     def test_non_finite_times_refused_before_any_kernel(self, monkeypatch, grid, message):

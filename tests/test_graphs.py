@@ -105,6 +105,10 @@ class TestBuildFromEdgeList:
         with pytest.raises(TypeError, match="integers"):
             graphs.build_from_edge_list(n, edges)
 
+    def test_non_integer_vertex_count_rejected(self):
+        with pytest.raises(TypeError, match="vertex count must be an integer, got float"):
+            graphs.build_from_edge_list(3.0, [(0, 1), (1, 2)])
+
     @pytest.mark.parametrize(
         "edges", [[(0, 1, 2)], [[]], [(0, 1), (1, 2, 0)], 5], ids=["triple", "empty-pair", "ragged", "scalar"]
     )
@@ -136,6 +140,18 @@ class TestFamilies:
         assert g.n == 8
         assert g.edge_count == 12
         assert set(g.degrees.tolist()) == {3}
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: graphs.complete_graph(1), "complete graph needs at least 2 vertices, got 1"),
+            (lambda: graphs.hypercube_graph(0), "hypercube dimension must be >= 1, got 0"),
+        ],
+        ids=["complete-1", "hypercube-0"],
+    )
+    def test_below_family_minimum_refused(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
 
     def test_size_guards(self):
         def never_consumed():
@@ -390,6 +406,18 @@ class TestEdgeListText:
     def test_bad_line_rejected(self):
         with pytest.raises(ValueError, match="line 1"):
             graphs.graph_from_edge_list_text("0 1 2\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0 1\n1 x\n", r"edge-list line 2: invalid literal for int\(\)"),
+            ("# no edges\n\n", "cannot infer vertex count from an empty edge list"),
+        ],
+        ids=["not-an-integer", "empty"],
+    )
+    def test_unusable_text_rejected(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            graphs.graph_from_edge_list_text(text)
 
     def test_graph_from_text_infers_n(self):
         g = graphs.graph_from_edge_list_text("0 1\n1 2\n")

@@ -6,6 +6,7 @@ library's own path goes through the eigendecomposition.
 import dataclasses
 import gc
 import math
+import re
 import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -122,6 +123,35 @@ def test_nan_kernel_entries_rejected():
     bad = overflowing_decomposition()
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="heat kernel"):
         heat.heat_kernel(bad, 1.0)
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        (np.zeros((3, 3)), "heat kernel rows deviate from stochasticity by 1.000e+00"),
+        (-np.eye(3), "heat kernel entry -1.000e+00 below -1e-12"),
+    ],
+    ids=["zero", "negative-identity"],
+)
+def test_constructor_refuses_invalid_matrix(matrix, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        heat.HeatKernel(1.0, matrix)
+
+
+def test_each_built_kernel_is_validated_once(monkeypatch):
+    _, dec = make(graphs.petersen_graph())
+    checked = []
+    post_init = heat.HeatKernel.__post_init__
+    monkeypatch.setattr(heat.HeatKernel, "__post_init__", lambda hk: checked.append(hk.t) or post_init(hk))
+    kernels = [heat.heat_kernel(dec, 0.5) for _ in range(3)]
+    assert checked == [0.5, 0.5]  # built on the first two requests, kept from the second on
+    assert kernels[2] is kernels[1]
+
+
+def test_negative_spectrum_rejected():
+    dec = spectral.SpectralDecomposition(np.array([-1.0, 0.0]), np.eye(2))
+    with pytest.raises(ValueError, match="genuinely negative eigenvalue"):
+        heat.heat_kernel(dec, 1.0)
 
 
 def test_nan_decomposition_rejected():

@@ -58,6 +58,11 @@ def test_as_signal_refuses_non_finite(bad):
         spectral.as_signal([1.0, bad, 2.0], 3)
 
 
+def test_as_signal_refuses_a_matrix():
+    with pytest.raises(ValueError, match=r"one-dimensional, got shape \(2, 2\)"):
+        spectral.as_signal(np.ones((2, 2)), 2)
+
+
 class TestDecompose:
     def test_eigenvalues_match_lapack_oracle(self, graph):
         lap = spectral.laplacian(graph)
@@ -143,6 +148,26 @@ class TestDecompose:
         dec = spectral.decompose(np.zeros((0, 0)))
         assert dec.eigenvalues.shape == (0,)
         assert dec.eigenvectors.shape == (0, 0)
+
+    def test_single_vertex_has_no_fiedler_value(self):
+        with pytest.raises(ValueError, match="single-vertex"):
+            spectral.decompose(np.zeros((1, 1))).fiedler_value
+
+    @pytest.mark.parametrize(
+        "rearrange, message",
+        [
+            # reversed Petersen eigenpairs would report lambda_2 = 5 instead of 2
+            (lambda w, v: (w[::-1], v[:, ::-1]), "eigenvalues must be in non-decreasing order"),
+            (lambda w, v: (w[None, :], v), r"got \(1, 10\) and \(10, 10\)"),
+            (lambda w, v: (w, v[:5]), r"got \(10,\) and \(5, 10\)"),
+        ],
+        ids=["reversed", "2-d-eigenvalues", "non-square-eigenvectors"],
+    )
+    def test_shape_and_order_enforced(self, rearrange, message):
+        dec = spectral.decompose(spectral.laplacian(graphs.petersen_graph()))
+        w, v = rearrange(dec.eigenvalues, dec.eigenvectors)
+        with pytest.raises(ValueError, match=message):
+            spectral.SpectralDecomposition(w.copy(), v.copy())
 
     @pytest.mark.parametrize(
         "matrix, message",
