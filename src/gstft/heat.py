@@ -5,13 +5,9 @@ H_t = Phi exp(-t Lambda) Phi^T, rather than by series or scaling-and-squaring.
 The product is formed as H_t = X X^T with X = Phi exp(-t Lambda / 2), which
 numpy hands to BLAS ``syrk``: half the flops of a general product, and
 symmetric by construction (``X X^T``), so no symmetrizing pass is needed.
-Two independent routes to the column norms are then available: the direct
-entrywise sum over the matrix and the spectral sum
-
-    ||H_t(., v_j)||^2 = sum_l exp(-2 lambda_l t) |phi_l(v_j)|^2,
-
-which cross-check each other and (as shown by the frame analysis in
-:mod:`gstft.gabor`) are exactly the frame-operator eigenvalues.
+The squared column norms are the frame-operator eigenvalues of
+:mod:`gstft.gabor`; on the orthonormal Phi a decomposition enforces they equal
+the spectral sum sum_l exp(-2 lambda_l t) |phi_l(v_j)|^2 to roundoff.
 
 On a connected graph H_t is symmetric, row-stochastic, entrywise positive for
 t > 0, and H_0 is the identity exactly by construction.
@@ -56,8 +52,9 @@ _slots_lock = threading.Lock()
 class HeatKernel:
     """Heat kernel at a fixed time: t, the dense matrix H_t, and its squared column norms.
 
-    Construction raises ValueError unless every entry is above ``ENTRY_FLOOR``
-    and every row sums to one within ``ROW_SUM_TOL`` (a NaN fails both).
+    Construction raises ValueError unless the matrix is square and nonempty,
+    every entry is above ``ENTRY_FLOOR`` and every row sums to one within
+    ``ROW_SUM_TOL`` (a NaN fails both).
     ``column_norms_sq[j]`` is computed at construction as the direct sum over
     entries of column j; the spectral formula is available via
     :func:`spectral_column_norms_sq`. ``matrix[:, i]`` is the window
@@ -69,6 +66,8 @@ class HeatKernel:
     column_norms_sq: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        if self.matrix.ndim != 2 or not 0 < self.matrix.shape[0] == self.matrix.shape[1]:
+            raise ValueError(f"heat kernel must be a nonempty square matrix, got shape {self.matrix.shape}")
         min_entry = float(self.matrix.min())
         if not min_entry > ENTRY_FLOOR:
             raise ValueError(f"heat kernel entry {min_entry:.3e} below {ENTRY_FLOOR:g}")

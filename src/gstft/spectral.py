@@ -25,7 +25,7 @@ connected graphs, whose ``lambda_2`` is bounded away from zero. At
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,13 +50,15 @@ class SpectralDecomposition:
     For a connected-graph Laplacian the first eigenvalue is zero and
     ``fiedler_value`` (the second) is strictly positive. Construction raises
     ValueError for NaN or infinite entries, then for eigenvalues that are not
-    an ``(n,)`` non-decreasing array or eigenvectors that are not ``(n, n)``;
-    orthonormality is not checked. Equality and hashing go by identity, which
-    is what :func:`gstft.heat.heat_kernel` keys reuse on.
+    an ``(n,)`` non-decreasing array or eigenvectors that are not ``(n, n)``,
+    then when ``orthonormality_residual = max|Phi Phi^T - I|`` exceeds
+    ``64 n eps`` (Higham, *Accuracy and Stability*, section 3) or is NaN.
+    Equality and hashing go by identity, the key of heat-kernel reuse.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    orthonormality_residual: float = field(init=False)
 
     def __post_init__(self):
         w, v = self.eigenvalues, self.eigenvectors
@@ -66,6 +68,14 @@ class SpectralDecomposition:
             raise ValueError(f"expected (n,) eigenvalues and (n, n) eigenvectors, got {w.shape} and {v.shape}")
         if (np.diff(w) < 0).any():
             raise ValueError("eigenvalues must be in non-decreasing order")
+        with np.errstate(all="ignore"):  # an overflowing product is refused below, not warned about
+            gram = v @ v.T
+            gram[np.diag_indices(w.size)] -= 1.0
+            residual = float(np.abs(gram, out=gram).max(initial=0.0))
+        bound = 64 * w.size * np.finfo(np.float64).eps
+        if not residual <= bound:
+            raise ValueError(f"eigenvectors are not orthonormal: max|Phi Phi^T - I| = {residual:.3e} exceeds {bound:.3e}")
+        object.__setattr__(self, "orthonormality_residual", residual)
         w.setflags(write=False)
         v.setflags(write=False)
 

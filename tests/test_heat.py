@@ -108,21 +108,16 @@ def test_negative_and_nan_t_rejected():
             heat.spectral_column_norms_sq(dec, t)
 
 
-def overflowing_decomposition():
-    """Finite eigenvectors of size 1e200 overflow in the eigenexpansion. BLAS
-    kernels that sum in several lanes turn +inf and -inf into NaN entries;
-    others (OpenBLAS ``syrk``) saturate to +-inf."""
+def test_nan_kernel_entries_rejected():
+    """Finite eigenvectors of size 1e200 would overflow in the eigenexpansion.
+    BLAS kernels that sum in several lanes turn +inf and -inf into NaN
+    entries; others (OpenBLAS ``syrk``) saturate to +-inf. The same overflow
+    in Phi Phi^T refuses the decomposition, so no such kernel is built."""
     n = 32
     phi = np.full((n, n), 1e200)
     phi[1::2, 1::2] *= -1
-    return spectral.SpectralDecomposition(eigenvalues=np.zeros(n), eigenvectors=phi)
-
-
-def test_nan_kernel_entries_rejected():
-    """The validation checks must reject NaN or infinite entries rather than pass."""
-    bad = overflowing_decomposition()
-    with np.errstate(all="ignore"), pytest.raises(ValueError, match="heat kernel"):
-        heat.heat_kernel(bad, 1.0)
+    with pytest.raises(ValueError, match=r"^eigenvectors are not orthonormal: max\|Phi Phi\^T - I\| = "):
+        spectral.SpectralDecomposition(eigenvalues=np.zeros(n), eigenvectors=phi)
 
 
 @pytest.mark.parametrize(
@@ -130,8 +125,13 @@ def test_nan_kernel_entries_rejected():
     [
         (np.zeros((3, 3)), "heat kernel rows deviate from stochasticity by 1.000e+00"),
         (-np.eye(3), "heat kernel entry -1.000e+00 below -1e-12"),
+        (np.full((2, 3), 1 / 3), "heat kernel must be a nonempty square matrix, got shape (2, 3)"),
+        (np.zeros((0, 0)), "heat kernel must be a nonempty square matrix, got shape (0, 0)"),
+        (np.full((3, 3), np.nan), "heat kernel entry nan below -1e-12"),
+        (np.full((3, 3), np.inf), "heat kernel rows deviate from stochasticity by inf"),
+        (np.full((3, 3), -np.inf), "heat kernel entry -inf below -1e-12"),
     ],
-    ids=["zero", "negative-identity"],
+    ids=["zero", "negative-identity", "non-square", "empty", "nan", "inf", "minus-inf"],
 )
 def test_constructor_refuses_invalid_matrix(matrix, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -326,8 +326,9 @@ class TestReuse:
         assert heat._slots[dec] == slots
 
     def test_kernel_failing_validation_never_kept(self):
-        bad = overflowing_decomposition()
+        # orthonormal, but no Laplacian: H_1 = diag(1, e^-1, e^-2), its last row sums to e^-2
+        bad = spectral.SpectralDecomposition(np.array([0.0, 1.0, 2.0]), np.eye(3))
         for _ in range(3):
-            with np.errstate(all="ignore"), pytest.raises(ValueError, match="heat kernel"):
+            with pytest.raises(ValueError, match="heat kernel rows deviate from stochasticity by 8.647e-01"):
                 heat.heat_kernel(bad, 1.0)
         assert bad not in heat._slots

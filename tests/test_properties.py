@@ -128,6 +128,7 @@ def test_transform_inverts_and_respects_frame_bounds(g, t, seed):
     assert np.abs(back - f).max() <= 1e-9 * np.abs(f).max()
 
     report = gabor.frame_report(dec, hk)
+    assert np.abs(report.gammas - hk.column_norms_sq).max() <= 1e-10
     energy = np.sum(np.abs(coeffs.matrix) ** 2)
     norm_sq = np.sum(np.abs(f) ** 2)
     assert report.bound_a * norm_sq * (1 - 1e-9) <= energy <= report.bound_b * norm_sq * (1 + 1e-9)

@@ -75,6 +75,7 @@ class TestDecompose:
         dec = spectral.decompose(lap)
         phi = dec.eigenvectors
         assert np.abs(phi.T @ phi - np.eye(graph.n)).max() <= 1e-10
+        assert dec.orthonormality_residual == np.abs(phi @ phi.T - np.eye(graph.n)).max()
         assert np.abs(lap @ phi - phi * dec.eigenvalues).max() <= 1e-9
 
     def test_connected_graph_spectrum_structure(self, graph):
@@ -182,6 +183,16 @@ class TestDecompose:
     def test_invalid_input_rejected(self, matrix, message):
         with pytest.raises(ValueError, match=message):
             spectral.decompose(np.array(matrix))
+
+    def test_inconsistent_decomposition_refused_at_construction(self):
+        # Columns 1.. scaled by 1.001 are no longer orthonormal, yet its heat
+        # kernel would pass its own checks (the constant column keeps the rows
+        # stochastic) and the transform round trip would be off by 1.7e-4.
+        dec = spectral.decompose(spectral.laplacian(graphs.petersen_graph()))
+        vectors = dec.eigenvectors.copy()
+        vectors[:, 1:] *= 1.001
+        with pytest.raises(ValueError, match=r"max\|Phi Phi\^T - I\| = 1\.801e-03 exceeds 1\.421e-13$"):
+            spectral.SpectralDecomposition(dec.eigenvalues, vectors)
 
     def test_quadratic_form_is_edge_energy(self, graph):
         lap = spectral.laplacian(graph)
