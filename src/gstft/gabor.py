@@ -16,7 +16,10 @@ H_t and Phi are real; only the signal and the coefficients are complex. The
 transform and its inverse therefore multiply H_t into a complex128 matrix as
 one real GEMM over the interleaved view: the (n, n) complex array is read as
 an (n, 2n) float64 array of alternating real and imaginary parts, so H_t is
-never copied to complex.
+never copied to complex. Each decomposition lends both functions one private
+(n, n) complex128 workspace for their full-size temporary, so a stream of
+requests reuses its pages instead of mapping fresh ones each call; the
+workspace is freed with the decomposition.
 
 This module computes the transform and its left inverse, the frame operator
 in closed form, and the numerical certificates used to verify tightness:
@@ -26,6 +29,9 @@ strongly-regular eigenvector partial-sum identity.
 from __future__ import annotations
 
 import math
+import threading
+import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +45,10 @@ from .spectral import CLUSTER_TOL, SpectralDecomposition, as_signal
 # in theory: sampled energies against the frame bounds and the spectral-window
 # proportionality residual.
 TIGHT_TOL = 1e-9
+
+# One (n, n) complex128 workspace per decomposition, lent to one call at a time.
+_workspaces: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_workspaces_lock = threading.Lock()
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,16 +115,36 @@ def _check_same_graph(dec: SpectralDecomposition, hk: HeatKernel) -> None:
         raise ValueError(f"decomposition has n={dec.n} but heat kernel has n={hk.n}")
 
 
+@contextmanager
+def _workspace(dec: SpectralDecomposition):
+    """Lend the decomposition's workspace to one call.
+
+    A call that finds it lent out allocates its own, so no thread waits and
+    none shares a buffer.
+    """
+    with _workspaces_lock:
+        ws = _workspaces.pop(dec, None)
+    if ws is None:
+        ws = np.empty((dec.n, dec.n), dtype=np.complex128)
+    try:
+        yield ws
+    finally:
+        with _workspaces_lock:
+            _workspaces[dec] = ws
+
+
 def gstft(dec: SpectralDecomposition, hk: HeatKernel, f) -> GstftCoefficients:
     """Heat-windowed transform of a signal: (V_t f) = H_t diag(f) conj(Phi).
 
     Phi is real, so conj(Phi) = Phi, and the product with the real H_t is a
-    real GEMM over the interleaved view of diag(f) Phi.
+    real GEMM over the interleaved view of diag(f) Phi, which is formed in
+    the decomposition's workspace.
     """
     _check_same_graph(dec, hk)
     f = as_signal(f, dec.n)
-    weighted = f[:, None] * dec.eigenvectors
-    matrix = (hk.matrix @ weighted.view(np.float64)).view(np.complex128)
+    with _workspace(dec) as weighted:
+        np.multiply(f[:, None], dec.eigenvectors, out=weighted)
+        matrix = (hk.matrix @ weighted.view(np.float64)).view(np.complex128)
     return GstftCoefficients(t=hk.t, matrix=matrix)
 
 
@@ -157,7 +187,8 @@ def inverse_gstft(
 
     which recovers f exactly from V_t f. The column norms are strictly
     positive for every t, so no regularization is needed. H_t F is a real
-    GEMM over the interleaved view of F, taken as C-contiguous complex128.
+    GEMM over the interleaved view of F, taken as C-contiguous complex128,
+    into the decomposition's workspace.
     """
     _check_same_graph(dec, hk)
     if coefficients.n != dec.n:
@@ -165,9 +196,10 @@ def inverse_gstft(
     if coefficients.t != hk.t:
         raise ValueError(f"coefficient time {coefficients.t} does not match kernel time {hk.t}")
     coeffs = np.ascontiguousarray(coefficients.matrix, dtype=np.complex128)
-    inner = (hk.matrix @ coeffs.view(np.float64)).view(np.complex128)
-    inner *= dec.eigenvectors
-    return inner.sum(axis=1) / hk.column_norms_sq
+    with _workspace(dec) as inner:
+        np.matmul(hk.matrix, coeffs.view(np.float64), out=inner.view(np.float64))
+        inner *= dec.eigenvectors
+        return inner.sum(axis=1) / hk.column_norms_sq
 
 
 def tightness_sweep(dec: SpectralDecomposition, t_grid) -> TightnessSweep:

@@ -19,11 +19,12 @@ that one object to every later request (its arrays are read-only, so callers
 can share it). Each decomposition has four slots, each holding a kept kernel
 or a "seen once" marker for a time asked for only once; a new time takes a
 slot and the oldest slot is dropped first. A run of distinct times, such as a
-tightness sweep, therefore keeps no kernel, and the worst case is 4 * 8 n^2
-bytes per live decomposition (512 MiB at n = 4096). The slots are keyed weakly
-by decomposition identity, so they are freed when the decomposition is
-collected. A lock guards them and kernels are built outside it, so threads may
-share a decomposition.
+tightness sweep, therefore keeps no kernel. With the 16 n^2-byte workspace
+that :mod:`gstft.gabor` lends the transform, the worst case is
+4 * 8 n^2 + 16 n^2 bytes per live decomposition (768 MiB at n = 4096). The
+slots are keyed weakly by decomposition identity, so they are freed when the
+decomposition is collected. A lock guards them and kernels are built outside
+it, so threads may share a decomposition.
 """
 from __future__ import annotations
 

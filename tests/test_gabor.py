@@ -5,8 +5,12 @@ transform entries, the n^2-atom Gram composition for the frame operator,
 and scipy's expm-based column norms for the frame spectrum.
 """
 import dataclasses
+import gc
 import math
+import sys
 import tracemalloc
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -15,6 +19,23 @@ from scipy.linalg import expm
 from gstft import gabor, graphs, heat, spectral
 
 import oracles
+
+
+# Graphs and times on which the borrowed-workspace products are compared bit
+# for bit with the allocating ones.
+PRODUCT_GRAPHS = pytest.mark.parametrize(
+    "g",
+    [
+        graphs.complete_graph(2),
+        graphs.ring_graph(8),
+        graphs.hypercube_graph(4),
+        graphs.petersen_graph(),
+        graphs.shrikhande_graph(),
+        graphs.random_regular_graph(24, 3, seed=7),
+    ],
+    ids=["k2", "ring8", "q4", "petersen", "shrikhande", "rr24"],
+)
+PRODUCT_TIMES = (0.0, 0.1, 1.0, 10.0)
 
 
 def pipeline(g, t):
@@ -69,6 +90,17 @@ class TestTransform:
                 inner = np.vdot(atom_oracle(dec, hk, i, j), f)
                 assert abs(coeffs.matrix[i, j] - inner) <= 1e-12
                 assert abs(coeffs.matrix[i, j] - gstft_entry_oracle(dec, hk, f, i, j)) <= 1e-12
+
+    @PRODUCT_GRAPHS
+    def test_workspace_product_matches_the_allocating_one(self, g):
+        """Forming diag(f) Phi in the workspace gives the bits of the allocating product."""
+        dec = spectral.decompose(spectral.laplacian(g))
+        rng = np.random.default_rng(11)
+        for t in PRODUCT_TIMES:
+            hk = heat.heat_kernel(dec, t)
+            f = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
+            expected = (hk.matrix @ (f[:, None] * dec.eigenvectors).view(np.float64)).view(np.complex128)
+            assert np.array_equal(gabor.gstft(dec, hk, f).matrix, expected)
 
     def test_dimension_mismatch(self):
         dec, hk = pipeline(graphs.ring_graph(6), 1.0)
@@ -213,23 +245,12 @@ class TestInverse:
         inverse = (dec.eigenvectors * (h @ coeffs.matrix)).sum(axis=1) / hk.column_norms_sq
         assert np.abs(gabor.inverse_gstft(dec, hk, coeffs) - inverse).max() <= tol
 
-    @pytest.mark.parametrize(
-        "g",
-        [
-            graphs.complete_graph(2),
-            graphs.ring_graph(8),
-            graphs.hypercube_graph(4),
-            graphs.petersen_graph(),
-            graphs.shrikhande_graph(),
-            graphs.random_regular_graph(24, 3, seed=7),
-        ],
-        ids=["k2", "ring8", "q4", "petersen", "shrikhande", "rr24"],
-    )
+    @PRODUCT_GRAPHS
     def test_in_place_product_matches_the_allocating_one(self, g):
         """Multiplying H_t F by Phi in place gives the bits of the allocating product."""
         dec = spectral.decompose(spectral.laplacian(g))
         rng = np.random.default_rng(11)
-        for t in (0.0, 0.1, 1.0, 10.0):
+        for t in PRODUCT_TIMES:
             hk = heat.heat_kernel(dec, t)
             coeffs = gabor.gstft(dec, hk, rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n))
             inner = (hk.matrix @ coeffs.matrix.view(np.float64)).view(np.complex128)
@@ -265,6 +286,85 @@ class TestInverse:
     def test_non_square_coefficients_rejected(self, shape):
         with pytest.raises(ValueError, match=r"coefficient matrix must be square, got shape"):
             gabor.GstftCoefficients(1.0, np.ones(shape))
+
+
+class TestWorkspace:
+    """The (n, n) workspace each decomposition lends to gstft and inverse_gstft."""
+
+    def test_no_full_size_temporary_after_the_first_request(self):
+        # one 16 n^2 allocation per call: the returned coefficients, or none
+        # beyond numpy's casting buffer for the inverse; the allocating
+        # products peaked at 2.00 and 2.23
+        dec, hk = pipeline(graphs.random_regular_graph(192, 3, seed=1), 1.0)
+        rng = np.random.default_rng(3)
+        f = rng.standard_normal(dec.n) + 1j * rng.standard_normal(dec.n)
+        gabor.inverse_gstft(dec, hk, gabor.gstft(dec, hk, f))
+        unit = 16 * dec.n**2
+        tracemalloc.start()
+        try:
+            coeffs = gabor.gstft(dec, hk, f)
+            _, transform_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            gabor.inverse_gstft(dec, hk, coeffs)
+            _, inverse_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert transform_peak < 1.5 * unit
+        assert inverse_peak < 1.5 * unit
+
+    def test_results_never_share_the_workspace(self):
+        dec, hk = pipeline(graphs.petersen_graph(), 0.5)
+        rng = np.random.default_rng(9)
+        f, g = rng.standard_normal((2, 10)) + 1j * rng.standard_normal((2, 10))
+        coeffs = gabor.gstft(dec, hk, f)
+        back = gabor.inverse_gstft(dec, hk, coeffs)
+        kept_coeffs, kept_back = coeffs.matrix.copy(), back.copy()
+        for _ in range(2):
+            gabor.inverse_gstft(dec, hk, gabor.gstft(dec, hk, g))
+        assert np.array_equal(coeffs.matrix, kept_coeffs)
+        assert np.array_equal(back, kept_back)
+        workspace = gabor._workspaces[dec]
+        assert not np.shares_memory(coeffs.matrix, workspace)
+        assert not np.shares_memory(back, workspace)
+
+    def test_threads_sharing_a_decomposition(self):
+        dec = spectral.decompose(spectral.laplacian(graphs.random_regular_graph(64, 3, seed=2)))
+        kernels = [heat.heat_kernel(dec, t) for t in (0.25, 1.0)]
+        rng = np.random.default_rng(5)
+        signals = rng.standard_normal((8, dec.n)) + 1j * rng.standard_normal((8, dec.n))
+
+        def requests(worker):
+            results = []
+            for i in range(40):
+                k, m = (worker + i) % len(kernels), (worker + i) % len(signals)
+                coeffs = gabor.gstft(dec, kernels[k], signals[m])
+                results.append(((k, m), coeffs.matrix, gabor.inverse_gstft(dec, kernels[k], coeffs)))
+            return results
+
+        expected = {key: (coeffs, back) for key, coeffs, back in requests(0)}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(requests, w) for w in range(4)]
+                results = [r for future in futures for r in future.result(timeout=60)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 4 * 40
+        for key, coeffs, back in results:
+            want_coeffs, want_back = expected[key]
+            assert np.array_equal(coeffs, want_coeffs)
+            assert np.array_equal(back, want_back)
+
+    def test_workspace_freed_with_decomposition(self):
+        dec, hk = pipeline(graphs.petersen_graph(), 1.0)
+        gabor.gstft(dec, hk, np.ones(10))
+        workspace = weakref.ref(gabor._workspaces[dec])
+        decomposition = weakref.ref(dec)
+        del dec
+        gc.collect()
+        assert decomposition() is None
+        assert workspace() is None
 
 
 class TestFrameInequality:
