@@ -52,7 +52,7 @@ from .graphs import (
     serialize,
     shrikhande_graph,
 )
-from .heat import HeatKernel, heat_kernel, spectral_column_norms_sq
+from .heat import HeatKernel, heat_kernel
 from .spectral import (
     SpectralDecomposition,
     as_signal,
@@ -86,7 +86,6 @@ __all__ = [
     # heat
     "HeatKernel",
     "heat_kernel",
-    "spectral_column_norms_sq",
     # gabor
     "GstftCoefficients",
     "FrameReport",

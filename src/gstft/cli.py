@@ -276,6 +276,11 @@ def cmd_sweep_decay(args) -> None:
         raise ValueError(f"--k-list must be comma-separated integers, got {args.k_list!r}") from None
     if not k_values:
         raise ValueError("--k-list must name at least one degree")
+    seen = set()
+    for k in k_values:  # a repeat would sample and sweep the same graph again
+        if k in seen:
+            raise ValueError(f"--k-list names degree {k} more than once")
+        seen.add(k)
     grid = _resolve_t_grid(args)
 
     rows = []

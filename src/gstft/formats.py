@@ -1,4 +1,4 @@
-"""Text interchange formats shared by the library surface and the CLI.
+"""Text interchange formats of :mod:`gstft.cli`; the ``perfbench`` harness imports them too.
 
 Floats are always written with 17 significant digits, which round-trips
 float64 exactly; complex entries use the "re+imj" form accepted by Python's

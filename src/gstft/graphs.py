@@ -237,10 +237,11 @@ def random_regular_graph(n: int, k: int, seed: int) -> Graph:
     attempts, exp((k^2 - 1) / 4), exceeds ``PAIRING_RETRIES``, and after
     ``PAIRING_RETRIES`` rejected pairings otherwise.
 
-    Attempts are shuffled in batches, one attempt per row, doubling from one
-    row up to a buffer of at most 256 KiB, and examined in draw order. The
-    stream and every seed's graph are those of drawing one pairing at a time,
-    and the retry budget still counts single attempts.
+    Attempts are shuffled in place in one buffer of at most 256 KiB, one
+    attempt per row, in batches doubling from one row up to the whole buffer,
+    and examined in draw order. The stream and every seed's graph are those
+    of drawing one pairing at a time, and the retry budget still counts
+    single attempts.
 
     Parameters
     ----------
@@ -264,22 +265,21 @@ def random_regular_graph(n: int, k: int, seed: int) -> Graph:
             f"graph on {n} vertices, more than the {PAIRING_RETRIES} attempts allowed"
         )
 
-    retries = PAIRING_RETRIES
     rng = np.random.default_rng(seed)
     # labels[i] = i // k is the vertex of half-edge i. Permuting the labels
     # gives rng.permutation(n * k) // k bit for bit, and row r of a permuted
     # batch draws what the r-th rng.permutation(labels) call draws, so each
     # seed keeps its graph. Draws past the accepted row go unused.
     labels = np.repeat(np.arange(n), k)
-    cap = min(max(1, _BATCH_LABELS // max(1, labels.size)), retries)
-    rows = np.tile(labels, (cap, 1))
-    points = np.empty_like(rows)
+    buffer = np.empty((max(1, _BATCH_LABELS // max(1, labels.size)), labels.size), dtype=labels.dtype)
+    # Batches double from one row, since small graphs are often accepted
+    # within a few attempts; full-size first batches were measured slower there.
     drawn, size = 0, 1
-    while drawn < retries:
-        size = min(size, retries - drawn)
-        batch = rng.permuted(rows[:size], axis=1, out=points[:size])
-        drawn += size
-        size = min(2 * size, cap)
+    while drawn < PAIRING_RETRIES:
+        batch = buffer[: min(size, PAIRING_RETRIES - drawn)]
+        batch[:] = labels
+        rng.permuted(batch, axis=1, out=batch)
+        drawn, size = drawn + len(batch), 2 * len(batch)
         u, v = batch[:, 0::2], batch[:, 1::2]
         loop_free = ~(u == v).any(axis=1)
         for u_row, v_row in zip(u[loop_free], v[loop_free]):
@@ -292,7 +292,7 @@ def random_regular_graph(n: int, k: int, seed: int) -> Graph:
                 return g
     raise RuntimeError(
         f"pairing model produced no simple connected {k}-regular graph on {n} "
-        f"vertices within {retries} attempts"
+        f"vertices within {PAIRING_RETRIES} attempts"
     )
 
 

@@ -6,8 +6,7 @@ The product is formed as H_t = X X^T with X = Phi exp(-t Lambda / 2), which
 numpy hands to BLAS ``syrk``: half the flops of a general product, and
 symmetric by construction (``X X^T``), so no symmetrizing pass is needed.
 The squared column norms are the frame-operator eigenvalues of
-:mod:`gstft.gabor`; on the orthonormal Phi a decomposition enforces they equal
-the spectral sum sum_l exp(-2 lambda_l t) |phi_l(v_j)|^2 to roundoff.
+:mod:`gstft.gabor`, which also computes them from the spectrum.
 
 On a connected graph H_t is symmetric, row-stochastic, entrywise positive for
 t > 0, and H_0 is the identity exactly by construction.
@@ -53,13 +52,13 @@ _slots_lock = threading.Lock()
 class HeatKernel:
     """Heat kernel at a fixed time: t, the dense matrix H_t, and its squared column norms.
 
-    Construction raises ValueError unless the matrix is square and nonempty,
-    every entry is above ``ENTRY_FLOOR`` and every row sums to one within
-    ``ROW_SUM_TOL`` (a NaN fails both).
+    Construction stores ``t`` as a float and raises ValueError unless it is
+    finite and nonnegative, the matrix is square and nonempty, every entry is
+    above ``ENTRY_FLOOR`` and every row sums to one within ``ROW_SUM_TOL``
+    (a NaN fails both).
     ``column_norms_sq[j]`` is computed at construction as the direct sum over
-    entries of column j; the spectral formula is available via
-    :func:`spectral_column_norms_sq`. ``matrix[:, i]`` is the window
-    h_t(v_i) = H_t(., v_i).
+    entries of column j; :func:`gstft.gabor.frame_report` gives the spectral
+    sum for the same norms. ``matrix[:, i]`` is the window h_t(v_i) = H_t(., v_i).
     """
 
     t: float
@@ -67,6 +66,7 @@ class HeatKernel:
     column_norms_sq: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "t", _window_time(self.t))
         if self.matrix.ndim != 2 or not 0 < self.matrix.shape[0] == self.matrix.shape[1]:
             raise ValueError(f"heat kernel must be a nonempty square matrix, got shape {self.matrix.shape}")
         min_entry = float(self.matrix.min())
@@ -143,10 +143,3 @@ def _build(dec: SpectralDecomposition, t: float) -> HeatKernel:
         return HeatKernel(t=t, matrix=np.eye(dec.n))
     half = dec.eigenvectors * np.exp(-0.5 * t * w)
     return HeatKernel(t=t, matrix=half @ half.T)
-
-
-def spectral_column_norms_sq(dec: SpectralDecomposition, t: float) -> np.ndarray:
-    """Column norms of H_t from the spectral sum: sum_l exp(-2 lambda_l t) |phi_l(v_j)|^2."""
-    t = _window_time(t)
-    w = _clamped_eigenvalues(dec)
-    return (dec.eigenvectors**2) @ np.exp(-2.0 * t * w)

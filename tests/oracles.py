@@ -19,7 +19,7 @@ import numpy as np
 from gstft.classical import _as_vector, _harmonics, _shifted_windows
 from gstft.formats import meta_line
 from gstft.gabor import TIGHT_TOL, _check_same_graph, gstft
-from gstft.heat import HeatKernel, heat_kernel, spectral_column_norms_sq
+from gstft.heat import HeatKernel, heat_kernel
 from gstft.spectral import CLUSTER_TOL, SpectralDecomposition, as_signal
 
 # The n^2-atom Gram oracle is O(n^4) time and memory; refuse above this size.
@@ -88,7 +88,7 @@ def frame_inequality_check(
         energy = float(np.linalg.norm(gstft(dec, hk, f).matrix) ** 2)
         lo = min(lo, energy)
         hi = max(hi, energy)
-    gammas = spectral_column_norms_sq(dec, hk.t)
+    gammas = hk.column_norms_sq
     if lo < gammas.min() - TIGHT_TOL or hi > gammas.max() + TIGHT_TOL:
         raise ValueError(
             f"sampled energies [{lo:.12g}, {hi:.12g}] escape the frame bounds "

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -334,6 +335,18 @@ class TestSweepDecay:
         err = run_err(capsys, "sweep-decay", "--n", "20", "--k-list", "3,x", "--out", str(tmp_path / "d.csv"))
         assert err == "error: --k-list must be comma-separated integers, got '3,x'\n"
 
+    def test_repeated_degree_refused_before_sampling(self, tmp_path, capsys, monkeypatch):
+        sampled = []
+        monkeypatch.setattr(graphs, "random_regular_graph", lambda *a: sampled.append(a))
+        started = time.monotonic()
+        err = run_err(capsys, "sweep-decay", "--n", "200", "--k-list", ",".join(["3"] * 10_000),
+                      "--out", str(tmp_path / "d.csv"))
+        assert time.monotonic() - started < 1.0
+        assert err == "error: --k-list names degree 3 more than once\n"
+        err = run_err(capsys, "sweep-decay", "--n", "20", "--k-list", "5,3, 05", "--out", str(tmp_path / "d.csv"))
+        assert err == "error: --k-list names degree 5 more than once\n"
+        assert sampled == [] and not (tmp_path / "d.csv").exists()
+
     def test_matches_frame_report_gaps(self, tmp_path, capsys):
         decay = tmp_path / "decay.csv"
         run_ok(capsys, "sweep-decay", "--n", "24", "--k-list", "3", "--seed", "7", "--t-grid", "0.1:2:0.5", "--out", str(decay))
@@ -641,6 +654,20 @@ PINNED = {
 }
 
 
+# The SHA-256 of the one file each PINNED command writes with --format json,
+# recorded at the same scope as the CSV digests; stdout is as in PINNED.
+PINNED_JSON = {
+    "spectrum": "d96d21985f6c3b82968f814f2115d0108ae5b127727e4f9d2b4933468bfc5627",
+    "heat": "99c084f116291930b145fc3e819ac53788e5e6e5bf4b7401e505915625c65bff",
+    "gstft": "542951d2a592d91dd72e3c62e8b13810c9255d7ca58cd9e12c67271b3ad91c71",
+    "reconstruct-csv": "26cc7b58556985a8f0c28e07ef89aa37e0c618423aafd0757b548cb40d133fdb",
+    "reconstruct-json": "26cc7b58556985a8f0c28e07ef89aa37e0c618423aafd0757b548cb40d133fdb",
+    "frame-report": "ae14ece13c441f23498d14889a072c16aca9e10f90152a6ce0802c06f6a69f5a",
+    "sweep-decay": "d5b050a299e44866c504fa1c4b00fed966eac76f645ed17e60e5e2e715afad3a",
+    "spectrogram": "d580791d2b75f872f1df12ca66823296183d67c432c08cbb9b20004acf4a9bb7",
+}
+
+
 @pytest.mark.parametrize("name", list(PINNED))
 def test_csv_reports_match_pinned_digests(tmp_path, capsys, name):
     (tmp_path / "f.csv").write_text(PINNED_SIGNAL)
@@ -654,6 +681,21 @@ def test_csv_reports_match_pinned_digests(tmp_path, capsys, name):
     stdout = run_ok(capsys, *argv, "--out", str(out_dir / "r.csv"))
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out_dir.iterdir()}
     assert (stdout, digests) == (expected_stdout, expected_digests)
+
+
+@pytest.mark.parametrize("name", list(PINNED_JSON))
+def test_json_reports_match_pinned_digests(tmp_path, capsys, name):
+    (tmp_path / "f.csv").write_text(PINNED_SIGNAL)
+    for fmt in ("csv", "json"):
+        run_ok(capsys, "gstft", "--family", "ring", "--n", "8", "--signal", str(tmp_path / "f.csv"),
+               "--t", "0.5", "--format", fmt, "--out", str(tmp_path / f"c.{fmt}"))
+    argv, expected_stdout, _ = PINNED[name]
+    argv = [str(tmp_path / a) if a.endswith((".csv", ".json")) else a for a in argv]
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    stdout = run_ok(capsys, *argv, "--format", "json", "--out", str(out_dir / "r.json"))
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out_dir.iterdir()}
+    assert (stdout, digests) == (expected_stdout, {"r.json": PINNED_JSON[name]})
 
 
 DOCUMENTED = [

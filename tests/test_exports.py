@@ -21,7 +21,7 @@ PUBLIC_NAMES = [
     "frame_report", "full_gabor_system", "graph_from_edge_list_text", "gstft", "heat_kernel",
     "hypercube_graph", "inverse_gstft", "laplacian", "permutation_commutator",
     "petersen_graph", "piecewise_cosine", "random_regular_graph", "ring_graph", "serialize",
-    "shrikhande_graph", "spectral_column_norms_sq", "spectrogram", "srg_eigenspace_mass",
+    "shrikhande_graph", "spectrogram", "srg_eigenspace_mass",
     "tightness_sweep",
 ]
 

@@ -471,7 +471,7 @@ class TestTightnessSweep:
         dec = spectral.decompose(spectral.laplacian(g))
         grid = np.arange(0.1, 6.05, 0.1)
         excess = np.stack(
-            [heat.spectral_column_norms_sq(dec, t) - 1.0 / g.n for t in grid]
+            [gabor.frame_report(dec, heat.heat_kernel(dec, t)).gammas - 1.0 / g.n for t in grid]
         )
         anchor = excess[0]
         rate = np.exp(-2.0 * dec.fiedler_value * (grid - grid[0]))
@@ -541,8 +541,8 @@ def test_basis_independence_across_eigenspace_rotations():
     other = spectral.SpectralDecomposition(eigenvalues=w.copy(), eigenvectors=rotated)
     assert np.abs(rotated - dec.eigenvectors).max() > 1e-3
     for t in (0.3, 1.0, 5.0):
-        a = heat.spectral_column_norms_sq(dec, t)
-        b = heat.spectral_column_norms_sq(other, t)
+        a = gabor.frame_report(dec, heat.heat_kernel(dec, t)).gammas
+        b = gabor.frame_report(other, heat.heat_kernel(other, t)).gammas
         assert np.abs(a - b).max() <= 1e-9
         assert np.abs(
             heat.heat_kernel(dec, t).matrix - heat.heat_kernel(other, t).matrix

@@ -104,8 +104,6 @@ def test_negative_and_nan_t_rejected():
     for t in (-0.5, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             heat.heat_kernel(dec, t)
-        with pytest.raises(ValueError):
-            heat.spectral_column_norms_sq(dec, t)
 
 
 def test_nan_kernel_entries_rejected():
@@ -136,6 +134,35 @@ def test_nan_kernel_entries_rejected():
 def test_constructor_refuses_invalid_matrix(matrix, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         heat.HeatKernel(1.0, matrix)
+
+
+@pytest.mark.parametrize(
+    "t, message",
+    [
+        (float("nan"), "t must not be NaN"),
+        (float("inf"), "t must be finite, got inf"),
+        (float("-inf"), "t must be finite, got -inf"),
+        (-1e-300, "t must be nonnegative, got -1e-300"),
+        (-0.5, "t must be nonnegative, got -0.5"),
+        ("x", "could not convert string to float: 'x'"),
+    ],
+    ids=["nan", "inf", "minus-inf", "tiny-negative", "negative", "string"],
+)
+def test_constructor_refuses_invalid_time(t, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        heat.HeatKernel(t, np.eye(3))
+
+
+def test_constructor_stores_time_as_float():
+    hk = heat.HeatKernel(np.float32(0.5), np.eye(3))
+    assert type(hk.t) is float and hk.t == 0.5
+
+
+def test_nan_time_kernel_never_reaches_a_round_trip():
+    _, dec = make(graphs.ring_graph(4))
+    with pytest.raises(ValueError, match="^t must not be NaN$"):
+        hk = heat.HeatKernel(float("nan"), np.eye(4))
+        gabor.inverse_gstft(dec, hk, gabor.gstft(dec, hk, np.ones(4)))
 
 
 def test_each_built_kernel_is_validated_once(monkeypatch):
@@ -181,7 +208,7 @@ class TestColumnNorms:
             for t in (0.0, 0.4, 3.0):
                 hk = heat.heat_kernel(dec, t)
                 assert np.abs(
-                    hk.column_norms_sq - heat.spectral_column_norms_sq(dec, t)
+                    hk.column_norms_sq - gabor.frame_report(dec, hk).gammas
                 ).max() <= 1e-10
 
     def test_derived_from_the_matrix(self):
@@ -200,7 +227,7 @@ class TestColumnNorms:
     def test_monotone_decay(self):
         _, dec = make(graphs.petersen_graph())
         norms = np.stack(
-            [heat.spectral_column_norms_sq(dec, t) for t in np.linspace(0.0, 5.0, 26)]
+            [gabor.frame_report(dec, heat.heat_kernel(dec, t)).gammas for t in np.linspace(0.0, 5.0, 26)]
         )
         assert (np.diff(norms, axis=0) <= 1e-12).all()
 
