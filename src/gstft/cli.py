@@ -10,10 +10,13 @@ its inputs and seed, so repeated runs produce byte-identical files. Errors,
 usage errors included, print a single "error: ..." line on stderr and exit
 with status 1. A value that starts with ``-`` but is not a plain negative
 number must be attached to its option: ``--t=-inf``, ``--t-grid=-1:1:0.5``.
+The process entry :func:`run` (``gstft``, ``python -m gstft``) freezes the
+heap once the command has run, so interpreter shutdown skips collecting it.
 """
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -428,5 +431,20 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> None:
+    """Process entry: run :func:`main` on ``sys.argv`` and exit with its status.
+
+    ``gc.freeze()`` first moves every live object to the collector's permanent
+    generation, so the full collections of interpreter shutdown skip the heap
+    that numpy and the standard library built at import (~40 ms of CPU per
+    process). Objects are still freed by reference count, and atexit handlers,
+    the stdio flush and the exit status are as after :func:`main`. In-process
+    callers use :func:`main`, which never freezes.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import SrgParameters
-from .heat import HeatKernel, _clamped_eigenvalues, _window_time, heat_kernel
+from .heat import HeatKernel, _decay, _window_time, heat_kernel
 from .spectral import CLUSTER_TOL, SpectralDecomposition, as_signal
 
 # Roundoff allowance for the tight verdict of frame_report, relative to
@@ -162,7 +162,7 @@ def frame_report(dec: SpectralDecomposition, hk: HeatKernel) -> FrameReport:
     The frame is ``tight`` when the gap is at most ``TIGHT_TOL * max(1, B)``.
     """
     _check_same_graph(dec, hk)
-    gammas = (dec.eigenvectors**2) @ np.exp(-2.0 * hk.t * _clamped_eigenvalues(dec))
+    gammas = (dec.eigenvectors**2) @ _decay(dec, hk.t, 2.0)
     bound_a = float(gammas.min())
     bound_b = float(gammas.max())
     gap = bound_b - bound_a

@@ -95,6 +95,19 @@ def _clamped_eigenvalues(dec: SpectralDecomposition) -> np.ndarray:
     return np.maximum(w, 0.0)
 
 
+def _decay(dec: SpectralDecomposition, t: float, rate: float) -> np.ndarray:
+    """exp(-rate * t * lambda) per clamped eigenvalue, for a checked time ``t``.
+
+    The product is formed as ``-rate * (t * lambda)``, so a zero eigenvalue
+    gives exactly 1 at every finite t, and a product beyond float range
+    decays to exactly 0 (its t -> infinity limit) without a warning. ``rate``
+    is a power of two, so scaling by it is exact and ordinary times get the
+    bits of ``exp((-rate * t) * lambda)``.
+    """
+    with np.errstate(over="ignore"):
+        return np.exp(-rate * (t * _clamped_eigenvalues(dec)))
+
+
 def _window_time(t) -> float:
     """``t`` as a float; NaN, infinite and negative times are rejected."""
     t = float(t)
@@ -138,8 +151,8 @@ def heat_kernel(dec: SpectralDecomposition, t: float) -> HeatKernel:
 
 def _build(dec: SpectralDecomposition, t: float) -> HeatKernel:
     """Compute H_t; ``t`` has passed :func:`_window_time`."""
-    w = _clamped_eigenvalues(dec)
+    decay = _decay(dec, t, 0.5)  # refuses a spectrum that is not a Laplacian's, at t = 0 too
     if t == 0.0:
         return HeatKernel(t=t, matrix=np.eye(dec.n))
-    half = dec.eigenvectors * np.exp(-0.5 * t * w)
+    half = dec.eigenvectors * decay
     return HeatKernel(t=t, matrix=half @ half.T)

@@ -1,16 +1,20 @@
 """Command-line interface: subcommands, formats, errors, determinism."""
 import errno
+import gc
 import hashlib
+import importlib
 import json
 import os
+import runpy
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gstft import graphs
+from gstft import cli, graphs
 from gstft.cli import main
 from gstft.formats import (
     matrix_from_csv, matrix_to_csv, signal_from_csv, signal_to_csv, split_meta, write_text_atomic,
@@ -325,6 +329,19 @@ class TestFrameReport:
         run_ok(capsys, "frame-report", "--family", "ring", "--n", "5", "--t", "1.0", "--out", str(out))
         rows = [l for l in out.read_text().splitlines() if l and not l.startswith("#")]
         assert len(rows) == 2
+
+    def test_huge_time_reports_the_uniform_limit(self, capsys):
+        out = run_ok(
+            capsys, "frame-report", "--family", "ring", "--n", "5", "--t", "1e308", "--format", "json", "--out", "-",
+        )
+
+        def refuse(name):
+            raise ValueError(f"non-finite JSON constant {name}")
+
+        doc = json.loads(out, parse_constant=refuse)
+        (report,) = doc["reports"]
+        assert report["tight"] is True
+        assert max(abs(g - 0.2) for g in doc["gammas"][0]) <= 1e-15
 
 
 class TestSweepDecay:
@@ -737,9 +754,14 @@ def test_documented_invocations_are_deterministic(tmp_path, capsys):
         assert files_a[name] == files_b[name], f"{name} differs between runs"
 
 
-def test_module_entry_point():
+# Both module entries run the command through cli.run.
+MODULE_ENTRIES = pytest.mark.parametrize("module", ["gstft", "gstft.cli"])
+
+
+@MODULE_ENTRIES
+def test_module_entry_point(module):
     proc = subprocess.run(
-        [sys.executable, "-m", "gstft", "gen", "--family", "ring", "--n", "4"],
+        [sys.executable, "-m", module, "gen", "--family", "ring", "--n", "4"],
         capture_output=True,
         text=True,
     )
@@ -747,9 +769,10 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["n"] == 4
 
 
-def test_module_entry_point_error_status():
+@MODULE_ENTRIES
+def test_module_entry_point_error_status(module):
     proc = subprocess.run(
-        [sys.executable, "-m", "gstft", "gen", "--family", "ring", "--n", "2"],
+        [sys.executable, "-m", module, "gen", "--family", "ring", "--n", "2"],
         capture_output=True,
         text=True,
     )
@@ -757,7 +780,46 @@ def test_module_entry_point_error_status():
     assert proc.stderr.startswith("error: ")
 
 
-def test_module_entry_point_usage_error_status():
-    proc = subprocess.run([sys.executable, "-m", "gstft"], capture_output=True, text=True)
+@MODULE_ENTRIES
+def test_module_entry_point_usage_error_status(module):
+    proc = subprocess.run([sys.executable, "-m", module], capture_output=True, text=True)
     assert proc.returncode == 1
     assert proc.stderr == "error: the following arguments are required: command\n"
+
+
+@pytest.mark.parametrize("n, status", [("4", 0), ("2", 1)])
+def test_main_never_freezes_the_heap(capsys, n, status):
+    frozen = gc.get_freeze_count()
+    code, _, _ = run(capsys, "gen", "--family", "ring", "--n", n)
+    assert code == status
+    assert gc.get_freeze_count() == frozen
+
+
+@pytest.mark.parametrize("n, status", [("4", 0), ("2", 1)])
+def test_run_freezes_once_after_main_and_exits_with_its_status(monkeypatch, n, status):
+    events = []
+    real_main = cli.main
+
+    def traced_main(argv=None):
+        events.append("main")
+        return real_main(argv)
+
+    monkeypatch.setattr(cli, "main", traced_main)
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    monkeypatch.setattr(sys, "argv", ["gstft", "gen", "--family", "ring", "--n", n])
+    with pytest.raises(SystemExit) as exit_info:
+        cli.run()
+    assert exit_info.value.code == status
+    assert events == ["main", "freeze"]
+
+
+def test_console_script_calls_what_python_m_gstft_calls(monkeypatch):
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["gstft"]
+    calls = []
+    monkeypatch.setattr(cli, "run", lambda: calls.append("run"))
+    module, _, name = target.partition(":")
+    script = getattr(importlib.import_module(module), name)
+    runpy.run_module("gstft", run_name="__main__")  # executes __main__.py as `python -m gstft` does
+    assert script is cli.run and calls == ["run"]

@@ -212,6 +212,17 @@ class TestFrameReport:
             assert 0 < report.bound_a <= report.bound_b
 
 
+    @pytest.mark.parametrize("g", [graphs.ring_graph(5), graphs.complete_graph(100)], ids=["ring5", "K100"])
+    @pytest.mark.parametrize("t", [1e300, 1e307, 9e307, 1e308, sys.float_info.max])
+    def test_huge_times_give_the_uniform_limit(self, g, t):
+        # -2 t overflows past ~9e307 and t * lambda_max earlier; every gamma is
+        # still the t -> infinity limit 1/n, finite and without a warning.
+        dec, hk = pipeline(g, t)
+        report = gabor.frame_report(dec, hk)
+        assert np.abs(report.gammas - 1.0 / g.n).max() <= 1e-15
+        assert math.isfinite(report.gap) and math.isfinite(report.ratio)
+        assert report.tight
+
 class TestInverse:
     @pytest.mark.parametrize("t", [0.0, 0.5, 2.0])
     def test_round_trip_random_signals(self, t):

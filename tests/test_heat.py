@@ -232,6 +232,20 @@ class TestColumnNorms:
         assert (np.diff(norms, axis=0) <= 1e-12).all()
 
 
+HUGE_TIMES = [1e300, 1e307, 9e307, 1e308, sys.float_info.max]
+
+
+@pytest.mark.parametrize("g", [graphs.ring_graph(5), graphs.complete_graph(100)], ids=["ring5", "K100"])
+def test_huge_times_reach_the_uniform_limit(g):
+    # t * lambda_max overflows for the largest times; the kernel is then the
+    # t -> infinity limit 11^T / n, with no warning (pytest turns them into errors).
+    _, dec = make(g)
+    limit = heat.heat_kernel(dec, HUGE_TIMES[0]).matrix
+    assert np.abs(limit - 1.0 / g.n).max() <= 1e-15
+    for t in HUGE_TIMES[1:]:
+        assert np.array_equal(heat.heat_kernel(dec, t).matrix, limit)
+
+
 class TestWindowColumn:
     def test_delta_at_zero(self):
         _, dec = make(graphs.ring_graph(5))

@@ -7,6 +7,7 @@ Separate from the pinned acceptance suite: hypothesis draws the inputs. With
 import math
 import re
 import struct
+import sys
 import tempfile
 from pathlib import Path
 
@@ -133,6 +134,30 @@ def test_transform_inverts_and_respects_frame_bounds(g, t, seed):
     norm_sq = np.sum(np.abs(f) ** 2)
     assert report.bound_a * norm_sq * (1 - 1e-9) <= energy <= report.bound_b * norm_sq * (1 + 1e-9)
 
+
+
+@repeatable
+@given(connected_graphs(), st.floats(0.0, 5.0), st.floats(0.0, 5.0))
+def test_heat_kernels_are_stochastic_and_compose(g, s, t):
+    dec = spectral.decompose(spectral.laplacian(g))
+    hs, ht, hst = (heat.heat_kernel(dec, x).matrix for x in (s, t, s + t))
+    for h in (hs, ht, hst):
+        assert np.abs(h.sum(axis=1) - 1.0).max() <= heat.ROW_SUM_TOL
+        assert h.min() > heat.ENTRY_FLOOR
+    assert np.abs(hs @ ht - hst).max() <= 1e-10
+
+
+LIMIT_GRAPHS = {g.n: spectral.decompose(spectral.laplacian(g)) for g in (graphs.ring_graph(5), graphs.complete_graph(100))}
+
+
+@repeatable
+@given(st.sampled_from(sorted(LIMIT_GRAPHS)), st.floats(1e300, sys.float_info.max))
+def test_huge_times_give_the_uniform_limit(n, t):
+    # Past ~1e306 the exponents overflow; kernel and frame spectrum are then 1/n.
+    dec = LIMIT_GRAPHS[n]
+    hk = heat.heat_kernel(dec, t)
+    assert np.abs(hk.matrix - 1.0 / n).max() <= 1e-15
+    assert np.abs(gabor.frame_report(dec, hk).gammas - 1.0 / n).max() <= 1e-15
 
 # Every float64 bit pattern, plus the values a writer gets wrong first.
 any_float = st.one_of(
