@@ -17,41 +17,32 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import sys
 
 import numpy as np
 
-from . import classical, gabor, graphs, heat, spectral
-from .formats import (
-    graph_sha256,
-    matrix_from_csv,
-    matrix_to_csv,
-    meta_line,
-    parse_t_grid,
-    signal_from_csv,
-    signal_to_csv,
-    write_text_atomic,
-)
+from . import classical, formats, gabor, graphs, heat, spectral
+# perfbench's traced replay times these four by wrapping them here, so calls go through these names.
+from .formats import matrix_from_csv, matrix_to_csv, signal_from_csv, write_text_atomic
 
 DEFAULT_T_GRID = "0:10:0.1"
 
 
-def _read_text(path: str) -> str:
+def _read(path: str, kind: str, parse):
+    """``parse`` of the UTF-8 text in ``path``; its ValueErrors get the prefix
+    "<kind> file <path>: ", and a file that cannot be read raises "cannot read <path>: ..."."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+            text = handle.read()
     except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc}") from exc
-
-
-def _read_signal(path: str) -> np.ndarray:
-    text = _read_text(path)
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read {path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     try:
-        return signal_from_csv(text)
+        return parse(text)
     except ValueError as exc:
-        raise ValueError(f"signal file {path}: {exc}") from None
+        raise ValueError(f"{kind} file {path}: {exc}") from None
 
 
 def _write_output(path: str, text: str) -> None:
@@ -69,8 +60,7 @@ def _write_report(args, doc, csv, companion=None) -> None:
     return the JSON document and the CSV text; ``companion`` is an optional
     ``(suffix, render)`` pair for a second CSV file next to ``--out``."""
     if args.format == "json":
-        text = json.dumps(doc(), sort_keys=True, separators=(",", ":"), default=_json_array)
-        _write_output(args.out, text + "\n")
+        _write_output(args.out, formats.json_document(doc()))
         return
     if companion is not None and args.out == "-":
         raise ValueError(f"{args.command} CSV writes a companion file; --out must be a path")
@@ -79,26 +69,6 @@ def _write_report(args, doc, csv, companion=None) -> None:
         suffix, render = companion
         root, ext = os.path.splitext(args.out)
         _write_output(f"{root}_{suffix}{ext or '.csv'}", render())
-
-
-def _csv_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    return "%.17g" % value
-
-
-def _csv_table(meta: dict, columns, rows) -> str:
-    """A meta line, a header naming ``columns``, then one line per row."""
-    lines = [meta_line(meta), ",".join(columns)]
-    lines.extend(",".join(_csv_cell(x) for x in row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def _json_array(a: np.ndarray) -> list:
-    """Arrays in JSON documents are nested lists; a complex entry becomes ``[re, im]``."""
-    return (np.stack([a.real, a.imag], axis=-1) if np.iscomplexobj(a) else a).tolist()
 
 
 def _require(args, name: str):
@@ -119,20 +89,20 @@ FAMILIES = {
     "random-regular": lambda args: graphs.random_regular_graph(
         _require(args, "n"), _require(args, "k"), args.seed
     ),
-    "from-edgelist": lambda args: graphs.graph_from_edge_list_text(
-        _read_text(_require(args, "edgelist")), args.n
+    "from-edgelist": lambda args: _read(
+        _require(args, "edgelist"), "edge-list", lambda text: graphs.graph_from_edge_list_text(text, args.n)
     ),
 }
 
 
 def _resolve_graph(args) -> graphs.Graph:
     if args.graph is not None:
-        return graphs.deserialize(_read_text(args.graph))
+        return _read(args.graph, "graph", graphs.deserialize)
     return FAMILIES[args.family](args)
 
 
 def _graph_meta(g: graphs.Graph, **extra) -> dict:
-    return {"n": g.n, "graph_sha256": graph_sha256(graphs.serialize(g)), **extra}
+    return {"n": g.n, "graph_sha256": formats.graph_sha256(graphs.serialize(g)), **extra}
 
 
 def _decompose(g: graphs.Graph) -> spectral.SpectralDecomposition:
@@ -142,7 +112,7 @@ def _decompose(g: graphs.Graph) -> spectral.SpectralDecomposition:
 def _resolve_t_grid(args) -> np.ndarray:
     if args.t is not None:
         return np.array([args.t])
-    return parse_t_grid(args.t_grid if args.t_grid is not None else DEFAULT_T_GRID)
+    return formats.parse_t_grid(args.t_grid if args.t_grid is not None else DEFAULT_T_GRID)
 
 
 def cmd_gen(args) -> None:
@@ -158,7 +128,7 @@ def cmd_spectrum(args) -> None:
         lambda: {"meta": _graph_meta(g), "eigenvalues": dec.eigenvalues, "eigenvectors": dec.eigenvectors},
         lambda: matrix_to_csv(np.column_stack([dec.eigenvalues, dec.eigenvectors])),
     )
-    print("%.17g" % dec.fiedler_value)
+    print(formats.csv_cell(dec.fiedler_value))
 
 
 def cmd_heat(args) -> None:
@@ -173,7 +143,7 @@ def cmd_heat(args) -> None:
 
 def cmd_gstft(args) -> None:
     g = _resolve_graph(args)
-    f = _read_signal(args.signal)
+    f = _read(args.signal, "signal", signal_from_csv)
     dec = _decompose(g)
     hk = heat.heat_kernel(dec, args.t)
     coeffs = gabor.gstft(dec, hk, f)
@@ -185,48 +155,18 @@ def cmd_gstft(args) -> None:
     )
 
 
-def _read_coefficients(path: str) -> tuple[np.ndarray, dict]:
-    text = _read_text(path)
+def _coefficients(text: str) -> tuple[np.ndarray, dict]:
+    """A JSON coefficient document if ``text`` starts with '{', else a matrix CSV."""
     if text.lstrip().startswith("{"):
-        matrix, meta = _json_coefficients(path, text)
+        matrix, meta = formats.coefficients_from_json(text)
     else:
-        try:
-            matrix, meta = matrix_from_csv(text)
-        except ValueError as exc:
-            raise ValueError(f"coefficient file {path}: {exc}") from None
-    if not isinstance(meta, dict):
-        raise ValueError(f"coefficient file {path}: 'meta' must be an object")
-    for key, types, kind in (("n", int, "an integer"), ("t", (int, float), "a number"),
-                             ("graph_sha256", str, "a string")):
-        if key in meta and (isinstance(meta[key], bool) or not isinstance(meta[key], types)):
-            raise ValueError(f"coefficient file {path}: meta '{key}' must be {kind}")
-    return matrix, meta
-
-
-def _json_coefficients(path: str, text: str) -> tuple[np.ndarray, object]:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"coefficient file {path} is not valid JSON: {exc}") from exc
-    if "matrix" not in doc:
-        raise ValueError(f"coefficient file {path} has no 'matrix' key")
-    rows = doc["matrix"]
-    if not isinstance(rows, list) or not all(
-        isinstance(row, list) and len(row) == len(rows[0]) for row in rows
-    ):
-        raise ValueError(f"coefficient file {path}: 'matrix' must be a list of equal-length rows")
-    try:
-        matrix = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=np.complex128)
-    except (TypeError, ValueError):
-        raise ValueError(f"coefficient file {path}: each 'matrix' entry must be a [re, im] pair of numbers") from None
-    if not np.isfinite(matrix).all():
-        raise ValueError(f"coefficient file {path}: 'matrix' entries must be finite")
-    return matrix, doc.get("meta", {})
+        matrix, meta = matrix_from_csv(text)
+    return matrix, formats.coefficient_meta(meta)
 
 
 def cmd_reconstruct(args) -> None:
     g = _resolve_graph(args)
-    matrix, meta = _read_coefficients(args.coeffs)
+    matrix, meta = _read(args.coeffs, "coefficient", _coefficients)
     if "n" in meta and meta["n"] != g.n:
         raise ValueError(f"coefficient file is for n={meta['n']} but graph has n={g.n}")
     if matrix.shape != (g.n, g.n):
@@ -247,7 +187,7 @@ def cmd_reconstruct(args) -> None:
     _write_report(
         args,
         lambda: {"meta": {**graph_meta, "t": hk.t}, "signal": f},
-        lambda: signal_to_csv(f),
+        lambda: formats.signal_to_csv(f),
     )
 
 
@@ -266,8 +206,8 @@ def cmd_frame_report(args) -> None:
             "reports": [dict(zip(columns, row)) for row in rows],
             "gammas": [r.gammas for r in sweep.reports],
         },
-        lambda: _csv_table(meta, columns, rows),
-        ("gammas", lambda: _csv_table(meta, gamma_columns, ())
+        lambda: formats.csv_table(meta, columns, rows),
+        ("gammas", lambda: formats.csv_table(meta, gamma_columns, ())
          + matrix_to_csv(np.column_stack([sweep.ts, [r.gammas for r in sweep.reports]]))),
     )
 
@@ -297,14 +237,14 @@ def cmd_sweep_decay(args) -> None:
     _write_report(
         args,
         lambda: {"meta": meta, "rows": [dict(zip(columns, row)) for row in rows]},
-        lambda: _csv_table(meta, columns, rows),
+        lambda: formats.csv_table(meta, columns, rows),
     )
 
 
 def cmd_spectrogram(args) -> None:
     # dstft holds N x N complex arrays (256 MiB each at N = 4096); refuse long signals up front
     if args.signal is not None:
-        f = _read_signal(args.signal)
+        f = _read(args.signal, "signal", signal_from_csv)
         n = f.size
     else:
         n = args.n if args.n is not None else 256

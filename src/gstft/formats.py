@@ -1,4 +1,5 @@
-"""Text interchange formats of :mod:`gstft.cli`; the ``perfbench`` harness imports them too.
+"""Every CLI document but the graph: matrix and signal CSV, report tables and
+JSON report and coefficient documents; the ``perfbench`` harness imports them too.
 
 Floats are always written with 17 significant digits, which round-trips
 float64 exactly; complex entries use the "re+imj" form accepted by Python's
@@ -9,6 +10,8 @@ comment line of the form
 
 so downstream files self-describe their provenance. Writers go through
 :func:`write_text_atomic` (temp file + rename in the target directory).
+The graph codec stays public in :mod:`gstft.graphs`, where the benchmark
+harness times ``graphs.deserialize`` by module attribute.
 """
 from __future__ import annotations
 
@@ -23,8 +26,18 @@ META_PREFIX = "# meta "
 MAX_T_GRID_POINTS = 10_001
 
 
+def _json_array(a: np.ndarray) -> list:
+    """Arrays in JSON documents are nested lists; a complex entry becomes ``[re, im]``."""
+    return (np.stack([a.real, a.imag], axis=-1) if np.iscomplexobj(a) else a).tolist()
+
+
+def json_document(doc: dict) -> str:
+    """``doc`` as one line of JSON: sorted keys, compact separators, arrays as nested lists."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), default=_json_array) + "\n"
+
+
 def meta_line(meta: dict) -> str:
-    return META_PREFIX + json.dumps(meta, sort_keys=True, separators=(",", ":"))
+    return META_PREFIX + json_document(meta).rstrip("\n")
 
 
 def split_meta(text: str) -> tuple[dict, list[tuple[int, str]]]:
@@ -99,6 +112,22 @@ def matrix_to_csv(matrix, meta: dict | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def csv_cell(value) -> str:
+    """A table cell: ``true``/``false``, a bare integer, or a float with 17 significant digits."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    return "%.17g" % value
+
+
+def csv_table(meta: dict, columns, rows) -> str:
+    """A meta line, a header naming ``columns``, then one line per row."""
+    lines = [meta_line(meta), ",".join(columns)]
+    lines.extend(",".join(csv_cell(x) for x in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 def matrix_from_csv(text: str) -> tuple[np.ndarray, dict]:
     """Parse a matrix CSV into a complex128 array and its metadata; errors name the row and line.
 
@@ -125,6 +154,39 @@ def matrix_from_csv(text: str) -> tuple[np.ndarray, dict]:
         row = int(np.argmin(finite))
         raise ValueError(f"row {row + 1} (line {lines[row][0]}): non-finite entry")
     return matrix, meta
+
+
+def coefficients_from_json(text: str) -> tuple[np.ndarray, object]:
+    """The complex128 ``matrix`` of a JSON coefficient document and its unchecked ``meta`` (default {})."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"document is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict) or "matrix" not in doc:
+        raise ValueError("document has no 'matrix' key")
+    rows = doc["matrix"]
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and len(row) == len(rows[0]) for row in rows
+    ):
+        raise ValueError("'matrix' must be a list of equal-length rows")
+    try:
+        matrix = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=np.complex128)
+    except (TypeError, ValueError):
+        raise ValueError("each 'matrix' entry must be a [re, im] pair of numbers") from None
+    if not np.isfinite(matrix).all():
+        raise ValueError("'matrix' entries must be finite")
+    return matrix, doc.get("meta", {})
+
+
+def coefficient_meta(meta) -> dict:
+    """``meta`` if it is an object whose ``n``, ``t`` and ``graph_sha256`` are well typed where present."""
+    if not isinstance(meta, dict):
+        raise ValueError("'meta' must be an object")
+    for key, types, kind in (("n", int, "an integer"), ("t", (int, float), "a number"),
+                             ("graph_sha256", str, "a string")):
+        if key in meta and (isinstance(meta[key], bool) or not isinstance(meta[key], types)):
+            raise ValueError(f"meta '{key}' must be {kind}")
+    return meta
 
 
 def parse_t_grid(text: str) -> np.ndarray:

@@ -231,7 +231,7 @@ class TestTransformRoundTrip:
         coeffs = tmp_path / ("bad.json" if text.startswith("{") else "bad.csv")
         coeffs.write_text(text)
         err = run_err(capsys, "reconstruct", "--graph", str(graph_path), "--coeffs", str(coeffs), "--t", "1", "--out", "-")
-        assert str(coeffs) in err
+        assert err.startswith(f"error: coefficient file {coeffs}: ")
         assert problem in err
 
     @pytest.mark.parametrize(
@@ -508,8 +508,26 @@ def test_help_exits_0(capsys, argv):
 def test_unreadable_input_names_the_path(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     err = run_err(capsys, "spectrum", "--graph", str(missing))
-    assert err.startswith(f"error: cannot read {missing}: ")
-    assert err.count("\n") == 1
+    assert err == f"error: cannot read {missing}: No such file or directory\n"
+
+
+@pytest.mark.parametrize(
+    "argv, content, problem",
+    [
+        (["spectrum", "--graph"], b'{"n": 4, "edges": [[0, 1], [2, 3]]}', "graph file {}: graph is disconnected"),
+        (["spectrum", "--family", "from-edgelist", "--edgelist"], b"0 1\n1 x\n",
+         "edge-list file {}: edge-list line 2: invalid literal for int() with base 10: 'x'"),
+        (["spectrum", "--graph"], b'{"n": 2, "edges": [[0, 1]]}\xff',
+         "cannot read {}: not UTF-8 text (invalid start byte at byte 27)"),
+        (["spectrogram", "--signal"], b"1,0\n\xff\n", "cannot read {}: not UTF-8 text (invalid start byte at byte 4)"),
+    ],
+    ids=["disconnected-graph", "edge-list-line", "graph-not-utf8", "signal-not-utf8"],
+)
+def test_input_file_errors_name_the_file(tmp_path, capsys, argv, content, problem):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    err = run_err(capsys, *argv, str(path), "--out", str(tmp_path / "r.csv"))
+    assert err == f"error: {problem.format(path)}\n"
 
 
 def _csv_rows(text):

@@ -168,9 +168,9 @@ any_float = st.one_of(
 
 
 @st.composite
-def text_matrices(draw, entries=any_float, min_side=0):
-    """A real or complex matrix of up to 5 x 5 entries; a complex entry is two draws."""
-    dtype = draw(st.sampled_from([np.float64, np.complex128]))
+def text_matrices(draw, entries=any_float, min_side=0, dtypes=(np.float64, np.complex128)):
+    """A matrix of up to 5 x 5 entries of one of ``dtypes``; a complex entry is two draws."""
+    dtype = draw(st.sampled_from(dtypes))
     shape = (draw(st.integers(min_side, 5)), draw(st.integers(min_side, 5)))
     size = shape[0] * shape[1] * (2 if dtype is np.complex128 else 1)
     values = draw(st.lists(entries, min_size=size, max_size=size))
@@ -202,4 +202,15 @@ def test_finite_matrix_csv_reads_back_bit_for_bit(matrix, meta):
     back, back_meta = formats.matrix_from_csv(formats.matrix_to_csv(matrix, meta=meta))
     assert back.dtype == np.complex128
     assert np.array_equal(back.view(np.uint64), (matrix + complex(-0.0, 0.0)).view(np.uint64))
+    assert back_meta == (meta or {})
+
+
+@repeatable
+@given(text_matrices(any_float.filter(math.isfinite), min_side=1, dtypes=(np.complex128,)), metas)
+def test_finite_complex_json_coefficients_read_back_bit_for_bit(matrix, meta):
+    """Unlike the CSV reader, the JSON coefficient reader keeps an imaginary -0."""
+    doc = {"matrix": matrix} if meta is None else {"matrix": matrix, "meta": meta}
+    back, back_meta = formats.coefficients_from_json(formats.json_document(doc))
+    assert back.dtype == np.complex128
+    assert np.array_equal(back.view(np.uint64), matrix.view(np.uint64))
     assert back_meta == (meta or {})
