@@ -212,7 +212,13 @@ class TestFrameReport:
             assert 0 < report.bound_a <= report.bound_b
 
 
-    @pytest.mark.parametrize("g", [graphs.ring_graph(5), graphs.complete_graph(100)], ids=["ring5", "K100"])
+    # eigh returns the zero eigenvalue of ring 64, K10 and K50 slightly positive, of ring 5 and K100 negative.
+    @pytest.mark.parametrize(
+        "g",
+        [graphs.ring_graph(5), graphs.ring_graph(64), graphs.complete_graph(10), graphs.complete_graph(50),
+         graphs.complete_graph(100)],
+        ids=["ring5", "ring64", "K10", "K50", "K100"],
+    )
     @pytest.mark.parametrize("t", [1e300, 1e307, 9e307, 1e308, sys.float_info.max])
     def test_huge_times_give_the_uniform_limit(self, g, t):
         # -2 t overflows past ~9e307 and t * lambda_max earlier; every gamma is

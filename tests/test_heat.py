@@ -235,7 +235,14 @@ class TestColumnNorms:
 HUGE_TIMES = [1e300, 1e307, 9e307, 1e308, sys.float_info.max]
 
 
-@pytest.mark.parametrize("g", [graphs.ring_graph(5), graphs.complete_graph(100)], ids=["ring5", "K100"])
+# eigh returns the zero eigenvalue of ring 64, K10 and K50 slightly positive, of ring 5 and K100 negative.
+LIMIT_GRAPHS = {
+    "ring5": graphs.ring_graph(5), "ring64": graphs.ring_graph(64),
+    "K10": graphs.complete_graph(10), "K50": graphs.complete_graph(50), "K100": graphs.complete_graph(100),
+}
+
+
+@pytest.mark.parametrize("g", list(LIMIT_GRAPHS.values()), ids=list(LIMIT_GRAPHS))
 def test_huge_times_reach_the_uniform_limit(g):
     # t * lambda_max overflows for the largest times; the kernel is then the
     # t -> infinity limit 11^T / n, with no warning (pytest turns them into errors).
