@@ -14,95 +14,20 @@ The package builds the transform stack bottom-up:
   transform, spectrogram, full Gabor systems), which the graph machinery
   reduces to on ring graphs.
 - :mod:`gstft.cli` -- the ``gstft`` command-line tool.
+
+Each library module declares its public names in its own ``__all__``; the
+package re-exports exactly those.
 """
 
-from .classical import (
-    boxcar_window,
-    dft,
-    dstft,
-    full_gabor_system,
-    piecewise_cosine,
-    spectrogram,
-)
-from .gabor import (
-    FrameReport,
-    GstftCoefficients,
-    TightnessSweep,
-    fiedler_eigenspace_mass,
-    frame_operator,
-    frame_report,
-    gstft,
-    inverse_gstft,
-    permutation_commutator,
-    srg_eigenspace_mass,
-    tightness_sweep,
-)
-from .graphs import (
-    Graph,
-    SrgParameters,
-    build_from_edge_list,
-    complete_graph,
-    deserialize,
-    detect_srg_parameters,
-    graph_from_edge_list_text,
-    hypercube_graph,
-    petersen_graph,
-    random_regular_graph,
-    ring_graph,
-    serialize,
-    shrikhande_graph,
-)
-from .heat import HeatKernel, heat_kernel
-from .spectral import (
-    SpectralDecomposition,
-    as_signal,
-    decompose,
-    laplacian,
-)
+from .graphs import *
+from .spectral import *
+from .heat import *
+from .gabor import *
+from .classical import *
 
 __version__ = "0.1.0"
 
+# Importing a submodule binds its name here, so each module's list is in reach.
 __all__ = [
-    "__version__",
-    # graphs
-    "Graph",
-    "SrgParameters",
-    "build_from_edge_list",
-    "ring_graph",
-    "complete_graph",
-    "hypercube_graph",
-    "petersen_graph",
-    "shrikhande_graph",
-    "random_regular_graph",
-    "detect_srg_parameters",
-    "serialize",
-    "deserialize",
-    "graph_from_edge_list_text",
-    # spectral
-    "SpectralDecomposition",
-    "as_signal",
-    "laplacian",
-    "decompose",
-    # heat
-    "HeatKernel",
-    "heat_kernel",
-    # gabor
-    "GstftCoefficients",
-    "FrameReport",
-    "TightnessSweep",
-    "gstft",
-    "frame_operator",
-    "frame_report",
-    "inverse_gstft",
-    "tightness_sweep",
-    "permutation_commutator",
-    "fiedler_eigenspace_mass",
-    "srg_eigenspace_mass",
-    # classical
-    "dft",
-    "full_gabor_system",
-    "dstft",
-    "spectrogram",
-    "piecewise_cosine",
-    "boxcar_window",
+    "__version__", *graphs.__all__, *spectral.__all__, *heat.__all__, *gabor.__all__, *classical.__all__
 ]

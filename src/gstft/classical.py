@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
+__all__ = ["dft", "full_gabor_system", "dstft", "spectrogram", "piecewise_cosine", "boxcar_window"]
+
 
 def _as_vector(f) -> np.ndarray:
     f = np.asarray(f, dtype=np.complex128)

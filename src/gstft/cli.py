@@ -166,14 +166,19 @@ def _coefficients(text: str) -> tuple[np.ndarray, dict]:
 
 def cmd_reconstruct(args) -> None:
     g = _resolve_graph(args)
-    matrix, meta = _read(args.coeffs, "coefficient", _coefficients)
-    if "n" in meta and meta["n"] != g.n:
-        raise ValueError(f"coefficient file is for n={meta['n']} but graph has n={g.n}")
-    if matrix.shape != (g.n, g.n):
-        raise ValueError(f"coefficient matrix shape {matrix.shape} does not match n={g.n}")
-    graph_meta = _graph_meta(g)  # serializing and hashing a large graph is costly: do it once
-    if "graph_sha256" in meta and meta["graph_sha256"] != graph_meta["graph_sha256"]:
-        raise ValueError("coefficient file was produced from a different graph")
+
+    def parse(text: str) -> tuple[np.ndarray, dict, dict]:
+        matrix, meta = _coefficients(text)
+        if "n" in meta and meta["n"] != g.n:
+            raise ValueError(f"coefficients are for n={meta['n']} but graph has n={g.n}")
+        if matrix.shape != (g.n, g.n):
+            raise ValueError(f"coefficient matrix shape {matrix.shape} does not match n={g.n}")
+        graph_meta = _graph_meta(g)  # serializing and hashing a large graph is costly: do it once
+        if "graph_sha256" in meta and meta["graph_sha256"] != graph_meta["graph_sha256"]:
+            raise ValueError("coefficients were produced from a different graph")
+        return matrix, meta, graph_meta
+
+    matrix, meta, graph_meta = _read(args.coeffs, "coefficient", parse)
     meta_t = meta.get("t")
     if args.t is None and meta_t is None:
         raise ValueError("no window time available: pass --t or use a coefficient file with metadata")

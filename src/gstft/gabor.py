@@ -40,6 +40,12 @@ from .graphs import SrgParameters
 from .heat import HeatKernel, _decay, _window_time, heat_kernel
 from .spectral import CLUSTER_TOL, SpectralDecomposition, as_signal
 
+__all__ = [
+    "GstftCoefficients", "FrameReport", "TightnessSweep", "gstft", "frame_operator",
+    "frame_report", "inverse_gstft", "tightness_sweep", "permutation_commutator",
+    "fiedler_eigenspace_mass", "srg_eigenspace_mass",
+]
+
 # Roundoff allowance for the tight verdict of frame_report, relative to
 # max(1, B). The test oracles share it for the other identities that are exact
 # in theory: sampled energies against the frame bounds and the spectral-window

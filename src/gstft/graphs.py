@@ -24,6 +24,12 @@ from itertools import combinations
 
 import numpy as np
 
+__all__ = [
+    "Graph", "SrgParameters", "build_from_edge_list", "ring_graph", "complete_graph",
+    "hypercube_graph", "petersen_graph", "shrikhande_graph", "random_regular_graph",
+    "detect_srg_parameters", "serialize", "deserialize", "graph_from_edge_list_text",
+]
+
 MAX_VERTICES = 4096
 
 # Attempts before the pairing-model sampler gives up. The probability that a

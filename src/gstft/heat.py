@@ -36,6 +36,8 @@ import numpy as np
 
 from .spectral import SpectralDecomposition
 
+__all__ = ["HeatKernel", "heat_kernel"]
+
 # Entries of H_t are nonnegative in exact arithmetic; tiny negative values are
 # roundoff from the eigenexpansion at small t.
 ENTRY_FLOOR = -1e-12

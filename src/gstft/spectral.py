@@ -31,12 +31,7 @@ import numpy as np
 
 from .graphs import Graph
 
-__all__ = [
-    "SpectralDecomposition",
-    "as_signal",
-    "laplacian",
-    "decompose",
-]
+__all__ = ["SpectralDecomposition", "as_signal", "laplacian", "decompose"]
 
 # Consecutive eigenvalues closer than this belong to one eigenspace.
 CLUSTER_TOL = 1e-8

@@ -164,6 +164,24 @@ def test_huge_times_give_the_uniform_limit(n, t):
     assert np.abs(hk.matrix - 1.0 / n).max() <= 1e-15
     assert np.abs(gabor.frame_report(dec, hk).gammas - 1.0 / n).max() <= 1e-15
 
+
+@repeatable
+@given(connected_graphs(), st.floats(1e300, sys.float_info.max))
+def test_huge_times_give_the_uniform_limit_on_any_connected_graph(g, t):
+    """Every mode but the zero mode phi_1 decays to 0, so H_t = phi_1 phi_1^T and gamma_j = phi_1j^2.
+
+    eigh's phi_1 is 1/sqrt(n) only to within delta = max|phi_1 - 1/sqrt(n)|, so
+    each product is off 1/n by at most 2 delta/sqrt(n) + delta^2, plus the
+    roundoff of one product of two entries near 1/sqrt(n).
+    """
+    dec = spectral.decompose(spectral.laplacian(g))
+    delta = np.abs(dec.eigenvectors[:, 0] - 1.0 / math.sqrt(g.n)).max()
+    allowance = 2 * delta / math.sqrt(g.n) + delta**2 + 4 * np.finfo(float).eps / g.n
+    hk = heat.heat_kernel(dec, t)
+    assert np.abs(hk.matrix.sum(axis=1) - 1.0).max() <= heat.ROW_SUM_TOL
+    assert np.abs(hk.matrix - 1.0 / g.n).max() <= allowance
+    assert np.abs(gabor.frame_report(dec, hk).gammas - 1.0 / g.n).max() <= allowance
+
 # Every float64 bit pattern, plus the values a writer gets wrong first.
 any_float = st.one_of(
     st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", bits.to_bytes(8, "little"))[0]),
