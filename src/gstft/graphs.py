@@ -7,8 +7,8 @@ matrix (16 MiB at ``MAX_VERTICES``) and nothing else; the edge list is derived
 from it on request. Dense storage is deliberate -- the eigendecomposition is
 the cost bottleneck long before adjacency memory is, so every constructor
 refuses graphs above ``MAX_VERTICES`` vertices before it allocates anything.
-Constructors hand integer pair arrays to one assembler, where repeated pairs
-and both orientations of a pair collapse to one edge.
+Every constructor fills an adjacency matrix and hands it to ``Graph``, which
+checks the invariant in one place.
 
 Included graph families: rings (cycles), complete graphs, hypercubes, the
 Petersen graph, the Shrikhande graph, and random regular graphs drawn with the
@@ -33,9 +33,10 @@ __all__ = [
 MAX_VERTICES = 4096
 
 # Attempts before the pairing-model sampler gives up. The probability that a
-# random pairing of a k-regular graph is simple falls like exp(-(k*k-1)/4), so
-# k=7 already needs a few hundred thousand draws, and from k=8 on the expected
-# count exceeds this budget and the sampler refuses before drawing.
+# random pairing of a k-regular graph on n vertices is simple is about
+# exp(-(k*k-1)/4 - k**3/(12n)), so k=7 already needs a few hundred thousand
+# draws (too many below n = 40), and from k=8 on the expected count exceeds
+# a third of this budget at every n, so the sampler refuses before drawing.
 PAIRING_RETRIES = 1_000_000
 
 # Half-edge labels per shuffled batch of pairing attempts: 32768 int64 entries
@@ -48,18 +49,28 @@ _BATCH_LABELS = 32768
 class Graph:
     """Undirected simple connected graph on ``n`` vertices.
 
-    ``adjacency`` is the dense symmetric boolean matrix (16 MiB at
-    ``MAX_VERTICES``) and the only constructor argument; ``degrees``, its
-    integer row sums, is computed once at construction, and ``n`` and
-    ``edges`` are derived on request. Instances are immutable and safe to
-    share across threads; equality and hashing go by identity.
+    ``adjacency``, the only constructor argument, is the dense boolean matrix
+    (16 MiB at ``MAX_VERTICES``); construction raises ValueError unless it is
+    square, symmetric, loop-free and connected on 1 to ``MAX_VERTICES``
+    vertices. ``degrees``, its integer row sums, is computed once then, and
+    ``n`` and ``edges`` are derived on request. Instances are immutable and
+    safe to share across threads; equality and hashing go by identity.
     """
 
     adjacency: np.ndarray
     degrees: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "degrees", self.adjacency.sum(axis=1))
+        a = self.adjacency
+        if not (isinstance(a, np.ndarray) and a.dtype == bool and a.ndim == 2 and a.shape[0] == a.shape[1]):
+            got = f"{a.dtype} {a.shape}" if isinstance(a, np.ndarray) else type(a).__name__
+            raise ValueError(f"adjacency must be a square bool array, got {got}")
+        _check_vertex_count(a.shape[0])
+        if not np.array_equal(a, a.T) or a.diagonal().any():
+            raise ValueError("adjacency must be symmetric with an empty diagonal")
+        if not _is_connected(a.shape[0], a):
+            raise ValueError("graph is disconnected")
+        object.__setattr__(self, "degrees", a.sum(axis=1))
         self.adjacency.setflags(write=False)
         self.degrees.setflags(write=False)
 
@@ -114,20 +125,6 @@ def _is_connected(n: int, adjacency: np.ndarray) -> bool:
     return bool(seen.all())
 
 
-def _assemble(n: int, lo: np.ndarray, hi: np.ndarray) -> Graph | None:
-    """The Graph joining ``lo[e]`` and ``hi[e]`` for every e, or None if disconnected.
-
-    Ends must be distinct vertices in ``0..n-1``; repeated pairs and both
-    orientations of a pair collapse to one edge.
-    """
-    adjacency = np.zeros((n, n), dtype=bool)
-    adjacency[lo, hi] = True
-    adjacency[hi, lo] = True
-    if not _is_connected(n, adjacency):
-        return None
-    return Graph(adjacency)
-
-
 def _check_vertex_count(n: int) -> None:
     if n <= 0:
         raise ValueError(f"vertex count must be positive, got {n}")
@@ -168,10 +165,9 @@ def build_from_edge_list(n: int, edges) -> Graph:
             raise ValueError(f"self-loop ({i},{j}) is not allowed")
         raise ValueError(f"edge ({i},{j}) out of range for n={n}")
 
-    g = _assemble(n, lo, hi)
-    if g is None:
-        raise ValueError("graph is disconnected")
-    return g
+    adjacency = np.zeros((n, n), dtype=bool)
+    adjacency[lo, hi] = adjacency[hi, lo] = True
+    return Graph(adjacency)
 
 
 def ring_graph(n: int) -> Graph:
@@ -180,7 +176,9 @@ def ring_graph(n: int) -> Graph:
         raise ValueError(f"ring graph needs at least 3 vertices, got {n}")
     _check_vertex_count(n)
     v = np.arange(n)
-    return build_from_edge_list(n, np.column_stack([v, (v + 1) % n]))
+    adjacency = np.zeros((n, n), dtype=bool)
+    adjacency[v, (v + 1) % n] = adjacency[v, (v - 1) % n] = True
+    return Graph(adjacency)
 
 
 def complete_graph(n: int) -> Graph:
@@ -188,7 +186,7 @@ def complete_graph(n: int) -> Graph:
     if n < 2:
         raise ValueError(f"complete graph needs at least 2 vertices, got {n}")
     _check_vertex_count(n)
-    return build_from_edge_list(n, np.column_stack(np.triu_indices(n, 1)))
+    return Graph(~np.eye(n, dtype=bool))
 
 
 def hypercube_graph(d: int) -> Graph:
@@ -197,8 +195,10 @@ def hypercube_graph(d: int) -> Graph:
         raise ValueError(f"hypercube dimension must be >= 1, got {d}")
     n = 2**d
     _check_vertex_count(n)
-    v = np.repeat(np.arange(n), d)
-    return build_from_edge_list(n, np.column_stack([v, v ^ np.tile(1 << np.arange(d), n)]))
+    v = np.arange(n)[:, None]
+    adjacency = np.zeros((n, n), dtype=bool)
+    adjacency[v, v ^ (1 << np.arange(d))] = True  # flipping a bit twice returns, so this is symmetric
+    return Graph(adjacency)
 
 
 def petersen_graph() -> Graph:
@@ -239,9 +239,12 @@ def random_regular_graph(n: int, k: int, seed: int) -> Graph:
     and the whole matching is redrawn, so accepted graphs are uniform over
     simple connected k-regular graphs. Deterministic for a fixed seed. Raises
     ValueError before drawing when k <= 1 and n > k + 1 (no such graph is
-    connected), RuntimeError before drawing when the expected number of
-    attempts, exp((k^2 - 1) / 4), exceeds ``PAIRING_RETRIES``, and after
-    ``PAIRING_RETRIES`` rejected pairings otherwise.
+    connected), RuntimeError before drawing when McKay and Wormald's estimate
+    of the expected number of attempts, exp((k^2 - 1) / 4 + k^3 / (12 n)),
+    exceeds ``PAIRING_RETRIES / 3``, and after ``PAIRING_RETRIES`` rejected
+    pairings otherwise. Attempts succeed independently, so by the estimate an
+    accepted input exhausts the budget with probability at most
+    (1 - 1/expected)^PAIRING_RETRIES <= e^-3.
 
     Attempts are shuffled in place in one buffer of at most 256 KiB, one
     attempt per row, in batches doubling from one row up to the whole buffer,
@@ -264,11 +267,11 @@ def random_regular_graph(n: int, k: int, seed: int) -> Graph:
         raise ValueError(f"n*k must be even, got n={n}, k={k}")
     if k <= 1 and n > k + 1:
         raise ValueError(f"no {k}-regular graph on {n} vertices is connected; k <= 1 needs n = k + 1")
-    expected = math.exp((k * k - 1) / 4)
-    if expected > PAIRING_RETRIES:
+    expected = math.exp((k * k - 1) / 4 + k**3 / (12 * n))
+    if expected > PAIRING_RETRIES / 3:
         raise RuntimeError(
             f"pairing model needs about {expected:.1e} attempts for a simple {k}-regular "
-            f"graph on {n} vertices, more than the {PAIRING_RETRIES} attempts allowed"
+            f"graph on {n} vertices, more than a third of the {PAIRING_RETRIES} attempts allowed"
         )
 
     rng = np.random.default_rng(seed)
@@ -293,9 +296,10 @@ def random_regular_graph(n: int, k: int, seed: int) -> Graph:
             codes = np.sort(np.minimum(u_row, v_row) * n + np.maximum(u_row, v_row))
             if (codes[1:] == codes[:-1]).any():
                 continue
-            g = _assemble(n, u_row, v_row)
-            if g is not None:
-                return g
+            adjacency = np.zeros((n, n), dtype=bool)
+            adjacency[u_row, v_row] = adjacency[v_row, u_row] = True
+            if _is_connected(n, adjacency):
+                return Graph(adjacency)
     raise RuntimeError(
         f"pairing model produced no simple connected {k}-regular graph on {n} "
         f"vertices within {PAIRING_RETRIES} attempts"
@@ -320,7 +324,7 @@ def detect_srg_parameters(g: Graph) -> SrgParameters | None:
     # exact, since every partial sum is an integer <= n <= MAX_VERTICES < 2^24
     adjacency = g.adjacency.astype(np.float32)
     common = adjacency @ adjacency
-    adjacent = g.adjacency  # loop-free, so the diagonal is False
+    adjacent = g.adjacency  # Graph refuses self-loops, so the diagonal is False
     a_counts = np.unique(common[adjacent])
     # With the sentinel -1 on adjacent pairs and the diagonal, the other
     # values are the non-adjacent counts, found without a second mask

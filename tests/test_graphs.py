@@ -1,6 +1,8 @@
 """Graph construction, classification, and serialization."""
 import dataclasses
+import hashlib
 import json
+import re
 import time
 from itertools import combinations
 
@@ -29,6 +31,86 @@ def assert_valid(g):
     assert not g.adjacency.diagonal().any()
     assert np.array_equal(g.degrees, g.adjacency.sum(axis=1))
     assert graphs._is_connected(g.n, g.adjacency)
+
+
+def path_adjacency(n):
+    adjacency = np.zeros((n, n), dtype=bool)
+    v = np.arange(n - 1)
+    adjacency[v, v + 1] = adjacency[v + 1, v] = True
+    return adjacency
+
+
+def with_entries(adjacency, *entries):
+    for i, j in entries:
+        adjacency[i, j] = True
+    return adjacency
+
+
+class TestGraphInvariant:
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: np.array([[0, 2], [2, 0]]), r"^adjacency must be a square bool array, got int64 \(2, 2\)$"),
+            (lambda: np.array([[0.0, 1.0], [1.0, 0.0]]), r"got float64 \(2, 2\)$"),
+            (lambda: [[False, True], [True, False]], "got list$"),
+            (lambda: np.zeros((2, 3), dtype=bool), r"got bool \(2, 3\)$"),
+            (lambda: np.zeros(3, dtype=bool), r"got bool \(3,\)$"),
+            (lambda: np.zeros((0, 0), dtype=bool), "^vertex count must be positive, got 0$"),
+            (lambda: path_adjacency(graphs.MAX_VERTICES + 1), "^graph on 4097 vertices exceeds the 4096-vertex limit$"),
+            (lambda: with_entries(path_adjacency(3), (0, 2)), "^adjacency must be symmetric with an empty diagonal$"),
+            (lambda: with_entries(path_adjacency(3), (1, 1)), "^adjacency must be symmetric with an empty diagonal$"),
+            (lambda: np.zeros((3, 3), dtype=bool), "^graph is disconnected$"),
+            (lambda: with_entries(np.zeros((4, 4), dtype=bool), (0, 1), (1, 0), (2, 3), (3, 2)),
+             "^graph is disconnected$"),
+        ],
+        ids=["int", "float", "list", "non-square", "vector", "empty", "4097-vertices", "asymmetric", "self-loop",
+             "edgeless", "two-components"],
+    )
+    def test_broken_invariant_refused(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            graphs.Graph(build())
+
+    @pytest.mark.parametrize(
+        "build, n, digest",
+        [
+            (lambda: graphs.ring_graph(3), 3, "f71efe16fa6b412d486f6d4f29d78174c49117aed7862ace6cebb9c67e762995"),
+            (lambda: graphs.ring_graph(7), 7, "2eca67f8fcb898eb1c1a3fd0c9024b6e95a0e450fc84cf0d1f24a7ddb4a8cb91"),
+            (lambda: graphs.complete_graph(2), 2, "d5e2d2ac07b741be58f6b9e50ede5fdcf16f3e8053ecef9350e7744b0d8bd90c"),
+            (lambda: graphs.complete_graph(6), 6, "15aaf0297592d240a804776d9373156a46d09b5c23ade48680dbea3aaadcd6b2"),
+            (lambda: graphs.hypercube_graph(1), 2, "d5e2d2ac07b741be58f6b9e50ede5fdcf16f3e8053ecef9350e7744b0d8bd90c"),
+            (lambda: graphs.hypercube_graph(4), 16, "b28975e23c7c937b9d867ea603860114527a2fc68b20b856daef4e12665d3b30"),
+            (graphs.petersen_graph, 10, "9b83f17d20fa5613fefa47e8088d8aebebf131fca830efbede9795d1f9dcee51"),
+            (graphs.shrikhande_graph, 16, "ca2e8bbb831ed63e5c946be910e4cb7d4ce8e041bcaccb3291d4828165caa3f4"),
+            (lambda: graphs.random_regular_graph(1, 0, 0), 1,
+             "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d"),
+            (lambda: graphs.random_regular_graph(2, 1, 0), 2,
+             "d5e2d2ac07b741be58f6b9e50ede5fdcf16f3e8053ecef9350e7744b0d8bd90c"),
+            (lambda: graphs.random_regular_graph(4, 3, 123), 4,
+             "1bc7b5a04c309b23b3313bd9c935b32471123281821310a780fb6c1436ec1d2f"),
+            (lambda: graphs.random_regular_graph(100, 3, 42), 100,
+             "cd1814c526923d82aa073540d9543f49da9a6a899c9883990793e54cce2f3079"),
+            (lambda: graphs.random_regular_graph(100, 5, 42), 100,
+             "3f47e3b94c7efdc9dfc20188bd718a13c3515377c6db226c95e0ccecd2ea1727"),
+            (lambda: graphs.random_regular_graph(40, 6, 1), 40,
+             "24810b7a686365844cf7e8fcfc98b4177849868162d18b92b567337d31e4f376"),
+            (lambda: graphs.build_from_edge_list(4, [(3, 0), (0, 1), (2, 1), (1, 0)]), 4,
+             "cec5ec40b76a7efefda3608b8e85441f44f3707cf4fe306ba9c95da9ad95fb4c"),
+            (lambda: graphs.build_from_edge_list(1, []), 1,
+             "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d"),
+            (lambda: graphs.deserialize('{"n":3,"edges":[[0,1],[1,2]]}'), 3,
+             "c520efb8f894a1125bb1a513a9b64ef957f7c2cd63835fd7e130357c47f989ae"),
+            (lambda: graphs.graph_from_edge_list_text("0 1\n1 2\n2 0\n"), 3,
+             "f71efe16fa6b412d486f6d4f29d78174c49117aed7862ace6cebb9c67e762995"),
+        ],
+        ids=["ring-3", "ring-7", "complete-2", "complete-6", "hypercube-1", "hypercube-4", "petersen", "shrikhande",
+             "rr-1-0-0", "rr-2-1-0", "rr-4-3-123", "rr-100-3-42", "rr-100-5-42", "rr-40-6-1", "edge-list",
+             "edge-list-1", "json", "edge-list-text"],
+    )
+    def test_adjacency_pinned(self, build, n, digest):
+        # sha256 of the row-major bool bytes: every family, codec and sampler graph keeps its adjacency
+        g = build()
+        assert g.adjacency.dtype == bool and g.adjacency.shape == (n, n)
+        assert hashlib.sha256(g.adjacency.tobytes()).hexdigest() == digest
 
 
 class TestBuildFromEdgeList:
@@ -274,6 +356,24 @@ class TestRandomRegular:
         with pytest.raises(RuntimeError, match="attempts"):
             graphs.random_regular_graph(100, 7, seed=42)
 
+    @pytest.mark.parametrize("n, expected", [(16, "9.7e+05"), (30, "4.2e+05")])
+    def test_degree_7_on_few_vertices_refused_before_drawing(self, n, expected):
+        # exp(12) = 1.6e5 alone would pass; the finite-n term exp(343/(12 n)) lifts it past 1e6/3
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match=rf"^pairing model needs about {re.escape(expected)} attempts .* {n} "):
+            graphs.random_regular_graph(n, 7, seed=0)
+        assert time.monotonic() - started < 1.0
+
+    @pytest.mark.parametrize("n", [40, 100])
+    def test_degree_7_from_40_vertices_reaches_the_draw(self, monkeypatch, n):
+        # exp(12 + 343/480) = 3.33e5 sits just below a third of the budget at n = 40
+        def drawn(seed):
+            raise LookupError("drawing")
+
+        monkeypatch.setattr(graphs.np.random, "default_rng", drawn)
+        with pytest.raises(LookupError, match="drawing"):
+            graphs.random_regular_graph(n, 7, seed=42)
+
     def test_infeasible_degree_refused_before_drawing(self):
         # exp((81 - 1) / 4) = 4.9e8 expected attempts against a budget of 1e6
         started = time.monotonic()
@@ -282,11 +382,12 @@ class TestRandomRegular:
         assert time.monotonic() - started < 1.0
 
     def test_retry_loop_still_exhausts(self, monkeypatch):
-        # The up-front estimate lets each budget below through: k = 3 expects
-        # exp(2) = 7.4 attempts and (100, 3, 6) is accepted at attempt 9; k = 6
-        # expects exp(8.75) = 6.3e3 and (40, 6, 1) is accepted at attempt 8,200,
-        # deep inside a batch, so the budget must count single attempts there
-        for n, k, seed, accepted_at in ((100, 3, 6, 9), (40, 6, 1, 8200)):
+        # The up-front estimate lets each budget below through, since it is at
+        # least three times the expected count: (100, 3) expects 7.6 attempts
+        # and seed 48 is accepted at attempt 30, row 15 of the fifth batch;
+        # (60, 5) expects 480 and seed 25 is accepted at attempt 1,953, deep
+        # inside a full 109-row batch, so the budget must count single attempts
+        for n, k, seed, accepted_at in ((100, 3, 48, 30), (60, 5, 25, 1953)):
             expected = graphs.random_regular_graph(n, k, seed)
             monkeypatch.setattr(graphs, "PAIRING_RETRIES", accepted_at - 1)
             with pytest.raises(RuntimeError, match=f"within {accepted_at - 1} attempts"):

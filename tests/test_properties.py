@@ -182,6 +182,17 @@ def test_huge_times_give_the_uniform_limit_on_any_connected_graph(g, t):
     assert np.abs(hk.matrix - 1.0 / g.n).max() <= allowance
     assert np.abs(gabor.frame_report(dec, hk).gammas - 1.0 / g.n).max() <= allowance
 
+
+@repeatable
+@given(connected_graphs())
+def test_the_zero_mode_snap_touches_lambda_1_alone(g):
+    """A connected graph has one zero eigenvalue, and lambda_2 >= 4/(n diam) lies above the snap bound."""
+    dec = spectral.decompose(spectral.laplacian(g))
+    clamped = heat._clamped_eigenvalues(dec)
+    assert np.count_nonzero(clamped == 0.0) == 1 and clamped[0] == 0.0
+    assert np.array_equal(clamped[1:], dec.eigenvalues[1:])
+
+
 # Every float64 bit pattern, plus the values a writer gets wrong first.
 any_float = st.one_of(
     st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", bits.to_bytes(8, "little"))[0]),
