@@ -21,10 +21,10 @@ never copied to complex. Each decomposition lends both functions one private
 requests reuses its pages instead of mapping fresh ones each call; the
 workspace is freed with the decomposition.
 
-This module computes the transform and its left inverse, the frame operator
-in closed form, and the numerical certificates used to verify tightness:
-frame reports over a time grid, permutation commutator checks, and the
-strongly-regular eigenvector partial-sum identity.
+This module computes the transform and its left inverse, and the numerical
+certificates used to verify tightness: frame reports over a time grid and the
+strongly-regular eigenvector partial-sum identity. The frame operator itself
+is diag(``HeatKernel.column_norms_sq``).
 """
 from __future__ import annotations
 
@@ -41,9 +41,8 @@ from .heat import HeatKernel, _decay, _window_time, heat_kernel
 from .spectral import CLUSTER_TOL, SpectralDecomposition, as_signal
 
 __all__ = [
-    "GstftCoefficients", "FrameReport", "TightnessSweep", "gstft", "frame_operator",
-    "frame_report", "inverse_gstft", "tightness_sweep", "permutation_commutator",
-    "fiedler_eigenspace_mass", "srg_eigenspace_mass",
+    "GstftCoefficients", "FrameReport", "TightnessSweep", "gstft", "frame_report",
+    "inverse_gstft", "tightness_sweep", "fiedler_eigenspace_mass", "srg_eigenspace_mass",
 ]
 
 # Roundoff allowance for the tight verdict of frame_report, relative to
@@ -154,12 +153,6 @@ def gstft(dec: SpectralDecomposition, hk: HeatKernel, f) -> GstftCoefficients:
     return GstftCoefficients(t=hk.t, matrix=matrix)
 
 
-def frame_operator(dec: SpectralDecomposition, hk: HeatKernel) -> np.ndarray:
-    """Frame operator in closed form: S(t) = sum_i D_i(t)^2 = diag(||H_t(., v_j)||^2)."""
-    _check_same_graph(dec, hk)
-    return np.diag(hk.column_norms_sq)
-
-
 def frame_report(dec: SpectralDecomposition, hk: HeatKernel) -> FrameReport:
     """Frame bounds at the kernel's time from the spectral form of the gammas.
 
@@ -225,24 +218,6 @@ def tightness_sweep(dec: SpectralDecomposition, t_grid) -> TightnessSweep:
 
     reports = tuple(frame_report(dec, heat_kernel(dec, t)) for t in ts)
     return TightnessSweep(fiedler_value=dec.fiedler_value, reports=reports)
-
-
-def permutation_commutator(hk: HeatKernel, permutation) -> float:
-    """Max-norm of P H_t - H_t P for the permutation matrix P of a vertex map.
-
-    ``permutation[i]`` is the image of vertex i; P e_i = e_{permutation[i]}.
-    Vanishes (to roundoff) exactly when the permutation is a graph
-    automorphism, since automorphisms commute with the adjacency matrix and
-    hence with every power series in the Laplacian. Entry (perm[i], j) of
-    P H_t - H_t P is H_t[i, j] - H_t[perm[i], perm[j]], so the norm is read
-    off one reindexing of H_t, without forming P.
-    """
-    perm = np.asarray(permutation, dtype=np.int64)
-    n = hk.n
-    if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
-        raise ValueError("permutation must be a rearrangement of 0..n-1")
-    h = hk.matrix
-    return float(np.abs(h[np.ix_(perm, perm)] - h).max())
 
 
 def fiedler_eigenspace_mass(dec: SpectralDecomposition) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 Each oracle builds a quantity the library computes in closed form, but by an
 independent route: the frame operator from all n^2 explicit atoms (O(n^4)),
-frame bounds by sampling random signals, the transform from Shuman's
+the commutator of a vertex permutation with H_t, frame bounds by sampling
+random signals, the transform from Shuman's
 spectral-window formulation, the graph Fourier transform pair, eigenspace
 projectors, the classical DFT matrix, shift, modulation and tight-frame
 reconstruction on C^N, and CSV text written one entry at a time. The library
@@ -56,14 +57,33 @@ def frame_operator_gram(dec: SpectralDecomposition, hk: HeatKernel) -> np.ndarra
 
     The analysis operator A(t) has the conjugated atoms as rows, so S(t) is
     the sum of atom outer products. This is the O(n^4) certification oracle
-    for :func:`gstft.gabor.frame_operator`; sizes above ``GRAM_ORACLE_MAX_N``
-    are refused.
+    for the closed form S(t) = diag(``hk.column_norms_sq``); sizes above
+    ``GRAM_ORACLE_MAX_N`` are refused.
     """
     _check_same_graph(dec, hk)
     if dec.n > GRAM_ORACLE_MAX_N:
         raise ValueError(f"Gram oracle limited to n <= {GRAM_ORACLE_MAX_N}, got n={dec.n}")
     rows = atom_matrix(dec, hk)
     return rows.T @ rows.conj()
+
+
+def permutation_commutator(hk: HeatKernel, permutation) -> float:
+    """Max-norm of P H_t - H_t P for the permutation matrix P of a vertex map.
+
+    ``permutation[i]`` is the image of vertex i; P e_i = e_{permutation[i]}.
+    Vanishes (to roundoff) when the permutation is a graph automorphism,
+    since automorphisms commute with the adjacency matrix and hence with
+    every power series in the Laplacian; the automorphism itself is decided
+    exactly by ``np.array_equal(A[np.ix_(p, p)], A)``. Entry (perm[i], j) of
+    P H_t - H_t P is H_t[i, j] - H_t[perm[i], perm[j]], so the norm is read
+    off one reindexing of H_t, without forming P.
+    """
+    perm = np.asarray(permutation, dtype=np.int64)
+    n = hk.n
+    if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
+        raise ValueError("permutation must be a rearrangement of 0..n-1")
+    h = hk.matrix
+    return float(np.abs(h[np.ix_(perm, perm)] - h).max())
 
 
 def frame_inequality_check(

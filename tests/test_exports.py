@@ -22,9 +22,9 @@ PUBLIC_NAMES = [
     "FrameReport", "Graph", "GstftCoefficients", "HeatKernel", "SpectralDecomposition",
     "SrgParameters", "TightnessSweep", "__version__", "as_signal", "boxcar_window",
     "build_from_edge_list", "complete_graph", "decompose", "deserialize",
-    "detect_srg_parameters", "dft", "dstft", "fiedler_eigenspace_mass", "frame_operator",
+    "detect_srg_parameters", "dft", "dstft", "fiedler_eigenspace_mass",
     "frame_report", "full_gabor_system", "graph_from_edge_list_text", "gstft", "heat_kernel",
-    "hypercube_graph", "inverse_gstft", "laplacian", "permutation_commutator",
+    "hypercube_graph", "inverse_gstft", "laplacian",
     "petersen_graph", "piecewise_cosine", "random_regular_graph", "ring_graph", "serialize",
     "shrikhande_graph", "spectrogram", "srg_eigenspace_mass",
     "tightness_sweep",
