@@ -58,17 +58,23 @@ def _write_output(path: str, text: str) -> None:
 def _write_report(args, doc, csv, companion=None) -> None:
     """Render and write only the format ``--format`` names. ``doc`` and ``csv``
     return the JSON document and the CSV text; ``companion`` is an optional
-    ``(suffix, render)`` pair for a second CSV file next to ``--out``."""
+    ``(suffix, render)`` pair for a second CSV file next to ``--out``, which
+    the command has checked with :func:`_require_companion_path`."""
     if args.format == "json":
         _write_output(args.out, formats.json_document(doc()))
         return
-    if companion is not None and args.out == "-":
-        raise ValueError(f"{args.command} CSV writes a companion file; --out must be a path")
     _write_output(args.out, csv())
     if companion is not None:
         suffix, render = companion
         root, ext = os.path.splitext(args.out)
         _write_output(f"{root}_{suffix}{ext or '.csv'}", render())
+
+
+def _require_companion_path(args) -> None:
+    """Refuse ``--out -`` for a CSV report that writes a companion file; called
+    once the inputs are read, before any decomposition or transform."""
+    if args.format == "csv" and args.out == "-":
+        raise ValueError(f"{args.command} CSV writes a companion file; --out must be a path")
 
 
 def _require(args, name: str):
@@ -111,7 +117,7 @@ def _decompose(g: graphs.Graph) -> spectral.SpectralDecomposition:
 
 def _resolve_t_grid(args) -> np.ndarray:
     if args.t is not None:
-        return np.array([args.t])
+        return np.array([heat._window_time(args.t)])
     return formats.parse_t_grid(args.t_grid if args.t_grid is not None else DEFAULT_T_GRID)
 
 
@@ -133,7 +139,8 @@ def cmd_spectrum(args) -> None:
 
 def cmd_heat(args) -> None:
     g = _resolve_graph(args)
-    hk = heat.heat_kernel(_decompose(g), args.t)
+    t = heat._window_time(args.t)  # before decomposing
+    hk = heat.heat_kernel(_decompose(g), t)
     _write_report(
         args,
         lambda: {"meta": _graph_meta(g, t=hk.t), "matrix": hk.matrix},
@@ -144,8 +151,10 @@ def cmd_heat(args) -> None:
 def cmd_gstft(args) -> None:
     g = _resolve_graph(args)
     f = _read(args.signal, "signal", signal_from_csv)
+    t = heat._window_time(args.t)  # the time, then the signal, before decomposing
+    f = spectral.as_signal(f, g.n)
     dec = _decompose(g)
-    hk = heat.heat_kernel(dec, args.t)
+    hk = heat.heat_kernel(dec, t)
     coeffs = gabor.gstft(dec, hk, f)
     meta = _graph_meta(g, t=hk.t)
     _write_report(
@@ -184,7 +193,7 @@ def cmd_reconstruct(args) -> None:
         raise ValueError("no window time available: pass --t or use a coefficient file with metadata")
     if args.t is not None and meta_t is not None and args.t != meta_t:
         raise ValueError(f"--t {args.t} conflicts with coefficient metadata t={meta_t}")
-    t = meta_t if meta_t is not None else args.t
+    t = heat._window_time(meta_t if meta_t is not None else args.t)  # before decomposing
 
     dec = _decompose(g)
     hk = heat.heat_kernel(dec, t)
@@ -199,6 +208,7 @@ def cmd_reconstruct(args) -> None:
 def cmd_frame_report(args) -> None:
     g = _resolve_graph(args)
     grid = _resolve_t_grid(args)
+    _require_companion_path(args)
     sweep = gabor.tightness_sweep(_decompose(g), grid)
     meta = _graph_meta(g, fiedler_value=sweep.fiedler_value)
     columns = ("t", "A", "B", "gap", "ratio", "tight")
@@ -230,6 +240,8 @@ def cmd_sweep_decay(args) -> None:
             raise ValueError(f"--k-list names degree {k} more than once")
         seen.add(k)
     grid = _resolve_t_grid(args)
+    for k in k_values:  # refuse a bad degree before sampling any graph
+        graphs._check_random_regular(args.n, k)
 
     rows = []
     for k in k_values:
@@ -255,6 +267,7 @@ def cmd_spectrogram(args) -> None:
         n = args.n if args.n is not None else 256
     if n > graphs.MAX_VERTICES:
         raise ValueError(f"signal length {n} exceeds the {graphs.MAX_VERTICES}-sample spectrogram limit")
+    _require_companion_path(args)
     if args.signal is None:
         f = classical.piecewise_cosine(n)
 

@@ -230,6 +230,23 @@ def shrikhande_graph() -> Graph:
     return build_from_edge_list(16, edges)
 
 
+def _check_random_regular(n: int, k: int) -> None:
+    """Refuse (n, k) as :func:`random_regular_graph` does before drawing."""
+    _check_vertex_count(n)
+    if k < 0 or k >= n:
+        raise ValueError(f"degree must satisfy 0 <= k < n, got k={k}, n={n}")
+    if (n * k) % 2 != 0:
+        raise ValueError(f"n*k must be even, got n={n}, k={k}")
+    if k <= 1 and n > k + 1:
+        raise ValueError(f"no {k}-regular graph on {n} vertices is connected; k <= 1 needs n = k + 1")
+    expected = math.exp((k * k - 1) / 4 + k**3 / (12 * n))
+    if expected > PAIRING_RETRIES / 3:
+        raise RuntimeError(
+            f"pairing model needs about {expected:.1e} attempts for a simple {k}-regular "
+            f"graph on {n} vertices, more than a third of the {PAIRING_RETRIES} attempts allowed"
+        )
+
+
 def random_regular_graph(n: int, k: int, seed: int) -> Graph:
     """Random simple connected k-regular graph via the half-edge pairing model.
 
@@ -260,20 +277,7 @@ def random_regular_graph(n: int, k: int, seed: int) -> Graph:
     seed : int
         Seed for the pairing stream.
     """
-    _check_vertex_count(n)
-    if k < 0 or k >= n:
-        raise ValueError(f"degree must satisfy 0 <= k < n, got k={k}, n={n}")
-    if (n * k) % 2 != 0:
-        raise ValueError(f"n*k must be even, got n={n}, k={k}")
-    if k <= 1 and n > k + 1:
-        raise ValueError(f"no {k}-regular graph on {n} vertices is connected; k <= 1 needs n = k + 1")
-    expected = math.exp((k * k - 1) / 4 + k**3 / (12 * n))
-    if expected > PAIRING_RETRIES / 3:
-        raise RuntimeError(
-            f"pairing model needs about {expected:.1e} attempts for a simple {k}-regular "
-            f"graph on {n} vertices, more than a third of the {PAIRING_RETRIES} attempts allowed"
-        )
-
+    _check_random_regular(n, k)
     rng = np.random.default_rng(seed)
     # labels[i] = i // k is the vertex of half-edge i. Permuting the labels
     # gives rng.permutation(n * k) // k bit for bit, and row r of a permuted

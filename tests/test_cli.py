@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gstft import cli, graphs
+from gstft import classical, cli, graphs, spectral
 from gstft.cli import main
 from gstft.formats import (
     matrix_from_csv, matrix_to_csv, signal_from_csv, signal_to_csv, split_meta, write_text_atomic,
@@ -631,6 +631,62 @@ def test_csv_companion_needs_an_out_path(capsys, argv):
     code, out, err = run(capsys, *argv, "--out", "-")
     assert code == 1 and out == ""
     assert err == f"error: {argv[0]} CSV writes a companion file; --out must be a path\n"
+
+
+@pytest.fixture(name="costly_calls")
+def costly_calls_fixture(monkeypatch):
+    """Every decomposition, graph sampling and spectrogram the CLI starts, by name."""
+    calls = []
+    for module, name in ((spectral, "decompose"), (graphs, "random_regular_graph"), (classical, "spectrogram")):
+        def traced(*args, _name=name, _original=getattr(module, name)):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(module, name, traced)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["heat", "--family", "ring", "--n", "40", "--t", "-1"], "t must be nonnegative, got -1.0"),
+        (["heat", "--family", "ring", "--n", "40", "--t", "nan"], "t must not be NaN"),
+        (["gstft", "--family", "ring", "--n", "40", "--signal", "two.csv", "--t", "1"],
+         "signal length 2 does not match n=40"),
+        (["gstft", "--family", "ring", "--n", "40", "--signal", "two.csv", "--t=-inf"], "t must be finite, got -inf"),
+        (["reconstruct", "--family", "ring", "--n", "4", "--coeffs", "meta.csv"], "t must be nonnegative, got -1.0"),
+        (["reconstruct", "--family", "ring", "--n", "4", "--coeffs", "bare.csv", "--t", "inf"],
+         "t must be finite, got inf"),
+        (["frame-report", "--family", "ring", "--n", "40", "--t", "-1", "--out", "r.csv"],
+         "t must be nonnegative, got -1.0"),
+        (["frame-report", "--family", "ring", "--n", "40", "--out", "-"],
+         "frame-report CSV writes a companion file; --out must be a path"),
+        (["spectrogram", "--n", "64", "--out", "-"], "spectrogram CSV writes a companion file; --out must be a path"),
+        (["sweep-decay", "--n", "60", "--k-list", "3,9", "--out", "d.csv"],
+         "pairing model needs about 1.3e+09 attempts for a simple 9-regular graph on 60 vertices, "
+         "more than a third of the 1000000 attempts allowed"),
+        (["sweep-decay", "--n", "21", "--k-list", "2,3", "--out", "d.csv"], "n*k must be even, got n=21, k=3"),
+        (["sweep-decay", "--n", "20", "--k-list", "3,20,9", "--out", "d.csv"],
+         "degree must satisfy 0 <= k < n, got k=20, n=20"),
+        (["sweep-decay", "--n", "20", "--k-list", "4,1", "--out", "d.csv"],
+         "no 1-regular graph on 20 vertices is connected; k <= 1 needs n = k + 1"),
+    ],
+    ids=[
+        "heat-negative-t", "heat-nan-t", "gstft-signal-length", "gstft-time-before-length", "reconstruct-meta-t",
+        "reconstruct-t", "frame-report-t", "frame-report-stdout", "spectrogram-stdout", "sweep-decay-estimate",
+        "sweep-decay-parity", "sweep-decay-range", "sweep-decay-disconnected",
+    ],
+)
+def test_argument_errors_refused_before_costly_work(tmp_path, capsys, monkeypatch, costly_calls, argv, line):
+    # times, signal length, degrees and a companion --out are refused before any decomposition,
+    # sampling or transform, with the same line as when they were refused after it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "two.csv").write_text("1\n2\n")
+    (tmp_path / "meta.csv").write_text(matrix_to_csv(np.zeros((4, 4), complex), meta={"n": 4, "t": -1}))
+    (tmp_path / "bare.csv").write_text(matrix_to_csv(np.zeros((4, 4), complex)))
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {line}\n")
+    assert costly_calls == []
+    assert not (tmp_path / "r.csv").exists() and not (tmp_path / "d.csv").exists()
 
 
 class TestAtomicWrite:
