@@ -231,7 +231,8 @@ def shrikhande_graph() -> Graph:
 
 
 def _check_random_regular(n: int, k: int) -> None:
-    """Refuse (n, k) as :func:`random_regular_graph` does before drawing."""
+    """The refusals :func:`random_regular_graph` makes before drawing, on their
+    own, so ``sweep-decay`` can check every degree before it samples a graph."""
     _check_vertex_count(n)
     if k < 0 or k >= n:
         raise ValueError(f"degree must satisfy 0 <= k < n, got k={k}, n={n}")
