@@ -36,9 +36,9 @@ def dft(f) -> np.ndarray:
 
 
 def _shifted_windows(g: np.ndarray) -> np.ndarray:
-    """Matrix with row k equal to T_k g."""
-    n = g.size
-    return np.stack([np.roll(g, k) for k in range(n)])
+    """Matrix with row k equal to T_k g: entry [k, m] is g((m - k) mod N)."""
+    r = np.arange(g.size)
+    return g[(r[None, :] - r[:, None]) % g.size]
 
 
 def _harmonics(n: int) -> np.ndarray:

@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -202,32 +201,25 @@ def hypercube_graph(d: int) -> Graph:
 
 
 def petersen_graph() -> Graph:
-    """Petersen graph as the Kneser graph K(5,2): 2-subsets of {0..4}, adjacent iff disjoint."""
-    subsets = list(combinations(range(5), 2))
-    edges = [
-        (i, j)
-        for i in range(10)
-        for j in range(i + 1, 10)
-        if not set(subsets[i]) & set(subsets[j])
-    ]
-    return build_from_edge_list(10, edges)
+    """Petersen graph as the Kneser graph K(5,2): 2-subsets of {0..4}, adjacent iff disjoint.
+
+    Vertex i is the i-th subset {a, b}, a < b, in lexicographic order.
+    """
+    a, b = np.triu_indices(5, 1)
+    return Graph((a[:, None] != a) & (a[:, None] != b) & (b[:, None] != a) & (b[:, None] != b))
 
 
 def shrikhande_graph() -> Graph:
     """Shrikhande graph: Cayley graph of Z4 x Z4 with connection set {+-(1,0), +-(0,1), +-(1,1)}.
 
-    Vertex (x, y) is numbered 4x + y. Joining each vertex to its sums with
-    (1,0), (0,1) and (1,1) gives every edge, since the negated vectors reach
-    the same pairs from the other end. The result is 6-regular on 16
-    vertices and strongly regular with parameters (16, 6, 2, 2).
+    Vertex (x, y) is numbered 4x + y, and two vertices are adjacent iff their
+    difference, numbered the same way, lies in the connection set
+    {4, 12, 1, 3, 5, 15}. The result is 6-regular on 16 vertices and
+    strongly regular with parameters (16, 6, 2, 2).
     """
-    edges = [
-        (4 * x + y, 4 * ((x + dx) % 4) + (y + dy) % 4)
-        for x in range(4)
-        for y in range(4)
-        for dx, dy in ((1, 0), (0, 1), (1, 1))
-    ]
-    return build_from_edge_list(16, edges)
+    x, y = np.divmod(np.arange(16), 4)
+    difference = 4 * ((x[:, None] - x) % 4) + (y[:, None] - y) % 4
+    return Graph(np.isin(difference, (4, 12, 1, 3, 5, 15)))
 
 
 def _check_random_regular(n: int, k: int) -> None:

@@ -107,13 +107,15 @@ class TestDstft:
                 atom = oracles.time_frequency_shift(g, k, l)
                 assert abs(v[k, l] - np.vdot(atom, f)) <= 1e-12
 
-    @pytest.mark.parametrize("n", [1, 7, 97])
+    @pytest.mark.parametrize("n", [1, 2, 7, 50, 97])
     def test_matches_harmonic_product(self, n):
         # V_g f(k, l) = sum_m f(m) conj(g(m - k)) e^(-2 pi i l m / N) as one explicit product
         f = random_vector(n, seed=300 + n)
         g = random_vector(n, seed=400 + n)
         grid = np.arange(n)
-        windowed = np.stack([f * np.roll(g, k).conj() for k in range(n)])
+        shifted = np.stack([np.roll(g, k) for k in range(n)])
+        assert np.array_equal(classical._shifted_windows(g), shifted)
+        windowed = f * shifted.conj()
         expected = windowed @ np.exp(-2j * np.pi * np.outer(grid, grid) / n).T
         assert np.abs(classical.dstft(f, g) - expected).max() <= 1e-12 * np.abs(expected).max()
 
