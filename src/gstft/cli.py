@@ -134,7 +134,8 @@ def cmd_spectrum(args) -> None:
         lambda: {"meta": _graph_meta(g), "eigenvalues": dec.eigenvalues, "eigenvectors": dec.eigenvectors},
         lambda: matrix_to_csv(np.column_stack([dec.eigenvalues, dec.eigenvectors])),
     )
-    print(formats.csv_cell(dec.fiedler_value))
+    if args.out != "-":  # on stdout the document stands alone
+        print(formats.csv_cell(dec.fiedler_value))
 
 
 def cmd_heat(args) -> None:
@@ -326,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-", help="output path ('-' for stdout)")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("spectrum", help="Laplacian eigendecomposition CSV; prints the Fiedler value")
+    p = sub.add_parser("spectrum", help="Laplacian eigendecomposition; prints the Fiedler value when --out is a path")
     _add_graph_source(p)
     _add_common_output(p)
     p.set_defaults(func=cmd_spectrum)

@@ -206,7 +206,8 @@ def tightness_sweep(dec: SpectralDecomposition, t_grid) -> TightnessSweep:
 
     Each gamma_j(t) - 1/N is a nonnegative combination of exp(-2 lambda t)
     with lambda >= lambda_2, which gives the Fiedler-rate envelope stated on
-    :class:`TightnessSweep`. The gap itself need not be monotone; it is 0 at t = 0.
+    :class:`TightnessSweep`. The gap itself need not be monotone; it is zero up
+    to roundoff at t = 0, where the spectral sum gives gamma = 1 within a few ulps.
     """
     ts = np.asarray(t_grid, dtype=np.float64)
     if ts.ndim != 1 or ts.size == 0:

@@ -189,11 +189,15 @@ def complete_graph(n: int) -> Graph:
 
 
 def hypercube_graph(d: int) -> Graph:
-    """Hypercube Q_d on 2**d vertices, adjacent iff binary labels differ in one bit."""
+    """Hypercube Q_d on 2**d vertices, adjacent iff binary labels differ in one bit.
+
+    Requires d >= 1 and 2**d <= MAX_VERTICES, decided from d before 2**d is formed.
+    """
     if d < 1:
         raise ValueError(f"hypercube dimension must be >= 1, got {d}")
+    if d >= MAX_VERTICES.bit_length():  # exactly when 2**d > MAX_VERTICES
+        raise ValueError(f"hypercube on 2^{d} vertices exceeds the {MAX_VERTICES}-vertex limit")
     n = 2**d
-    _check_vertex_count(n)
     v = np.arange(n)[:, None]
     adjacency = np.zeros((n, n), dtype=bool)
     adjacency[v, v ^ (1 << np.arange(d))] = True  # flipping a bit twice returns, so this is symmetric
@@ -222,6 +226,16 @@ def shrikhande_graph() -> Graph:
     return Graph(np.isin(difference, (4, 12, 1, 3, 5, 15)))
 
 
+def _exp_text(x: float) -> str:
+    """``f"{math.exp(x):.1e}"``, with an ``exp(x)`` beyond the float range written from ``x``."""
+    try:
+        return f"{math.exp(x):.1e}"
+    except OverflowError:
+        exponent, fraction = divmod(x / math.log(10), 1)
+        mantissa, carry = f"{10**fraction:.1e}".split("e")  # carry is +01 when the mantissa rounds to 10
+        return f"{mantissa}e+{int(exponent) + int(carry)}"
+
+
 def _check_random_regular(n: int, k: int) -> None:
     """The refusals :func:`random_regular_graph` makes before drawing, on their
     own, so ``sweep-decay`` can check every degree before it samples a graph."""
@@ -232,10 +246,10 @@ def _check_random_regular(n: int, k: int) -> None:
         raise ValueError(f"n*k must be even, got n={n}, k={k}")
     if k <= 1 and n > k + 1:
         raise ValueError(f"no {k}-regular graph on {n} vertices is connected; k <= 1 needs n = k + 1")
-    expected = math.exp((k * k - 1) / 4 + k**3 / (12 * n))
-    if expected > PAIRING_RETRIES / 3:
+    log_expected = (k * k - 1) / 4 + k**3 / (12 * n)  # its exp overflows from k = 54 at any n
+    if log_expected > math.log(PAIRING_RETRIES / 3):
         raise RuntimeError(
-            f"pairing model needs about {expected:.1e} attempts for a simple {k}-regular "
+            f"pairing model needs about {_exp_text(log_expected)} attempts for a simple {k}-regular "
             f"graph on {n} vertices, more than a third of the {PAIRING_RETRIES} attempts allowed"
         )
 

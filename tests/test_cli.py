@@ -96,6 +96,15 @@ class TestSpectrum:
         table = matrix_from_csv(out.read_text())[0].real
         assert np.abs(table[:, 0] - [0.0, 2.0]).max() <= 1e-12
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_holds_the_document_alone(self, capsys, fmt):
+        # the Fiedler value is printed only beside a document written to a file
+        stdout = run_ok(capsys, "spectrum", "--family", "petersen", "--format", fmt, "--out", "-")
+        if fmt == "json":
+            assert len(json.loads(stdout)["eigenvalues"]) == 10
+        else:
+            assert [len(row.split(",")) for row in stdout.splitlines()] == [11] * 10
+
     def test_disconnected_graph_file_fails(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"n":3,"edges":[[0,1]]}')
@@ -664,6 +673,9 @@ def costly_calls_fixture(monkeypatch):
         (["sweep-decay", "--n", "60", "--k-list", "3,9", "--out", "d.csv"],
          "pairing model needs about 1.3e+09 attempts for a simple 9-regular graph on 60 vertices, "
          "more than a third of the 1000000 attempts allowed"),
+        (["sweep-decay", "--n", "200", "--k-list", "3,100", "--out", "d.csv"],
+         "pairing model needs about 3.8e+1266 attempts for a simple 100-regular graph on 200 vertices, "
+         "more than a third of the 1000000 attempts allowed"),
         (["sweep-decay", "--n", "21", "--k-list", "2,3", "--out", "d.csv"], "n*k must be even, got n=21, k=3"),
         (["sweep-decay", "--n", "20", "--k-list", "3,20,9", "--out", "d.csv"],
          "degree must satisfy 0 <= k < n, got k=20, n=20"),
@@ -673,7 +685,7 @@ def costly_calls_fixture(monkeypatch):
     ids=[
         "heat-negative-t", "heat-nan-t", "gstft-signal-length", "gstft-time-before-length", "reconstruct-meta-t",
         "reconstruct-t", "frame-report-t", "frame-report-stdout", "spectrogram-stdout", "sweep-decay-estimate",
-        "sweep-decay-parity", "sweep-decay-range", "sweep-decay-disconnected",
+        "sweep-decay-estimate-beyond-float", "sweep-decay-parity", "sweep-decay-range", "sweep-decay-disconnected",
     ],
 )
 def test_argument_errors_refused_before_costly_work(tmp_path, capsys, monkeypatch, costly_calls, argv, line):
@@ -687,6 +699,22 @@ def test_argument_errors_refused_before_costly_work(tmp_path, capsys, monkeypatc
     assert (code, out, err) == (1, "", f"error: {line}\n")
     assert costly_calls == []
     assert not (tmp_path / "r.csv").exists() and not (tmp_path / "d.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["--family", "hypercube", "--d", "20000"], "hypercube on 2^20000 vertices exceeds the 4096-vertex limit"),
+        (["--family", "random-regular", "--n", "200", "--k", "100"],
+         "pairing model needs about 3.8e+1266 attempts for a simple 100-regular graph on 200 vertices, "
+         "more than a third of the 1000000 attempts allowed"),
+    ],
+    ids=["hypercube", "random-regular"],
+)
+def test_gen_refuses_a_size_beyond_float_and_string_range(tmp_path, capsys, argv, line):
+    code, out, err = run(capsys, "gen", *argv, "--out", str(tmp_path / "g.json"))
+    assert (code, out, err) == (1, "", f"error: {line}\n")
+    assert not (tmp_path / "g.json").exists()
 
 
 class TestAtomicWrite:

@@ -259,6 +259,11 @@ class TestFamilies:
                 build()
         graphs.hypercube_graph(12)  # 4096 vertices: at the limit, allowed
 
+    def test_hypercube_refused_from_its_dimension(self):
+        # 2**20000 has 6021 digits, past the interpreter's integer-to-string limit
+        with pytest.raises(ValueError, match=r"^hypercube on 2\^20000 vertices exceeds the 4096-vertex limit$"):
+            graphs.hypercube_graph(20000)
+
     def test_petersen(self):
         g = graphs.petersen_graph()
         assert g.n == 10
@@ -380,6 +385,12 @@ class TestRandomRegular:
         with pytest.raises(RuntimeError, match=r"4\.9e\+08 attempts.*9-regular.*4096 vertices.*1000000"):
             graphs.random_regular_graph(4096, 9, seed=0)
         assert time.monotonic() - started < 1.0
+
+    def test_estimate_beyond_float_range_refused(self):
+        # exp((100^2 - 1) / 4 + 100^3 / 2400) = 3.8e1266 overflows a float; it is decided from its logarithm
+        with pytest.raises(RuntimeError, match=r"^pairing model needs about 3\.8e\+1266 attempts for a simple "
+                           r"100-regular graph on 200 vertices, more than a third of the 1000000 attempts allowed$"):
+            graphs.random_regular_graph(200, 100, seed=0)
 
     def test_retry_loop_still_exhausts(self, monkeypatch):
         # The up-front estimate lets each budget below through, since it is at
