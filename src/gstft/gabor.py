@@ -38,7 +38,7 @@ import numpy as np
 
 from .graphs import SrgParameters
 from .heat import HeatKernel, _decay, _window_time, heat_kernel
-from .spectral import CLUSTER_TOL, SpectralDecomposition, as_signal
+from .spectral import SpectralDecomposition, as_signal
 
 __all__ = [
     "GstftCoefficients", "FrameReport", "TightnessSweep", "gstft", "frame_report",
@@ -226,16 +226,15 @@ def fiedler_eigenspace_mass(dec: SpectralDecomposition) -> np.ndarray:
 
     Entry i is sum over the lambda_2-eigenspace of |phi(v_i)|^2, the diagonal
     of that eigenspace's projector, so the value is basis-independent under
-    multiplicity. Consecutive eigenvalues closer than ``CLUSTER_TOL`` share an
-    eigenspace. Only the eigenspace's columns are read: O(n * multiplicity)
+    multiplicity. The eigenspace is the decomposition's second, from
+    ``dec.eigenspaces``. Only its columns are read: O(n * multiplicity)
     work and memory. On strongly regular graphs this is the vertex-independent
     quantity with the closed form :func:`srg_eigenspace_mass`.
     """
-    starts = np.flatnonzero(np.diff(dec.eigenvalues) > CLUSTER_TOL) + 1
-    if starts.size == 0:
+    start_stop = np.append(dec.eigenspaces[1:3], dec.n)
+    if start_stop.size < 2:
         raise ValueError("spectrum has no second eigenspace to project onto")
-    stop = starts[1] if starts.size > 1 else dec.n
-    return np.square(dec.eigenvectors[:, starts[0] : stop]).sum(axis=1)
+    return np.square(dec.eigenvectors[:, start_stop[0] : start_stop[1]]).sum(axis=1)
 
 
 def srg_eigenspace_mass(params: SrgParameters) -> float:

@@ -48,12 +48,15 @@ class SpectralDecomposition:
     an ``(n,)`` non-decreasing array or eigenvectors that are not ``(n, n)``,
     then when ``orthonormality_residual = max|Phi Phi^T - I|`` exceeds
     ``64 n eps`` (Higham, *Accuracy and Stability*, section 3) or is NaN.
+    ``eigenspaces`` holds the ascending start offset of each eigenspace, the
+    zero eigenspace first: consecutive eigenvalues closer than ``CLUSTER_TOL`` share one.
     Equality and hashing go by identity, the key of heat-kernel reuse.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     orthonormality_residual: float = field(init=False)
+    eigenspaces: np.ndarray = field(init=False)
 
     def __post_init__(self):
         w, v = self.eigenvalues, self.eigenvectors
@@ -71,8 +74,9 @@ class SpectralDecomposition:
         if not residual <= bound:
             raise ValueError(f"eigenvectors are not orthonormal: max|Phi Phi^T - I| = {residual:.3e} exceeds {bound:.3e}")
         object.__setattr__(self, "orthonormality_residual", residual)
-        w.setflags(write=False)
-        v.setflags(write=False)
+        object.__setattr__(self, "eigenspaces", np.flatnonzero(np.diff(w, prepend=-np.inf) > CLUSTER_TOL))
+        for array in (w, v, self.eigenspaces):
+            array.setflags(write=False)
 
     @property
     def n(self) -> int:

@@ -137,6 +137,16 @@ def test_transform_inverts_and_respects_frame_bounds(g, t, seed):
 
 
 @repeatable
+@given(connected_graphs())
+def test_eigenspace_sizes_are_the_oracle_projector_ranks(g):
+    dec = spectral.decompose(spectral.laplacian(g))
+    sizes = np.diff(dec.eigenspaces, append=g.n)
+    ranks = [int(round(np.trace(p))) for _, p in oracles.eigenspace_projectors(dec)]
+    assert sizes.tolist() == ranks
+    assert dec.eigenspaces[0] == 0 and abs(dec.eigenvalues[0]) <= 1e-10
+
+
+@repeatable
 @given(connected_graphs(), st.floats(0.0, 5.0), st.floats(0.0, 5.0))
 def test_heat_kernels_are_stochastic_and_compose(g, s, t):
     dec = spectral.decompose(spectral.laplacian(g))

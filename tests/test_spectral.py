@@ -6,6 +6,7 @@ basis-invariant quantities (projectors, residuals) because degenerate
 eigenspaces have no canonical basis.
 """
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -273,6 +274,59 @@ class TestEigenspaceProjectors:
         assert np.abs(total - np.eye(graph.n)).max() <= 1e-10
         for _, p in projectors:
             assert np.abs(p @ p - p).max() <= 1e-10
+
+
+LARGE = {
+    "ring1024": lambda: graphs.ring_graph(1024),
+    "q10": lambda: graphs.hypercube_graph(10),
+    "k512": lambda: graphs.complete_graph(512),
+    "rr1000": lambda: graphs.random_regular_graph(1000, 3, seed=1),
+}
+
+
+@pytest.fixture(scope="module", name="large_decompositions")
+def large_decompositions_fixture():
+    return {name: spectral.decompose(spectral.laplacian(build())) for name, build in LARGE.items()}
+
+
+class TestEigenspaces:
+    @pytest.mark.parametrize(
+        "build, starts",
+        [(graphs.petersen_graph, [0, 1, 6]), (graphs.shrikhande_graph, [0, 1, 7]),
+         (lambda: graphs.ring_graph(4), [0, 1, 3]), (lambda: np.eye(3), [0])],
+        ids=["petersen", "shrikhande", "ring4", "identity"],
+    )
+    def test_start_offsets(self, build, starts):
+        g = build()
+        dec = spectral.decompose(g if isinstance(g, np.ndarray) else spectral.laplacian(g))
+        assert dec.eigenspaces.tolist() == starts
+
+    @pytest.mark.parametrize("name, count", [("ring1024", 513), ("q10", 11), ("k512", 2), ("rr1000", 1000)])
+    def test_cluster_counts(self, large_decompositions, name, count):
+        assert large_decompositions[name].eigenspaces.size == count
+
+    def test_cluster_tol_separates_clusters_by_two_decades(self, large_decompositions):
+        # A numpy or LAPACK change that erodes either margin fails here
+        # instead of silently regrouping the spectrum.
+        widest, narrowest = 0.0, np.inf
+        for dec in large_decompositions.values():
+            w, starts = dec.eigenvalues, dec.eigenspaces
+            stops = np.append(starts[1:], dec.n)
+            widest = max(widest, float((w[stops - 1] - w[starts]).max()))
+            narrowest = min(narrowest, float((w[starts[1:]] - w[starts[1:] - 1]).min()))
+        assert widest <= spectral.CLUSTER_TOL / 100
+        assert narrowest >= 100 * spectral.CLUSTER_TOL
+
+    def test_derived_once_and_read_only(self):
+        dec = spectral.decompose(spectral.laplacian(graphs.petersen_graph()))
+        assert [f.name for f in dataclasses.fields(dec) if f.init] == ["eigenvalues", "eigenvectors"]
+        with pytest.raises(ValueError, match="read-only"):
+            dec.eigenspaces[0] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            dec.eigenspaces = np.array([0])
+
+    def test_empty_decomposition_has_no_eigenspaces(self):
+        assert spectral.decompose(np.zeros((0, 0))).eigenspaces.shape == (0,)
 
 
 class TestRingDftCorrespondence:
