@@ -179,6 +179,8 @@ def cmd_reconstruct(args) -> None:
 
     def parse(text: str) -> tuple[np.ndarray, dict, dict]:
         matrix, meta = _coefficients(text)
+        if "t" in meta:  # a bad time is an error in this file
+            heat._window_time(meta["t"])
         if "n" in meta and meta["n"] != g.n:
             raise ValueError(f"coefficients are for n={meta['n']} but graph has n={g.n}")
         if matrix.shape != (g.n, g.n):

@@ -119,7 +119,7 @@ def _decay(dec: SpectralDecomposition, t: float, rate: float) -> np.ndarray:
 
 
 def _window_time(t) -> float:
-    """``t`` as a float; NaN, infinite and negative times are rejected."""
+    """``t`` as a float, -0 as +0; NaN, infinite and negative times are rejected."""
     t = float(t)
     if math.isnan(t):
         raise ValueError("t must not be NaN")
@@ -127,7 +127,7 @@ def _window_time(t) -> float:
         raise ValueError(f"t must be finite, got {t}")
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
-    return t
+    return t + 0.0  # exact for every t; -0.0 + 0.0 is +0.0, so outputs and reuse keys never carry -0
 
 
 def heat_kernel(dec: SpectralDecomposition, t: float) -> HeatKernel:

@@ -278,6 +278,27 @@ class TestTransformRoundTrip:
         err = run_err(capsys, "reconstruct", "--graph", str(graph_path), "--coeffs", str(coeffs), *t, "--out", "-")
         assert err == f"error: {problem.format(coeffs=coeffs)}\n"
 
+    @pytest.mark.parametrize(
+        "name, meta_t, problem",
+        [
+            ("c.csv", "1e999", "t must be finite, got inf"),
+            ("c.csv", "NaN", "t must not be NaN"),
+            ("c.csv", "-1", "t must be nonnegative, got -1.0"),
+            ("c.json", "-Infinity", "t must be finite, got -inf"),
+        ],
+        ids=["csv-overflow", "csv-nan", "csv-negative", "json-minus-infinity"],
+    )
+    def test_bad_meta_time_names_the_file(self, tmp_path, capsys, ring8_setup, name, meta_t, problem):
+        graph_path, _, _ = ring8_setup
+        coeffs = tmp_path / name
+        eye = np.eye(8, dtype=complex)
+        if name.endswith(".json"):
+            coeffs.write_text(f'{{"meta": {{"n": 8, "t": {meta_t}}}, "matrix": {json.dumps([[[z.real, z.imag] for z in row] for row in eye])}}}')
+        else:
+            coeffs.write_text(f'# meta {{"n": 8, "t": {meta_t}}}\n' + matrix_to_csv(eye))
+        err = run_err(capsys, "reconstruct", "--graph", str(graph_path), "--coeffs", str(coeffs), "--out", "-")
+        assert err == f"error: coefficient file {coeffs}: {problem}\n"
+
     def test_signal_length_mismatch_fails(self, tmp_path, capsys, ring8_setup):
         graph_path, _, _ = ring8_setup
         short = tmp_path / "short.csv"
@@ -338,6 +359,20 @@ class TestFrameReport:
         run_ok(capsys, "frame-report", "--family", "ring", "--n", "5", "--t", "1.0", "--out", str(out))
         rows = [l for l in out.read_text().splitlines() if l and not l.startswith("#")]
         assert len(rows) == 2
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["frame-report", "--t=-0"], "0,0.99999999999999956,"),
+            (["heat", "--t=-0", "--format", "json"], '"t":0.0'),
+            (["frame-report", "--t-grid=-0:1:1", "--format", "json"], '"t":0.0'),
+        ],
+        ids=["frame-report-csv", "heat-json", "grid-json"],
+    )
+    def test_minus_zero_time_is_written_as_zero(self, tmp_path, capsys, argv, expected):
+        out = tmp_path / "r.out"
+        run_ok(capsys, *argv, "--family", "ring", "--n", "4", "--out", str(out))
+        assert expected in out.read_text() and "-0" not in out.read_text()
 
     def test_huge_time_reports_the_uniform_limit(self, capsys, family="ring", n=5, t="1e308"):
         size = ("--d", str(n.bit_length() - 1)) if family == "hypercube" else ("--n", str(n))
@@ -662,7 +697,8 @@ def costly_calls_fixture(monkeypatch):
         (["gstft", "--family", "ring", "--n", "40", "--signal", "two.csv", "--t", "1"],
          "signal length 2 does not match n=40"),
         (["gstft", "--family", "ring", "--n", "40", "--signal", "two.csv", "--t=-inf"], "t must be finite, got -inf"),
-        (["reconstruct", "--family", "ring", "--n", "4", "--coeffs", "meta.csv"], "t must be nonnegative, got -1.0"),
+        (["reconstruct", "--family", "ring", "--n", "4", "--coeffs", "meta.csv"],
+         "coefficient file meta.csv: t must be nonnegative, got -1.0"),
         (["reconstruct", "--family", "ring", "--n", "4", "--coeffs", "bare.csv", "--t", "inf"],
          "t must be finite, got inf"),
         (["frame-report", "--family", "ring", "--n", "40", "--t", "-1", "--out", "r.csv"],

@@ -158,6 +158,14 @@ def test_constructor_stores_time_as_float():
     assert type(hk.t) is float and hk.t == 0.5
 
 
+@pytest.mark.parametrize("first", [0.0, -0.0], ids=["plus-first", "minus-first"])
+def test_minus_zero_time_is_stored_as_plus_zero(first):
+    # 0.0 and -0.0 are one reuse key, so a kept kernel's sign must not depend on which came first
+    _, dec = make(graphs.ring_graph(4))
+    kernels = [heat.heat_kernel(dec, t) for t in (first, -first, -0.0)] + [heat.HeatKernel(-0.0, np.eye(3))]
+    assert [math.copysign(1.0, hk.t) for hk in kernels] == [1.0] * 4
+
+
 def test_nan_time_kernel_never_reaches_a_round_trip():
     _, dec = make(graphs.ring_graph(4))
     with pytest.raises(ValueError, match="^t must not be NaN$"):
