@@ -348,6 +348,15 @@ class TestRandomRegular:
                 break
         assert graphs.random_regular_graph(n, k, seed).edges.tolist() == sorted(map(list, pairs))
 
+    def test_stream_over_many_seeds_pinned(self):
+        # sha256 over the adjacency bytes of 135 sampled graphs, seeds 0-14 per (n, k);
+        # (100, 7, 42) is left to criterion 7, which draws it already
+        digest = hashlib.sha256()
+        for n, k in [(24, 3), (30, 4), (60, 5), (64, 3), (100, 3), (100, 5), (128, 3), (40, 6), (1000, 3)]:
+            for seed in range(15):
+                digest.update(graphs.random_regular_graph(n, k, seed).adjacency.tobytes())
+        assert digest.hexdigest() == "0d9d3c02ec2c79a0ad5da401c7d054e662932e23f8ca9b030c62682f4ca404e4"
+
     @pytest.mark.parametrize("n,k,seed", [(6, 1, 0), (5, 0, 0), (4096, 1, 0)])
     def test_disconnected_degree_refused_before_drawing(self, n, k, seed):
         # k <= 1 gives a perfect matching or no edges, connected only on k + 1 vertices
@@ -385,6 +394,18 @@ class TestRandomRegular:
         with pytest.raises(RuntimeError, match=r"4\.9e\+08 attempts.*9-regular.*4096 vertices.*1000000"):
             graphs.random_regular_graph(4096, 9, seed=0)
         assert time.monotonic() - started < 1.0
+
+    @pytest.mark.parametrize(
+        "n, k, expected",
+        [(16, 8, "1.0e+08"), (4096, 8, "7.0e+06"), (4096, 53, "1.5e+306"), (4096, 54, "7.6e+317")],
+        ids=["mantissa-carry", "one-digit-exponent", "last-float-estimate", "first-beyond-float"],
+    )
+    def test_estimate_text_in_every_regime(self, n, k, expected):
+        # 9.96e7 rounds up to 1.0e+08; 7.0e+06 keeps a two-digit exponent; exp overflows a float from k = 54
+        with pytest.raises(RuntimeError, match=rf"^pairing model needs about {re.escape(expected)} attempts for a "
+                           rf"simple {k}-regular graph on {n} vertices, more than a third of the 1000000 "
+                           r"attempts allowed$"):
+            graphs.random_regular_graph(n, k, seed=0)
 
     def test_estimate_beyond_float_range_refused(self):
         # exp((100^2 - 1) / 4 + 100^3 / 2400) = 3.8e1266 overflows a float; it is decided from its logarithm
