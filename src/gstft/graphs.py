@@ -226,19 +226,13 @@ def shrikhande_graph() -> Graph:
     return Graph(np.isin(difference, (4, 12, 1, 3, 5, 15)))
 
 
-def _exp_text(x: float) -> str:
-    """``f"{math.exp(x):.1e}"``, with an ``exp(x)`` beyond the float range written from ``x``."""
-    try:
-        return f"{math.exp(x):.1e}"
-    except OverflowError:
-        exponent, fraction = divmod(x / math.log(10), 1)
-        mantissa, carry = f"{10**fraction:.1e}".split("e")  # carry is +01 when the mantissa rounds to 10
-        return f"{mantissa}e+{int(exponent) + int(carry)}"
-
-
 def _check_random_regular(n: int, k: int) -> None:
     """The refusals :func:`random_regular_graph` makes before drawing, on their
-    own, so ``sweep-decay`` can check every degree before it samples a graph."""
+    own, so ``sweep-decay`` can check every degree before it samples a graph.
+
+    The attempt estimate is written from its base-10 logarithm, so every
+    degree up to n - 1 gets a finite text, also where its exp overflows a float.
+    """
     _check_vertex_count(n)
     if k < 0 or k >= n:
         raise ValueError(f"degree must satisfy 0 <= k < n, got k={k}, n={n}")
@@ -248,9 +242,11 @@ def _check_random_regular(n: int, k: int) -> None:
         raise ValueError(f"no {k}-regular graph on {n} vertices is connected; k <= 1 needs n = k + 1")
     log_expected = (k * k - 1) / 4 + k**3 / (12 * n)  # its exp overflows from k = 54 at any n
     if log_expected > math.log(PAIRING_RETRIES / 3):
+        exponent, fraction = divmod(log_expected / math.log(10), 1)
+        mantissa, carry = f"{10**fraction:.1e}".split("e")  # carry is +01 when the mantissa rounds to 10
         raise RuntimeError(
-            f"pairing model needs about {_exp_text(log_expected)} attempts for a simple {k}-regular "
-            f"graph on {n} vertices, more than a third of the {PAIRING_RETRIES} attempts allowed"
+            f"pairing model needs about {mantissa}e+{int(exponent) + int(carry):02d} attempts for a simple "
+            f"{k}-regular graph on {n} vertices, more than a third of the {PAIRING_RETRIES} attempts allowed"
         )
 
 
