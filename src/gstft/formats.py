@@ -190,9 +190,10 @@ def coefficient_meta(meta) -> dict:
 
 
 def parse_t_grid(text: str) -> np.ndarray:
-    """Parse "start:stop:step" into an inclusive ascending nonnegative finite grid.
+    """Parse "start:stop:step" into an inclusive strictly ascending nonnegative finite grid.
 
-    Grids of more than ``MAX_T_GRID_POINTS`` points are refused before allocating.
+    Grids of more than ``MAX_T_GRID_POINTS`` points are refused before allocating,
+    and grids whose points collapse under rounding once built.
     """
     parts = text.split(":")
     if len(parts) != 3:
@@ -209,7 +210,10 @@ def parse_t_grid(text: str) -> np.ndarray:
     count = np.floor((stop - start) / step + 1e-9) + 1
     if count > MAX_T_GRID_POINTS:
         raise ValueError(f"t-grid {text!r} has more than {MAX_T_GRID_POINTS} points")
-    return start + step * np.arange(int(count))
+    grid = start + step * np.arange(int(count))
+    if (np.diff(grid) <= 0).any():
+        raise ValueError(f"t-grid {text!r} has repeated points; its step is lost to rounding")
+    return grid
 
 
 def graph_sha256(serialized: str) -> str:

@@ -229,10 +229,8 @@ def shrikhande_graph() -> Graph:
 def _check_random_regular(n: int, k: int) -> None:
     """The refusals :func:`random_regular_graph` makes before drawing, on their
     own, so ``sweep-decay`` can check every degree before it samples a graph.
-
     The attempt estimate is written from its base-10 logarithm, so every
-    degree up to n - 1 gets a finite text, also where its exp overflows a float.
-    """
+    degree up to n - 1 gets a finite text, also where its exp overflows."""
     _check_vertex_count(n)
     if k < 0 or k >= n:
         raise ValueError(f"degree must satisfy 0 <= k < n, got k={k}, n={n}")

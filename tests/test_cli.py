@@ -716,11 +716,17 @@ def costly_calls_fixture(monkeypatch):
          "degree must satisfy 0 <= k < n, got k=20, n=20"),
         (["sweep-decay", "--n", "20", "--k-list", "4,1", "--out", "d.csv"],
          "no 1-regular graph on 20 vertices is connected; k <= 1 needs n = k + 1"),
+        # 1e16 + 1 rounds back to 1e16, so the grid's first two points collapse
+        (["frame-report", "--family", "ring", "--n", "5", "--t-grid", "1e16:1.0000000000000002e16:1", "--out", "r.csv"],
+         "t-grid '1e16:1.0000000000000002e16:1' has repeated points; its step is lost to rounding"),
+        (["sweep-decay", "--n", "20", "--k-list", "3", "--t-grid", "1e16:1.0000000000000002e16:1", "--out", "d.csv"],
+         "t-grid '1e16:1.0000000000000002e16:1' has repeated points; its step is lost to rounding"),
     ],
     ids=[
         "heat-negative-t", "heat-nan-t", "gstft-signal-length", "gstft-time-before-length", "reconstruct-meta-t",
         "reconstruct-t", "frame-report-t", "frame-report-stdout", "spectrogram-stdout", "sweep-decay-estimate",
         "sweep-decay-estimate-beyond-float", "sweep-decay-parity", "sweep-decay-range", "sweep-decay-disconnected",
+        "frame-report-collapsed-grid", "sweep-decay-collapsed-grid",
     ],
 )
 def test_argument_errors_refused_before_costly_work(tmp_path, capsys, monkeypatch, costly_calls, argv, line):
