@@ -115,12 +115,6 @@ def _decompose(g: graphs.Graph) -> spectral.SpectralDecomposition:
     return spectral.decompose(spectral.laplacian(g))
 
 
-def _resolve_t_grid(args) -> np.ndarray:
-    if args.t is not None:
-        return np.array([heat._window_time(args.t)])
-    return formats.parse_t_grid(args.t_grid if args.t_grid is not None else DEFAULT_T_GRID)
-
-
 def cmd_gen(args) -> None:
     g = FAMILIES[args.family](args)
     _write_output(args.out, graphs.serialize(g) + "\n")
@@ -210,7 +204,7 @@ def cmd_reconstruct(args) -> None:
 
 def cmd_frame_report(args) -> None:
     g = _resolve_graph(args)
-    grid = _resolve_t_grid(args)
+    grid = formats.parse_t_grid(args.t_grid) if args.t is None else np.array([heat._window_time(args.t)])
     _require_companion_path(args)
     sweep = gabor.tightness_sweep(_decompose(g), grid)
     meta = _graph_meta(g, fiedler_value=sweep.fiedler_value)
@@ -242,7 +236,7 @@ def cmd_sweep_decay(args) -> None:
         if k in seen:
             raise ValueError(f"--k-list names degree {k} more than once")
         seen.add(k)
-    grid = _resolve_t_grid(args)
+    grid = formats.parse_t_grid(args.t_grid)
     for k in k_values:  # refuse a bad degree before sampling any graph
         graphs._check_random_regular(args.n, k)
 
@@ -358,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_source(p)
     times = p.add_mutually_exclusive_group()
     times.add_argument("--t", type=float, help="single window time")
-    times.add_argument("--t-grid", metavar="A:B:STEP", help=f"inclusive time grid (default {DEFAULT_T_GRID})")
+    times.add_argument("--t-grid", default=DEFAULT_T_GRID, metavar="A:B:STEP", help="inclusive time grid (default %(default)s)")
     _add_common_output(p)
     p.set_defaults(func=cmd_frame_report)
 
@@ -366,9 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="vertex count")
     p.add_argument("--k-list", required=True, metavar="K1,K2,...", help="degrees to sweep")
     p.add_argument("--seed", type=int, default=0, help="pairing-model seed (default 0)")
-    p.add_argument("--t-grid", metavar="A:B:STEP", help=f"inclusive time grid (default {DEFAULT_T_GRID})")
+    p.add_argument("--t-grid", default=DEFAULT_T_GRID, metavar="A:B:STEP", help="inclusive time grid (default %(default)s)")
     _add_common_output(p)
-    p.set_defaults(func=cmd_sweep_decay, t=None)
+    p.set_defaults(func=cmd_sweep_decay)
 
     p = sub.add_parser("spectrogram", help="DFT magnitude and windowed-transform spectrogram")
     source = p.add_mutually_exclusive_group()

@@ -164,15 +164,15 @@ def coefficients_from_json(text: str) -> tuple[np.ndarray, object]:
         raise ValueError(f"document is not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or "matrix" not in doc:
         raise ValueError("document has no 'matrix' key")
-    rows = doc["matrix"]
-    if not isinstance(rows, list) or not all(
-        isinstance(row, list) and len(row) == len(rows[0]) for row in rows
-    ):
-        raise ValueError("'matrix' must be a list of equal-length rows")
-    try:
-        matrix = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=np.complex128)
-    except (TypeError, ValueError):
-        raise ValueError("each 'matrix' entry must be a [re, im] pair of numbers") from None
+    try:  # ragged rows raise; JSON integers beyond 64 bits give an object array
+        pairs = np.array(doc["matrix"])
+        if pairs.dtype == object and all(isinstance(v, (int, float)) for v in pairs.flat):
+            pairs = pairs.astype(np.float64)
+    except (ValueError, OverflowError):  # OverflowError: an integer beyond float range
+        pairs = np.empty(0)
+    if pairs.ndim != 3 or pairs.shape[-1] != 2 or pairs.dtype.kind not in "biuf":
+        raise ValueError("'matrix' must be a list of equal-length rows, each entry a [re, im] pair of numbers")
+    matrix = pairs.astype(np.float64, copy=False).view(np.complex128)[..., 0]
     if not np.isfinite(matrix).all():
         raise ValueError("'matrix' entries must be finite")
     return matrix, doc.get("meta", {})
