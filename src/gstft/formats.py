@@ -3,8 +3,8 @@ JSON report and coefficient documents; the ``perfbench`` harness imports them to
 
 Floats are always written with 17 significant digits, which round-trips
 float64 exactly; complex entries use the "re+imj" form accepted by Python's
-``complex()``. Matrix and signal CSV files may carry a leading metadata
-comment line of the form
+``complex()``. Matrix and signal CSV files may carry one metadata comment
+line, before any data line, of the form
 
     # meta {"n": 8, "t": 1.0, "graph_sha256": "..."}
 
@@ -45,15 +45,19 @@ def split_meta(text: str) -> tuple[dict, list[tuple[int, str]]]:
 
     Data lines are returned stripped, each with its 1-based line number in
     ``text``; other '#' comment lines and blank lines are dropped. A meta line
-    that is not valid JSON raises ValueError naming its line.
+    that is not valid JSON, or that follows a meta or data line, raises
+    ValueError naming its line.
     """
     meta: dict = {}
+    meta_allowed = True
     data_lines = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped:
             continue
         if stripped.startswith(META_PREFIX):
+            if not meta_allowed:
+                raise ValueError(f"line {lineno}: a '# meta' line must come before the data, and only once")
             try:
                 meta = json.loads(stripped[len(META_PREFIX):])
             except json.JSONDecodeError as exc:
@@ -62,6 +66,7 @@ def split_meta(text: str) -> tuple[dict, list[tuple[int, str]]]:
             continue
         else:
             data_lines.append((lineno, stripped))
+        meta_allowed = False
     return meta, data_lines
 
 
@@ -198,7 +203,10 @@ def parse_t_grid(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"t-grid must be start:stop:step, got {text!r}")
-    start, stop, step = (float(p) for p in parts)
+    try:
+        start, stop, step = (float(p) for p in parts)
+    except ValueError:
+        raise ValueError(f"t-grid values must be numbers, got {text!r}") from None
     if not np.isfinite([start, stop, step]).all():
         raise ValueError(f"t-grid values must be finite, got {text!r}")
     if step <= 0:

@@ -136,10 +136,10 @@ def build_from_edge_list(n: int, edges) -> Graph:
 
     Duplicate pairs (in either orientation) collapse to one edge. Rejects
     ``n`` outside ``1..MAX_VERTICES`` (before ``edges`` is read); endpoints
-    that are not integers of at most 64 bits (floats, bools and strings raise
-    TypeError, as a non-integer ``n`` does); the first pair, in input order,
-    that is a self-loop or has an endpoint outside ``0..n-1``; and any edge
-    set whose graph is disconnected.
+    that are not integers (floats, bools and strings raise TypeError, as a
+    non-integer ``n`` does); the first pair, in input order, that is a
+    self-loop or has an endpoint outside ``0..n-1``, however many bits it
+    has; and any edge set whose graph is disconnected.
     """
     if not isinstance(n, (int, np.integer)):
         raise TypeError(f"vertex count must be an integer, got {type(n).__name__}")
@@ -154,8 +154,11 @@ def build_from_edge_list(n: int, edges) -> Graph:
         pairs = np.empty((0, 2), dtype=np.intp)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError(f"edges must be an (m, 2) array of vertex pairs, got shape {pairs.shape}")
-    if pairs.dtype.kind not in "iu":
-        raise TypeError(f"edge endpoints must be integers, got an array of {pairs.dtype}")
+    if pairs.dtype.kind not in "iu":  # Python ints beyond 64 bits give an object or float64 array
+        endpoints = np.asarray(edges, dtype=object)
+        if not all(type(v) is int for v in endpoints.flat):
+            raise TypeError(f"edge endpoints must be integers, got an array of {pairs.dtype}")
+        pairs = endpoints  # compared exactly below
     lo, hi = pairs[:, 0], pairs[:, 1]
     bad = (lo == hi) | (lo < 0) | (lo >= n) | (hi < 0) | (hi >= n)
     if bad.any():
@@ -165,6 +168,7 @@ def build_from_edge_list(n: int, edges) -> Graph:
         raise ValueError(f"edge ({i},{j}) out of range for n={n}")
 
     adjacency = np.zeros((n, n), dtype=bool)
+    lo, hi = pairs.astype(np.intp, copy=False).T  # every endpoint is in range here
     adjacency[lo, hi] = adjacency[hi, lo] = True
     return Graph(adjacency)
 

@@ -6,12 +6,14 @@ the commutator of a vertex permutation with H_t, frame bounds by sampling
 random signals, the transform from Shuman's
 spectral-window formulation, the graph Fourier transform pair, eigenspace
 projectors, the classical DFT matrix, shift, modulation and tight-frame
-reconstruction on C^N, and CSV text written one entry at a time. The library
+reconstruction on C^N, CSV text written one entry at a time, and JSON
+coefficients read one entry at a time. The library
 itself never calls them. Tolerances are the library's own
 (``gabor.TIGHT_TOL``, ``spectral.CLUSTER_TOL``), so each is defined once.
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -276,3 +278,27 @@ def signal_to_csv(values) -> str:
     """Reference for :func:`gstft.formats.signal_to_csv`: one "re,im" line per value."""
     values = np.asarray(values, dtype=np.complex128)
     return "\n".join(f"{format_entry(z.real)},{format_entry(z.imag)}" for z in values.tolist()) + "\n"
+
+
+def coefficients_from_json(text: str) -> tuple[np.ndarray, object]:
+    """Reference for :func:`gstft.formats.coefficients_from_json`: each entry through ``complex(re, im)``.
+
+    Raises ValueError for a document it refuses. An integer beyond float range
+    raises OverflowError from ``complex()``, and a matrix with no entries is
+    returned as it is; the library refuses both with ValueError.
+    """
+    doc = json.loads(text)
+    if not isinstance(doc, dict) or "matrix" not in doc:
+        raise ValueError("document has no 'matrix' key")
+    rows = doc["matrix"]
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and len(row) == len(rows[0]) for row in rows
+    ):
+        raise ValueError("'matrix' must be a list of equal-length rows")
+    try:
+        matrix = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=np.complex128)
+    except (TypeError, ValueError):
+        raise ValueError("each 'matrix' entry must be a [re, im] pair of numbers") from None
+    if not np.isfinite(matrix).all():
+        raise ValueError("'matrix' entries must be finite")
+    return matrix, doc.get("meta", {})

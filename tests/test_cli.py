@@ -228,11 +228,13 @@ class TestTransformRoundTrip:
             ("1+0j,2+0j\n# note\n1+0j,nan+0j\n", "row 2 (line 3): non-finite entry"),
             ("1+0j\n0+infj\n", "row 2 (line 2): non-finite entry"),
             ('# meta {"n": 8}\n# no rows\n', "no matrix rows"),
+            ('{"matrix": [[[1%s, 0]]]}' % ("0" * 400), "[re, im] pair of numbers"),
+            ('{"matrix": []}', "list of equal-length rows"),
         ],
         ids=[
             "no-matrix", "ragged", "scalar", "truncated", "bare-number", "strings", "nan", "infinity",
             "meta-scalar", "meta-n-string", "meta-t-string", "meta-sha-number", "csv-meta-list", "csv-meta-truncated",
-            "csv-cell", "csv-ragged", "csv-nan", "csv-inf", "csv-no-rows",
+            "csv-cell", "csv-ragged", "csv-nan", "csv-inf", "csv-no-rows", "integer-beyond-float", "empty",
         ],
     )
     def test_json_coefficients_without_matrix_fail(self, tmp_path, capsys, ring8_setup, text, problem):
@@ -297,6 +299,18 @@ class TestTransformRoundTrip:
             coeffs.write_text(f"# meta {meta}\n" + matrix_to_csv(np.zeros((8, 8), complex)))
         err = run_err(capsys, "reconstruct", "--graph", str(graph_path), "--coeffs", str(coeffs), "--out", "-")
         assert err == f"error: coefficient file {coeffs}: {problem}\n"
+
+    @pytest.mark.parametrize("where, line", [("after", 10), ("before", 2)], ids=["after-the-data", "second-leading"])
+    def test_meta_line_must_come_before_the_data_and_once(self, tmp_path, capsys, ring8_setup, where, line):
+        # a later meta line used to override the leading one: t=2.0 scaled the signal back by ~1.13
+        graph_path, signal_path, _ = ring8_setup
+        coeffs = tmp_path / "coeffs.csv"
+        run_ok(capsys, "gstft", "--graph", str(graph_path), "--signal", str(signal_path), "--t", "1.0", "--out", str(coeffs))
+        text = coeffs.read_text()
+        other = text.splitlines()[0].replace('"t":1.0', '"t":2.0')
+        coeffs.write_text(text + other + "\n" if where == "after" else other + "\n" + text)
+        err = run_err(capsys, "reconstruct", "--graph", str(graph_path), "--coeffs", str(coeffs), "--out", "-")
+        assert err == f"error: coefficient file {coeffs}: line {line}: a '# meta' line must come before the data, and only once\n"
 
     def test_signal_length_mismatch_fails(self, tmp_path, capsys, ring8_setup):
         graph_path, _, _ = ring8_setup
@@ -534,10 +548,15 @@ def test_non_finite_time_fails(tmp_path, capsys, argv, problem):
         (["frame-report", "--family", "petersen", "--t", "1", "--t-grid", "0:1:1"],
          "argument --t-grid: not allowed with argument --t"),
         (["spectrogram", "--signal", "f.csv", "--n", "16"], "argument --n: not allowed with argument --signal"),
+        # argparse tells an option given from one left at its default by identity with the default
+        (["spectrogram", "--signal", "f.csv", "--n", "256"], "argument --n: not allowed with argument --signal"),
+        (["frame-report", "--family", "petersen", "--t", "1", "--t-grid", "0:10:0.1"],
+         "argument --t-grid: not allowed with argument --t"),
     ],
     ids=[
         "no-subcommand", "unknown-flag", "t-not-a-number", "t-negative-inf", "grid-negative-start", "heat-missing-t",
         "gstft-missing-t", "gen-missing-family", "both-graph-sources", "no-graph-source", "t-and-grid", "signal-and-n",
+        "signal-and-default-n", "t-and-default-grid",
     ],
 )
 def test_usage_errors_print_one_line_and_return_1(capsys, argv, problem):
@@ -568,8 +587,13 @@ def test_unreadable_input_names_the_path(tmp_path, capsys):
         (["spectrum", "--graph"], b'{"n": 2, "edges": [[0, 1]]}\xff',
          "cannot read {}: not UTF-8 text (invalid start byte at byte 27)"),
         (["spectrogram", "--signal"], b"1,0\n\xff\n", "cannot read {}: not UTF-8 text (invalid start byte at byte 4)"),
+        (["spectrum", "--graph"], b'{"n": 3, "edges": [[0, 1], [1, 1%s]]}' % (b"0" * 30),
+         "graph file {}: edge (1,1%s) out of range for n=3" % ("0" * 30)),
+        (["spectrum", "--family", "from-edgelist", "--n", "3", "--edgelist"], b"0 1\n1 1%s\n" % (b"0" * 30),
+         "edge-list file {}: edge (1,1%s) out of range for n=3" % ("0" * 30)),
     ],
-    ids=["disconnected-graph", "edge-list-line", "graph-not-utf8", "signal-not-utf8"],
+    ids=["disconnected-graph", "edge-list-line", "graph-not-utf8", "signal-not-utf8", "graph-endpoint-beyond-int64",
+         "edge-list-endpoint-beyond-int64"],
 )
 def test_input_file_errors_name_the_file(tmp_path, capsys, argv, content, problem):
     path = tmp_path / "input"
@@ -721,12 +745,17 @@ def costly_calls_fixture(monkeypatch):
          "t-grid '1e16:1.0000000000000002e16:1' has repeated points; its step is lost to rounding"),
         (["sweep-decay", "--n", "20", "--k-list", "3", "--t-grid", "1e16:1.0000000000000002e16:1", "--out", "d.csv"],
          "t-grid '1e16:1.0000000000000002e16:1' has repeated points; its step is lost to rounding"),
+        (["frame-report", "--family", "ring", "--n", "5", "--t-grid", "a:1:1", "--out", "r.csv"],
+         "t-grid values must be numbers, got 'a:1:1'"),
+        (["sweep-decay", "--n", "20", "--k-list", "3", "--t-grid", "0:b:1", "--out", "d.csv"],
+         "t-grid values must be numbers, got '0:b:1'"),
     ],
     ids=[
         "heat-negative-t", "heat-nan-t", "gstft-signal-length", "gstft-time-before-length", "reconstruct-meta-t",
         "reconstruct-t", "frame-report-t", "frame-report-stdout", "spectrogram-stdout", "sweep-decay-estimate",
         "sweep-decay-estimate-beyond-float", "sweep-decay-parity", "sweep-decay-range", "sweep-decay-disconnected",
-        "frame-report-collapsed-grid", "sweep-decay-collapsed-grid",
+        "frame-report-collapsed-grid", "sweep-decay-collapsed-grid", "frame-report-grid-not-numbers",
+        "sweep-decay-grid-not-numbers",
     ],
 )
 def test_argument_errors_refused_before_costly_work(tmp_path, capsys, monkeypatch, costly_calls, argv, line):

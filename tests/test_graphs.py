@@ -187,6 +187,18 @@ class TestBuildFromEdgeList:
         with pytest.raises(TypeError, match="integers"):
             graphs.build_from_edge_list(n, edges)
 
+    @pytest.mark.parametrize(
+        "end", [2**63, 2**64 - 1, 2**70, 10**30, -(2**63) - 1], ids=["2^63", "2^64-1", "2^70", "10^30", "-2^63-1"]
+    )
+    def test_integer_endpoint_beyond_int64_is_out_of_range(self, end):
+        # NumPy holds such a list as float64 or object; the endpoint is still an integer
+        with pytest.raises(ValueError, match=re.escape(f"edge (1,{end}) out of range for n=3")):
+            graphs.build_from_edge_list(3, [(0, 1), (1, end), (1, 5)])
+
+    def test_object_array_of_integers(self):
+        g = graphs.build_from_edge_list(3, np.array([[0, 1], [2, 1]], dtype=object))
+        assert g.edges.tolist() == [[0, 1], [1, 2]]
+
     def test_non_integer_vertex_count_rejected(self):
         with pytest.raises(TypeError, match="vertex count must be an integer, got float"):
             graphs.build_from_edge_list(3.0, [(0, 1), (1, 2)])

@@ -1,9 +1,10 @@
-"""Property tests over random edge lists, random connected graphs and CSV text.
+"""Property tests over random edge lists, random connected graphs, CSV text and JSON coefficients.
 
 Separate from the pinned acceptance suite: hypothesis draws the inputs. With
 ``derandomize=True`` every run draws the same examples, and with
 ``database=None`` no example is stored between runs.
 """
+import json
 import math
 import re
 import struct
@@ -258,3 +259,57 @@ def test_finite_complex_json_coefficients_read_back_bit_for_bit(matrix, meta):
     assert back.dtype == np.complex128
     assert np.array_equal(back.view(np.uint64), matrix.view(np.uint64))
     assert back_meta == (meta or {})
+
+
+# JSON numbers: every float64 bit pattern (NaN and infinities included), bools,
+# and integers up to and beyond 64 bits and float range.
+json_numbers = st.one_of(
+    any_float,
+    st.booleans(),
+    st.integers(-(2**65), 2**65),
+    st.sampled_from([2**53 + 1, 2**63, 2**64 - 1, 2**64, -(2**63) - 1, 2**1023 + 1, 10**400, -(10**400)]),
+)
+
+
+@st.composite
+def coefficient_documents(draw):
+    """A JSON coefficient document whose 'matrix' is up to 4 x 4 random nested JSON.
+
+    Half the documents hold only [re, im] pairs of numbers; the others mix in
+    pairs of the wrong length, null, strings, objects and bare numbers as
+    entries or pair members, a ragged row, or a 'matrix' that is no list.
+    """
+    entry = st.lists(json_numbers, min_size=2, max_size=2)
+    odd = draw(st.booleans())
+    if odd:
+        objects = st.dictionaries(st.text(max_size=1), json_numbers, max_size=1)
+        member = json_numbers | st.none() | st.text(max_size=2) | objects
+        entry = entry | member | st.lists(member, max_size=3)
+    rows, columns = draw(st.integers(0, 4)), draw(st.integers(1, 4))
+    matrix = [[draw(entry) for _ in range(columns)] for _ in range(rows)]
+    if odd and matrix and draw(st.booleans()):
+        draw(st.sampled_from(matrix)).append(draw(entry))
+    if odd and draw(st.integers(0, 9)) == 0:
+        matrix = draw(entry)
+    return json.dumps({"matrix": matrix})
+
+
+@repeatable
+@given(coefficient_documents())
+def test_json_coefficients_accepted_as_by_the_per_entry_reader(text):
+    """The reader accepts exactly the documents the per-entry reference accepts, with the same bits.
+
+    The reference lets an integer beyond float range escape as OverflowError
+    and returns a matrix with no entries; the reader refuses both itself.
+    """
+    try:
+        expected, _ = oracles.coefficients_from_json(text)
+    except (ValueError, OverflowError):
+        expected = None
+    if expected is None or expected.size == 0:
+        with pytest.raises(ValueError):
+            formats.coefficients_from_json(text)
+        return
+    back, _ = formats.coefficients_from_json(text)
+    assert back.dtype == np.complex128 and back.shape == expected.shape
+    assert np.array_equal(back.view(np.uint64), expected.view(np.uint64))
