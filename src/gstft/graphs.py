@@ -131,34 +131,36 @@ def _check_vertex_count(n: int) -> None:
         raise ValueError(f"graph on {n} vertices exceeds the {MAX_VERTICES}-vertex limit")
 
 
+def _is_integer_type(t: type) -> bool:
+    return issubclass(t, (int, np.integer)) and t is not bool  # bool subclasses int
+
+
 def build_from_edge_list(n: int, edges) -> Graph:
     """Build a validated Graph from a vertex count and an ``(m, 2)`` array-like of pairs.
 
-    Duplicate pairs (in either orientation) collapse to one edge. Rejects
-    ``n`` outside ``1..MAX_VERTICES`` (before ``edges`` is read); endpoints
-    that are not integers (floats, bools and strings raise TypeError, as a
-    non-integer ``n`` does); the first pair, in input order, that is a
-    self-loop or has an endpoint outside ``0..n-1``, however many bits it
-    has; and any edge set whose graph is disconnected.
+    The one check of ``n`` and of every endpoint, whatever their source: each must
+    be a Python or NumPy integer, never a bool, or TypeError names the first that is
+    not. Duplicate pairs (in either orientation) collapse to one edge. Rejects ``n``
+    outside ``1..MAX_VERTICES`` (before ``edges`` is read); the first pair, in input
+    order, that is a self-loop or has an endpoint outside ``0..n-1``, however many
+    bits it has; and any edge set whose graph is disconnected.
     """
-    if not isinstance(n, (int, np.integer)):
+    if not _is_integer_type(type(n)):
         raise TypeError(f"vertex count must be an integer, got {type(n).__name__}")
     n = int(n)
     _check_vertex_count(n)
 
-    try:
-        pairs = np.asarray(edges)
+    integer_array = isinstance(edges, np.ndarray) and edges.dtype.kind in "iu"  # it cannot hold a bool
+    try:  # anything else is held as its own Python objects, so big integers compare exactly
+        pairs = np.asarray(edges) if integer_array else np.array(edges, dtype=object)
     except ValueError:
         raise ValueError("edges must be an (m, 2) array of vertex pairs") from None
-    if pairs.shape == (0,):  # an empty list has no pair axis and a float dtype
-        pairs = np.empty((0, 2), dtype=np.intp)
+    pairs = pairs.reshape(0, 2) if pairs.shape == (0,) else pairs  # an empty list has no pair axis
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError(f"edges must be an (m, 2) array of vertex pairs, got shape {pairs.shape}")
-    if pairs.dtype.kind not in "iu":  # Python ints beyond 64 bits give an object or float64 array
-        endpoints = np.asarray(edges, dtype=object)
-        if not all(type(v) is int for v in endpoints.flat):
-            raise TypeError(f"edge endpoints must be integers, got an array of {pairs.dtype}")
-        pairs = endpoints  # compared exactly below
+    if not integer_array and not all(map(_is_integer_type, set(map(type, pairs.flat)))):
+        i, j = next(pair for pair in pairs.tolist() if not all(_is_integer_type(type(v)) for v in pair))
+        raise TypeError(f"edge endpoints must be integers, got ({i!r},{j!r})")
     lo, hi = pairs[:, 0], pairs[:, 1]
     bad = (lo == hi) | (lo < 0) | (lo >= n) | (hi < 0) | (hi >= n)
     if bad.any():
@@ -351,7 +353,8 @@ def serialize(g: Graph) -> str:
 
 
 def deserialize(text: str) -> Graph:
-    """Parse graph JSON text produced by :func:`serialize` (or compatible), with full validation."""
+    """Parse graph JSON text produced by :func:`serialize` (or compatible); :func:`build_from_edge_list`
+    checks ``n`` and ``edges``, and its TypeError is raised as ``ValueError("graph document: ...")``."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -361,16 +364,10 @@ def deserialize(text: str) -> Graph:
     missing = {"n", "edges"} - doc.keys()
     if missing:
         raise ValueError(f"graph document missing keys: {sorted(missing)}")
-    # type(...) is int, since JSON true and false load as bool, a subclass of int
-    if type(doc["n"]) is not int:
-        raise ValueError("graph document 'n' must be an integer")
-    edges = doc["edges"]
-    if not isinstance(edges, list) or any(
-        not isinstance(e, list) or len(e) != 2 or not all(type(v) is int for v in e)
-        for e in edges
-    ):
-        raise ValueError("graph document 'edges' must be a list of integer [i, j] pairs")
-    return build_from_edge_list(doc["n"], edges)
+    try:
+        return build_from_edge_list(doc["n"], doc["edges"])
+    except TypeError as exc:
+        raise ValueError(f"graph document: {exc}") from None
 
 
 def graph_from_edge_list_text(text: str, n: int | None = None) -> Graph:
