@@ -238,7 +238,7 @@ def cmd_sweep_decay(args) -> None:
         seen.add(k)
     grid = formats.parse_t_grid(args.t_grid)
     for k in k_values:  # refuse a bad degree before sampling any graph
-        graphs._check_random_regular(args.n, k)
+        graphs._check_random_regular(args.n, k, args.seed)
 
     rows = []
     for k in k_values:

@@ -232,11 +232,13 @@ def shrikhande_graph() -> Graph:
     return Graph(np.isin(difference, (4, 12, 1, 3, 5, 15)))
 
 
-def _check_random_regular(n: int, k: int) -> None:
+def _check_random_regular(n: int, k: int, seed) -> None:
     """The refusals :func:`random_regular_graph` makes before drawing, on their
-    own, so ``sweep-decay`` can check every degree before it samples a graph.
-    The attempt estimate is written from its base-10 logarithm, so every
+    own, so ``sweep-decay`` can check every degree and its seed before it samples
+    a graph. The attempt estimate is written from its base-10 logarithm, so every
     degree up to n - 1 gets a finite text, also where its exp overflows."""
+    if not (_is_integer_type(type(seed)) and seed >= 0):  # numpy would take None as OS entropy, True as 1
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     _check_vertex_count(n)
     if k < 0 or k >= n:
         raise ValueError(f"degree must satisfy 0 <= k < n, got k={k}, n={n}")
@@ -282,9 +284,10 @@ def random_regular_graph(n: int, k: int, seed: int) -> Graph:
         Vertex count (at most ``MAX_VERTICES``) and degree; ``n * k`` must be
         even and ``k < n``.
     seed : int
-        Seed for the pairing stream.
+        Seed for the pairing stream: a nonnegative Python or NumPy integer,
+        never a bool or None; anything else raises ValueError before drawing.
     """
-    _check_random_regular(n, k)
+    _check_random_regular(n, k, seed)
     rng = np.random.default_rng(seed)
     # labels[i] = i // k is the vertex of half-edge i. Permuting the labels
     # gives rng.permutation(n * k) // k bit for bit, and row r of a permuted

@@ -66,6 +66,12 @@ class TestGen:
         assert "n = k + 1" in err
         assert not (tmp_path / "g.json").exists()
 
+    def test_negative_seed_fails_naming_the_seed(self, tmp_path, capsys):
+        code, out, err = run(capsys, "gen", "--family", "random-regular", "--n", "4", "--k", "3", "--seed", "-1",
+                             "--out", str(tmp_path / "g.json"))
+        assert (code, out, err) == (1, "", "error: seed must be a nonnegative integer, got -1\n")
+        assert not (tmp_path / "g.json").exists()
+
     def test_from_edgelist(self, tmp_path, capsys):
         edges = tmp_path / "edges.txt"
         edges.write_text("# triangle\n0 1\n1 2\n2 0\n")
@@ -591,9 +597,13 @@ def test_unreadable_input_names_the_path(tmp_path, capsys):
          "graph file {}: edge (1,1%s) out of range for n=3" % ("0" * 30)),
         (["spectrum", "--family", "from-edgelist", "--n", "3", "--edgelist"], b"0 1\n1 1%s\n" % (b"0" * 30),
          "edge-list file {}: edge (1,1%s) out of range for n=3" % ("0" * 30)),
+        (["spectrum", "--graph"], b'{"n": 3, "edges": [[0, 1], [1, 1.5]]}',
+         "graph file {}: graph document: edge endpoints must be integers, got (1,1.5)"),
+        (["spectrum", "--graph"], b'{"n": 3, "edges": [[0, 1], [true, 2]]}',
+         "graph file {}: graph document: edge endpoints must be integers, got (True,2)"),
     ],
     ids=["disconnected-graph", "edge-list-line", "graph-not-utf8", "signal-not-utf8", "graph-endpoint-beyond-int64",
-         "edge-list-endpoint-beyond-int64"],
+         "edge-list-endpoint-beyond-int64", "graph-float-endpoint", "graph-bool-endpoint"],
 )
 def test_input_file_errors_name_the_file(tmp_path, capsys, argv, content, problem):
     path = tmp_path / "input"
@@ -749,13 +759,15 @@ def costly_calls_fixture(monkeypatch):
          "t-grid values must be numbers, got 'a:1:1'"),
         (["sweep-decay", "--n", "20", "--k-list", "3", "--t-grid", "0:b:1", "--out", "d.csv"],
          "t-grid values must be numbers, got '0:b:1'"),
+        (["sweep-decay", "--n", "20", "--k-list", "3", "--seed", "-1", "--out", "d.csv"],
+         "seed must be a nonnegative integer, got -1"),
     ],
     ids=[
         "heat-negative-t", "heat-nan-t", "gstft-signal-length", "gstft-time-before-length", "reconstruct-meta-t",
         "reconstruct-t", "frame-report-t", "frame-report-stdout", "spectrogram-stdout", "sweep-decay-estimate",
         "sweep-decay-estimate-beyond-float", "sweep-decay-parity", "sweep-decay-range", "sweep-decay-disconnected",
         "frame-report-collapsed-grid", "sweep-decay-collapsed-grid", "frame-report-grid-not-numbers",
-        "sweep-decay-grid-not-numbers",
+        "sweep-decay-grid-not-numbers", "sweep-decay-negative-seed",
     ],
 )
 def test_argument_errors_refused_before_costly_work(tmp_path, capsys, monkeypatch, costly_calls, argv, line):

@@ -180,12 +180,19 @@ class TestBuildFromEdgeList:
             (2, [("0", "1")]),
             (3, np.array([[0.0, 1.0], [1.0, 2.0]])),
             (3, [(0, None), (1, 2)]),
+            # NumPy reads these lists as int64, so only a check of each endpoint's type sees the bool
+            (3, [(0, 1), (True, 2)]),
+            (3, [(0, 1), (1, np.True_)]),
         ],
-        ids=["float", "bool", "string", "float-array", "none"],
+        ids=["float", "bool", "string", "float-array", "none", "bool-beside-integers", "numpy-bool-beside-integers"],
     )
     def test_non_integer_endpoints_rejected(self, n, edges):
         with pytest.raises(TypeError, match="integers"):
             graphs.build_from_edge_list(n, edges)
+
+    def test_first_non_integer_pair_is_named(self):
+        with pytest.raises(TypeError, match=re.escape("edge endpoints must be integers, got (2,'3')")):
+            graphs.build_from_edge_list(4, [(0, 1), (1, 2), (2, "3"), (3, 0.5)])
 
     @pytest.mark.parametrize(
         "end", [2**63, 2**64 - 1, 2**70, 10**30, -(2**63) - 1], ids=["2^63", "2^64-1", "2^70", "10^30", "-2^63-1"]
@@ -202,6 +209,9 @@ class TestBuildFromEdgeList:
     def test_non_integer_vertex_count_rejected(self):
         with pytest.raises(TypeError, match="vertex count must be an integer, got float"):
             graphs.build_from_edge_list(3.0, [(0, 1), (1, 2)])
+        for n in (True, np.True_):  # bool subclasses int, and NumPy's bool is no integer type
+            with pytest.raises(TypeError, match="vertex count must be an integer, got bool"):
+                graphs.build_from_edge_list(n, [])
 
     @pytest.mark.parametrize(
         "edges", [[(0, 1, 2)], [[]], [(0, 1), (1, 2, 0)], 5], ids=["triple", "empty-pair", "ragged", "scalar"]
@@ -332,6 +342,19 @@ class TestRandomRegular:
         a = graphs.random_regular_graph(30, 3, seed=7)
         b = graphs.random_regular_graph(30, 3, seed=7)
         assert np.array_equal(a.edges, b.edges)
+
+    @pytest.mark.parametrize("seed", [-1, True, None, 1.5, np.int64(-2)], ids=["negative", "bool", "none", "float",
+                                                                            "numpy-negative"])
+    def test_seed_that_is_not_a_nonnegative_integer_refused(self, monkeypatch, seed):
+        # NumPy would draw seed 1's graph for True and an unrepeatable one for None
+        monkeypatch.setattr(graphs.np.random, "default_rng", None)
+        with pytest.raises(ValueError, match=f"^seed must be a nonnegative integer, got {re.escape(str(seed))}$"):
+            graphs.random_regular_graph(10, 3, seed)
+
+    @pytest.mark.parametrize("seed", [1, np.int64(1), np.uint8(1)], ids=["int", "int64", "uint8"])
+    def test_integer_seed_types_draw_the_same_graph(self, seed):
+        assert np.array_equal(graphs.random_regular_graph(10, 3, seed).adjacency,
+                              graphs.random_regular_graph(10, 3, 1).adjacency)
 
     def test_seed_changes_graph(self):
         a = graphs.random_regular_graph(30, 3, seed=0)

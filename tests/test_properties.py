@@ -30,9 +30,13 @@ configuration.set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "gstft-hypot
 def edge_list_oracle(n, pairs):
     """(error, edges) for build_from_edge_list, by a set and union-find.
 
-    ``error`` is the message the first bad pair or a disconnected graph must
-    raise, else None; ``edges`` is the sorted set of normalized pairs.
+    ``error`` is the message the first pair with a bool endpoint, else the
+    first bad pair or a disconnected graph must raise, else None; ``edges`` is
+    the sorted set of normalized pairs.
     """
+    for i, j in pairs:
+        if type(i) is bool or type(j) is bool:
+            return f"edge endpoints must be integers, got ({i!r},{j!r})", None
     edges = set()
     for i, j in pairs:
         if i == j:
@@ -63,7 +67,7 @@ def spanning_trees(draw, n):
 
 @st.composite
 def edge_lists(draw):
-    """(n, pairs) with duplicates, reversed pairs, self-loops, out-of-range ends and disconnected sets."""
+    """(n, pairs) with duplicates, reversed pairs, self-loops, out-of-range ends, bool ends and disconnected sets."""
     n = draw(st.integers(1, 30))
     pairs = draw(spanning_trees(n)) if draw(st.booleans()) else []
     vertex = st.integers(0, n - 1)
@@ -79,6 +83,10 @@ def edge_lists(draw):
     )
     if draw(st.integers(0, 3)) == 3:
         pairs.append(draw(bad_pairs))
+    if pairs and draw(st.integers(0, 4)) == 4:  # NumPy alone would read a bool as vertex 0 or 1
+        k = draw(st.integers(0, len(pairs) - 1))
+        i, j = pairs[k]
+        pairs[k] = (draw(st.booleans()), j) if draw(st.booleans()) else (i, draw(st.booleans()))
     return n, draw(st.permutations(pairs))
 
 
@@ -88,10 +96,18 @@ def test_build_from_edge_list_agrees_with_set_oracle(case):
     n, pairs = case
     error, edges = edge_list_oracle(n, pairs)
     array = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    document = json.dumps({"n": n, "edges": pairs})
     if error is not None:
-        for given_pairs in (pairs, array):
+        # deserialize gives the builder's verdict, with its TypeError raised as a ValueError
+        not_integer = error.startswith("edge endpoints must be integers")
+        with pytest.raises(TypeError if not_integer else ValueError, match=re.escape(error)) as built:
+            graphs.build_from_edge_list(n, pairs)
+        with pytest.raises(ValueError) as parsed:
+            graphs.deserialize(document)
+        assert str(parsed.value) == ("graph document: " if not_integer else "") + str(built.value)
+        if not not_integer:
             with pytest.raises(ValueError, match=re.escape(error)):
-                graphs.build_from_edge_list(n, given_pairs)
+                graphs.build_from_edge_list(n, array)
         return
     g = graphs.build_from_edge_list(n, pairs)
     assert g.edges.tolist() == list(map(list, edges))
@@ -103,6 +119,7 @@ def test_build_from_edge_list_agrees_with_set_oracle(case):
     assert np.array_equal(g.degrees, adjacency.sum(axis=1))
     back = graphs.deserialize(graphs.serialize(g))
     assert np.array_equal(back.edges, g.edges)
+    assert np.array_equal(graphs.deserialize(document).adjacency, adjacency)
     assert np.array_equal(back.adjacency, adjacency)
     assert np.array_equal(graphs.build_from_edge_list(n, array).adjacency, adjacency)
     assert np.array_equal(graphs.build_from_edge_list(n, g.edges).adjacency, adjacency)
