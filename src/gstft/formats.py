@@ -8,10 +8,10 @@ line, before any data line, of the form
 
     # meta {"n": 8, "t": 1.0, "graph_sha256": "..."}
 
-so downstream files self-describe their provenance. Writers go through
-:func:`write_text_atomic` (temp file + rename in the target directory).
-The graph codec stays public in :mod:`gstft.graphs`, where the benchmark
-harness times ``graphs.deserialize`` by module attribute.
+so downstream files self-describe their provenance. CSV writers join their
+lines once into the string :func:`write_text_atomic` writes (temp file + rename
+in the target directory); the reader holds one complex128 array per row. The
+graph codec stays in :mod:`gstft.graphs`, where perfbench times it by name.
 """
 from __future__ import annotations
 
@@ -114,7 +114,7 @@ def matrix_to_csv(matrix, meta: dict | None = None) -> str:
         cell, rows = "%.17g%+.17gj", ((row + complex(-0.0, 0.0)).view(np.float64) for row in matrix)
     template = ",".join([cell] * matrix.shape[1])
     lines.extend((template % tuple(row.tolist())).replace("+nanj", "-nanj") for row in rows)
-    return "\n".join(lines) + "\n"
+    return "\n".join([*lines, ""]) or "\n"  # a matrix with no rows and no meta is one empty line
 
 
 def csv_cell(value) -> str:
@@ -130,7 +130,7 @@ def csv_table(meta: dict, columns, rows) -> str:
     """A meta line, a header naming ``columns``, then one line per row."""
     lines = [meta_line(meta), ",".join(columns)]
     lines.extend(",".join(csv_cell(x) for x in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    return "\n".join([*lines, ""])
 
 
 def matrix_from_csv(text: str) -> tuple[np.ndarray, dict]:
@@ -143,10 +143,8 @@ def matrix_from_csv(text: str) -> tuple[np.ndarray, dict]:
         raise ValueError("no matrix rows")
     rows = []
     for row, (lineno, line) in enumerate(lines, start=1):
-        rows.append([])
-        try:
-            for cell in line.split(","):
-                rows[-1].append(complex(cell))
+        try:  # one row of Python complex at a time; ``cell :=`` keeps the text complex() refuses
+            rows.append(np.array([complex(cell := entry) for entry in line.split(",")], dtype=np.complex128))
         except ValueError:
             raise ValueError(f"row {row} (line {lineno}): invalid complex value {cell!r}") from None
         if len(rows[-1]) != len(rows[0]):

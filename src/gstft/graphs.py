@@ -125,6 +125,8 @@ def _is_connected(n: int, adjacency: np.ndarray) -> bool:
 
 
 def _check_vertex_count(n: int) -> None:
+    if not _is_integer_type(type(n)):
+        raise TypeError(f"vertex count must be an integer, got {type(n).__name__}")
     if n <= 0:
         raise ValueError(f"vertex count must be positive, got {n}")
     if n > MAX_VERTICES:
@@ -145,10 +147,8 @@ def build_from_edge_list(n: int, edges) -> Graph:
     order, that is a self-loop or has an endpoint outside ``0..n-1``, however many
     bits it has; and any edge set whose graph is disconnected.
     """
-    if not _is_integer_type(type(n)):
-        raise TypeError(f"vertex count must be an integer, got {type(n).__name__}")
-    n = int(n)
     _check_vertex_count(n)
+    n = int(n)
 
     integer_array = isinstance(edges, np.ndarray) and edges.dtype.kind in "iu"  # it cannot hold a bool
     try:  # anything else is held as its own Python objects, so big integers compare exactly
@@ -177,9 +177,9 @@ def build_from_edge_list(n: int, edges) -> Graph:
 
 def ring_graph(n: int) -> Graph:
     """Cycle C_n: vertex i adjacent to (i +- 1) mod n. Requires n >= 3."""
+    _check_vertex_count(n)
     if n < 3:
         raise ValueError(f"ring graph needs at least 3 vertices, got {n}")
-    _check_vertex_count(n)
     v = np.arange(n)
     adjacency = np.zeros((n, n), dtype=bool)
     adjacency[v, (v + 1) % n] = adjacency[v, (v - 1) % n] = True
@@ -188,17 +188,19 @@ def ring_graph(n: int) -> Graph:
 
 def complete_graph(n: int) -> Graph:
     """Complete graph K_n. Requires 2 <= n <= MAX_VERTICES."""
+    _check_vertex_count(n)
     if n < 2:
         raise ValueError(f"complete graph needs at least 2 vertices, got {n}")
-    _check_vertex_count(n)
     return Graph(~np.eye(n, dtype=bool))
 
 
 def hypercube_graph(d: int) -> Graph:
     """Hypercube Q_d on 2**d vertices, adjacent iff binary labels differ in one bit.
 
-    Requires d >= 1 and 2**d <= MAX_VERTICES, decided from d before 2**d is formed.
+    Requires an integer d >= 1 and 2**d <= MAX_VERTICES, decided from d before 2**d is formed.
     """
+    if not _is_integer_type(type(d)):
+        raise TypeError(f"hypercube dimension must be an integer, got {type(d).__name__}")
     if d < 1:
         raise ValueError(f"hypercube dimension must be >= 1, got {d}")
     if d >= MAX_VERTICES.bit_length():  # exactly when 2**d > MAX_VERTICES
@@ -240,6 +242,8 @@ def _check_random_regular(n: int, k: int, seed) -> None:
     if not (_is_integer_type(type(seed)) and seed >= 0):  # numpy would take None as OS entropy, True as 1
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     _check_vertex_count(n)
+    if not _is_integer_type(type(k)):
+        raise TypeError(f"degree must be an integer, got {type(k).__name__}")
     if k < 0 or k >= n:
         raise ValueError(f"degree must satisfy 0 <= k < n, got k={k}, n={n}")
     if (n * k) % 2 != 0:
@@ -281,8 +285,8 @@ def random_regular_graph(n: int, k: int, seed: int) -> Graph:
     Parameters
     ----------
     n, k : int
-        Vertex count (at most ``MAX_VERTICES``) and degree; ``n * k`` must be
-        even and ``k < n``.
+        Vertex count (at most ``MAX_VERTICES``) and degree, Python or NumPy integers
+        (TypeError names one that is not); ``n * k`` must be even and ``k < n``.
     seed : int
         Seed for the pairing stream: a nonnegative Python or NumPy integer,
         never a bool or None; anything else raises ValueError before drawing.
@@ -376,7 +380,7 @@ def deserialize(text: str) -> Graph:
 def graph_from_edge_list_text(text: str, n: int | None = None) -> Graph:
     """Build a graph from "i j" per-line edge-list text ('#' starts a comment).
 
-    ``n`` defaults to the largest vertex index plus one.
+    ``n`` defaults to the largest vertex index plus one, and to 1 if none is nonnegative.
     """
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -393,5 +397,5 @@ def graph_from_edge_list_text(text: str, n: int | None = None) -> Graph:
     if n is None:
         if not edges:
             raise ValueError("cannot infer vertex count from an empty edge list")
-        n = max(max(e) for e in edges) + 1
+        n = max(1, max(max(e) for e in edges) + 1)
     return build_from_edge_list(n, edges)

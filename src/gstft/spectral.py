@@ -20,7 +20,7 @@ Cyclic Jacobi would give higher relative accuracy for tiny eigenvalues
 (Demmel & Veselic, 1992); that does not matter for integer Laplacians of
 connected graphs, whose ``lambda_2`` is bounded away from zero. At
 ``graphs.MAX_VERTICES`` (n = 4096, random 3-regular) one decomposition took
-23 s on one BLAS thread, with 946 MiB peak RSS for the whole process
+22-23 s of CPU on one BLAS thread, with 704 MiB peak RSS for the whole process
 (numpy 2.4.6, OpenBLAS 0.3.31, 2-vCPU x86-64 host).
 """
 from __future__ import annotations
@@ -118,8 +118,8 @@ def decompose(matrix: np.ndarray) -> SpectralDecomposition:
     """Full eigendecomposition A = Phi diag(lambda) Phi^T of a real symmetric matrix.
 
     Raises ValueError for non-square, non-finite or non-symmetric input
-    (asymmetry above ``1e-12 * max(max|A|, 1)``); the input is then
-    symmetrized exactly as ``(A + A^T) / 2`` and solved with LAPACK.
+    (asymmetry above ``1e-12 * max(max|A|, 1)``); the checked matrix itself
+    goes to LAPACK, which reads only its lower triangle (no symmetrized copy).
     Eigenvalues are ascending and each eigenvector is sign-fixed so its first
     nonzero coordinate is positive. Output is deterministic for identical
     input on one platform and BLAS thread count.
@@ -132,6 +132,6 @@ def decompose(matrix: np.ndarray) -> SpectralDecomposition:
     scale = float(np.abs(a).max(initial=0.0))
     if np.abs(a - a.T).max(initial=0.0) > 1e-12 * max(scale, 1.0):
         raise ValueError("matrix is not symmetric")
-    w, v = np.linalg.eigh(0.5 * (a + a.T))
+    w, v = np.linalg.eigh(a)
     return SpectralDecomposition(eigenvalues=w, eigenvectors=_fix_signs(v))
 

@@ -9,6 +9,7 @@ import runpy
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -597,13 +598,15 @@ def test_unreadable_input_names_the_path(tmp_path, capsys):
          "graph file {}: edge (1,1%s) out of range for n=3" % ("0" * 30)),
         (["spectrum", "--family", "from-edgelist", "--n", "3", "--edgelist"], b"0 1\n1 1%s\n" % (b"0" * 30),
          "edge-list file {}: edge (1,1%s) out of range for n=3" % ("0" * 30)),
+        (["spectrum", "--family", "from-edgelist", "--edgelist"], b"-1 -2\n",
+         "edge-list file {}: edge (-1,-2) out of range for n=1"),
         (["spectrum", "--graph"], b'{"n": 3, "edges": [[0, 1], [1, 1.5]]}',
          "graph file {}: graph document: edge endpoints must be integers, got (1,1.5)"),
         (["spectrum", "--graph"], b'{"n": 3, "edges": [[0, 1], [true, 2]]}',
          "graph file {}: graph document: edge endpoints must be integers, got (True,2)"),
     ],
     ids=["disconnected-graph", "edge-list-line", "graph-not-utf8", "signal-not-utf8", "graph-endpoint-beyond-int64",
-         "edge-list-endpoint-beyond-int64", "graph-float-endpoint", "graph-bool-endpoint"],
+         "edge-list-endpoint-beyond-int64", "edge-list-all-negative", "graph-float-endpoint", "graph-bool-endpoint"],
 )
 def test_input_file_errors_name_the_file(tmp_path, capsys, argv, content, problem):
     path = tmp_path / "input"
@@ -797,6 +800,38 @@ def test_gen_refuses_a_size_beyond_float_and_string_range(tmp_path, capsys, argv
     code, out, err = run(capsys, "gen", *argv, "--out", str(tmp_path / "g.json"))
     assert (code, out, err) == (1, "", f"error: {line}\n")
     assert not (tmp_path / "g.json").exists()
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestMatrixCsvMemory:
+    """The codec holds a document once: a joined text, or one complex128 array per row."""
+
+    @pytest.fixture(scope="class")
+    def matrix(self):
+        rng = np.random.default_rng(5)
+        return rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
+
+    def test_writer_peaks_near_two_texts(self, matrix):
+        # the lines and the joined text, each about the text's size; one more copy of the text reaches 3x
+        text, peak = _traced_peak(lambda: matrix_to_csv(matrix))
+        assert peak <= 2.2 * len(text)
+
+    def test_reader_holds_no_python_complex_per_cell(self, matrix):
+        # the data lines (about the text), the row arrays and the matrix (16 B a cell each) and 8 B a cell
+        # of slack; every cell held as a Python complex and its list slot (40 B a cell) breaks it
+        text = matrix_to_csv(matrix)
+        (back, _), peak = _traced_peak(lambda: matrix_from_csv(text))
+        assert np.array_equal(back, matrix)
+        assert peak <= len(text) + 40 * matrix.size
 
 
 class TestAtomicWrite:

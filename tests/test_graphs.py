@@ -246,15 +246,25 @@ class TestFamilies:
         assert set(g.degrees.tolist()) == {3}
 
     @pytest.mark.parametrize(
-        "build, message",
+        "build, error, message",
         [
-            (lambda: graphs.complete_graph(1), "complete graph needs at least 2 vertices, got 1"),
-            (lambda: graphs.hypercube_graph(0), "hypercube dimension must be >= 1, got 0"),
+            (lambda: graphs.complete_graph(1), ValueError, "complete graph needs at least 2 vertices, got 1"),
+            (lambda: graphs.hypercube_graph(0), ValueError, "hypercube dimension must be >= 1, got 0"),
+            # a size is checked to be an integer, never a bool, before any range check
+            (lambda: graphs.ring_graph(4.0), TypeError, "vertex count must be an integer, got float"),
+            (lambda: graphs.complete_graph(3.0), TypeError, "vertex count must be an integer, got float"),
+            (lambda: graphs.hypercube_graph(2.0), TypeError, "hypercube dimension must be an integer, got float"),
+            (lambda: graphs.ring_graph(True), TypeError, "vertex count must be an integer, got bool"),
+            (lambda: graphs.hypercube_graph(True), TypeError, "hypercube dimension must be an integer, got bool"),
+            (lambda: graphs.random_regular_graph(True, 0, 0), TypeError, "vertex count must be an integer, got bool"),
+            (lambda: graphs.random_regular_graph(10, 3.0, 1), TypeError, "degree must be an integer, got float"),
+            (lambda: graphs.ring_graph(0), ValueError, "vertex count must be positive, got 0"),
         ],
-        ids=["complete-1", "hypercube-0"],
+        ids=["complete-1", "hypercube-0", "ring-float", "complete-float", "hypercube-float", "ring-bool",
+             "hypercube-bool", "random-regular-bool-n", "random-regular-float-k", "ring-0"],
     )
-    def test_below_family_minimum_refused(self, build, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+    def test_below_family_minimum_refused(self, build, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
             build()
 
     def test_size_guards(self):

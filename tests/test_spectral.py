@@ -117,6 +117,15 @@ class TestDecompose:
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
         assert np.array_equal(a.eigenvectors, b.eigenvectors)
 
+    def test_lapack_solves_the_checked_matrix_itself(self):
+        # triangles ~1e-14 apart pass the symmetry check; averaging them would move the last bits
+        a = spectral.laplacian(graphs.random_regular_graph(24, 3, seed=7))
+        a[np.triu_indices(24, 1)] += 1e-14 * np.random.default_rng(2).standard_normal(276)
+        w, v = np.linalg.eigh(a)
+        dec = spectral.decompose(a)
+        assert np.array_equal(dec.eigenvalues, w)
+        assert np.array_equal(dec.eigenvectors, spectral._fix_signs(v))
+
     def test_sign_convention(self, graph):
         dec = spectral.decompose(spectral.laplacian(graph))
         for j in range(graph.n):
