@@ -123,13 +123,14 @@ def cmd_gen(args) -> None:
 def cmd_spectrum(args) -> None:
     g = _resolve_graph(args)
     dec = _decompose(g)
+    fiedler_value = formats.csv_cell(dec.fiedler_value)  # a one-vertex graph is refused before writing
     _write_report(
         args,
         lambda: {"meta": _graph_meta(g), "eigenvalues": dec.eigenvalues, "eigenvectors": dec.eigenvectors},
         lambda: matrix_to_csv(np.column_stack([dec.eigenvalues, dec.eigenvectors])),
     )
     if args.out != "-":  # on stdout the document stands alone
-        print(formats.csv_cell(dec.fiedler_value))
+        print(fiedler_value)
 
 
 def cmd_heat(args) -> None:

@@ -10,14 +10,16 @@ line, before any data line, of the form
 
 so downstream files self-describe their provenance. CSV writers join their
 lines once into the string :func:`write_text_atomic` writes (temp file + rename
-in the target directory); the reader holds one complex128 array per row. The
-graph codec stays in :mod:`gstft.graphs`, where perfbench times it by name.
+in the target directory); the readers parse each line as they reach it, and
+the matrix reader holds one complex128 array per row. The graph codec stays in
+:mod:`gstft.graphs`, where perfbench times it by name.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import os
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -40,34 +42,40 @@ def meta_line(meta: dict) -> str:
     return META_PREFIX + json_document(meta).rstrip("\n")
 
 
-def split_meta(text: str) -> tuple[dict, list[tuple[int, str]]]:
-    """Separate a leading metadata comment (if any) from the data lines.
+def split_meta(text: str) -> tuple[dict, Iterator[tuple[int, str]]]:
+    r"""Separate a leading metadata comment (if any) from the data lines, in one pass.
 
-    Data lines are returned stripped, each with its 1-based line number in
-    ``text``; other '#' comment lines and blank lines are dropped. A meta line
+    Returns on reaching the meta line or the first data line; the data lines,
+    stripped and with their 1-based line numbers, are handed out as they are
+    reached. Other '#' comment lines and blank lines are dropped. A meta line
     that is not valid JSON, or that follows a meta or data line, raises
-    ValueError naming its line.
+    ValueError naming its line. Only "\n" ends a line ("\r\n" is stripped), so
+    ``str.splitlines``' rarer separators ("\r", "\x0b", "\x0c", "\x1c"-"\x1e",
+    "\x85", "\u2028", "\u2029") stay in their line: stripped at its ends,
+    refused inside a value, dropped with the rest of a '#' line.
     """
-    meta: dict = {}
-    meta_allowed = True
-    data_lines = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith(META_PREFIX):
-            if not meta_allowed:
-                raise ValueError(f"line {lineno}: a '# meta' line must come before the data, and only once")
-            try:
-                meta = json.loads(stripped[len(META_PREFIX):])
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"line {lineno}: malformed '# meta' line: {exc}") from None
-        elif stripped.startswith("#"):
-            continue
-        else:
-            data_lines.append((lineno, stripped))
-        meta_allowed = False
-    return meta, data_lines
+    def walk():  # the meta object (at the meta line or the first data line), then each data line
+        leading, lineno, start = True, 0, 0  # leading: no meta or data line reached yet
+        while start <= len(text):
+            lineno, end = lineno + 1, text.find("\n", start) % (len(text) + 1)  # no "\n" left: end of text
+            line, start = text[start:end].strip(), end + 1
+            if line.startswith(META_PREFIX):
+                if not leading:
+                    raise ValueError(f"line {lineno}: a '# meta' line must come before the data, and only once")
+                try:
+                    meta = json.loads(line[len(META_PREFIX):])
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"line {lineno}: malformed '# meta' line: {exc}") from None
+                leading = False
+                yield meta
+            elif line and not line.startswith("#"):
+                if leading:
+                    leading = False
+                    yield {}
+                yield lineno, line
+
+    lines = walk()
+    return next(lines, {}), lines
 
 
 def signal_to_csv(values) -> str:
@@ -81,9 +89,8 @@ def signal_from_csv(text: str) -> np.ndarray:
 
     NaN and infinite values are refused.
     """
-    _, lines = split_meta(text)
     values = []
-    for lineno, line in lines:
+    for lineno, line in split_meta(text)[1]:
         parts = line.split(",")
         if len(parts) > 2:
             raise ValueError(f"line {lineno}: expected 're' or 're,im', got {line!r}")
@@ -91,14 +98,11 @@ def signal_from_csv(text: str) -> np.ndarray:
             values.append(complex(*(float(part) for part in parts)))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
+        if not np.isfinite(values[-1]):
+            raise ValueError(f"line {lineno}: non-finite value {line!r}")
     if not values:
         raise ValueError("no signal values")
-    signal = np.asarray(values, dtype=np.complex128)
-    finite = np.isfinite(signal)
-    if not finite.all():
-        lineno, line = lines[np.argmin(finite)]
-        raise ValueError(f"line {lineno}: non-finite value {line!r}")
-    return signal
+    return np.asarray(values, dtype=np.complex128)
 
 
 def matrix_to_csv(matrix, meta: dict | None = None) -> str:
@@ -139,8 +143,6 @@ def matrix_from_csv(text: str) -> tuple[np.ndarray, dict]:
     NaN and infinite entries are refused.
     """
     meta, lines = split_meta(text)
-    if not lines:
-        raise ValueError("no matrix rows")
     rows = []
     for row, (lineno, line) in enumerate(lines, start=1):
         try:  # one row of Python complex at a time; ``cell :=`` keeps the text complex() refuses
@@ -151,12 +153,11 @@ def matrix_from_csv(text: str) -> tuple[np.ndarray, dict]:
             raise ValueError(
                 f"row {row} (line {lineno}) has {len(rows[-1])} entries but row 1 has {len(rows[0])}"
             )
-    matrix = np.asarray(rows, dtype=np.complex128)
-    finite = np.isfinite(matrix).all(axis=1)
-    if not finite.all():
-        row = int(np.argmin(finite))
-        raise ValueError(f"row {row + 1} (line {lines[row][0]}): non-finite entry")
-    return matrix, meta
+        if not np.isfinite(rows[-1]).all():
+            raise ValueError(f"row {row} (line {lineno}): non-finite entry")
+    if not rows:
+        raise ValueError("no matrix rows")
+    return np.asarray(rows, dtype=np.complex128), meta
 
 
 def coefficients_from_json(text: str) -> tuple[np.ndarray, object]:

@@ -217,8 +217,8 @@ def tightness_sweep(dec: SpectralDecomposition, t_grid) -> TightnessSweep:
     for t in ts:  # refuse NaN, infinite and negative times before building any kernel
         _window_time(t)
 
-    reports = tuple(frame_report(dec, heat_kernel(dec, t)) for t in ts)
-    return TightnessSweep(fiedler_value=dec.fiedler_value, reports=reports)
+    fiedler_value = dec.fiedler_value  # a one-vertex graph has none: refuse it before building any kernel
+    return TightnessSweep(fiedler_value, tuple(frame_report(dec, heat_kernel(dec, t)) for t in ts))
 
 
 def fiedler_eigenspace_mass(dec: SpectralDecomposition) -> np.ndarray:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gstft import classical, cli, graphs, spectral
+from gstft import classical, cli, gabor, graphs, heat, spectral
 from gstft.cli import main
 from gstft.formats import (
     matrix_from_csv, matrix_to_csv, signal_from_csv, signal_to_csv, split_meta, write_text_atomic,
@@ -540,6 +540,29 @@ def test_non_finite_time_fails(tmp_path, capsys, argv, problem):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["frame-report", "--graph", "{graph}", "--t-grid", "0:1:0.5"],
+        ["frame-report", "--family", "random-regular", "--n", "1", "--k", "0", "--t", "1"],
+        ["sweep-decay", "--n", "1", "--k-list", "0"],
+        ["spectrum", "--graph", "{graph}"],
+    ],
+    ids=["frame-report-graph-file", "frame-report-family", "sweep-decay", "spectrum"],
+)
+def test_one_vertex_graph_refused_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    # a one-vertex graph has no lambda_2: refused before any heat kernel is built or any file written
+    graph = tmp_path / "g.json"
+    graph.write_text('{"n": 1, "edges": []}')
+    built = []
+    monkeypatch.setattr(gabor, "heat_kernel", lambda d, t: built.append(t) or heat.heat_kernel(d, t))
+    out = tmp_path / "r.csv"
+    err = run_err(capsys, *(arg.format(graph=graph) for arg in argv), "--out", str(out))
+    assert err == "error: Fiedler value is undefined for a single-vertex graph\n"
+    assert built == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv, problem",
     [
         ([], "the following arguments are required: command"),
@@ -813,12 +836,12 @@ def _traced_peak(call):
 
 
 class TestMatrixCsvMemory:
-    """The codec holds a document once: a joined text, or one complex128 array per row."""
+    """The codec holds a document once: a joined text, or one line and one complex128 array per row."""
 
     @pytest.fixture(scope="class")
     def matrix(self):
         rng = np.random.default_rng(5)
-        return rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
+        return rng.standard_normal((512, 512)) + 1j * rng.standard_normal((512, 512))
 
     def test_writer_peaks_near_two_texts(self, matrix):
         # the lines and the joined text, each about the text's size; one more copy of the text reaches 3x
@@ -826,12 +849,42 @@ class TestMatrixCsvMemory:
         assert peak <= 2.2 * len(text)
 
     def test_reader_holds_no_python_complex_per_cell(self, matrix):
-        # the data lines (about the text), the row arrays and the matrix (16 B a cell each) and 8 B a cell
-        # of slack; every cell held as a Python complex and its list slot (40 B a cell) breaks it
+        # the row arrays and the matrix (16 B a cell each) and 8 B a cell of slack; the data lines held
+        # together (about 41 B a cell) or every cell as a Python complex and its list slot (40 B) break it
         text = matrix_to_csv(matrix)
         (back, _), peak = _traced_peak(lambda: matrix_from_csv(text))
         assert np.array_equal(back, matrix)
-        assert peak <= len(text) + 40 * matrix.size
+        assert peak <= 40 * matrix.size
+
+
+@pytest.mark.parametrize(
+    "read, text, problem",
+    [
+        (matrix_from_csv, '# note\n# meta {"n": 2}\n\n1+0j,2+0j\n# note\n3+0j,4-1j\n', None),
+        (matrix_from_csv, '# meta {"n": 2}\n1+0j,2+0j\n\n3+0j,x\n', "row 2 (line 4): invalid complex value 'x'"),
+        (matrix_from_csv, "1+0j,2+0j\n\n3+0j\n", "row 2 (line 3) has 1 entries but row 1 has 2"),
+        (matrix_from_csv, "1+0j\n\n0+infj\n", "row 2 (line 3): non-finite entry"),
+        (matrix_from_csv, "1+0j\n\n# meta {}\n", "line 3: a '# meta' line must come before the data, and only once"),
+        # one pass: the first fault in the text is the one reported
+        (matrix_from_csv, "1+0j,nan+0j\nabc,1+0j\n", "row 1 (line 1): non-finite entry"),
+        (matrix_from_csv, "abc\n# meta {}\n", "row 1 (line 1): invalid complex value 'abc'"),
+        (signal_from_csv, "# meta {}\n1,0\n\n-2.5\n", None),
+        (signal_from_csv, "1,0\n\nnan,0\n", "line 3: non-finite value 'nan,0'"),
+        (signal_from_csv, "1,0\n\n2,0,0\n", "line 3: expected 're' or 're,im', got '2,0,0'"),
+    ],
+    ids=["matrix", "matrix-cell", "matrix-ragged", "matrix-inf", "matrix-late-meta", "matrix-nan-before-cell",
+         "matrix-cell-before-meta", "signal", "signal-nan", "signal-three-parts"],
+)
+def test_crlf_text_reads_as_its_lf_form(read, text, problem):
+    # "\r\n" ends are stripped with their line, and lines are numbered as in the "\n" form
+    crlf = text.replace("\n", "\r\n")
+    if problem is None:
+        np.testing.assert_equal(read(crlf), read(text))
+        return
+    for form in (text, crlf):
+        with pytest.raises(ValueError) as info:
+            read(form)
+        assert str(info.value) == problem
 
 
 class TestAtomicWrite:

@@ -466,6 +466,15 @@ class TestTightnessSweep:
             gabor.tightness_sweep(dec, grid)
         assert built == []
 
+    def test_one_vertex_graph_refused_before_any_kernel(self, monkeypatch):
+        # a one-vertex graph has no lambda_2: refused before any kernel is built
+        dec = spectral.decompose(spectral.laplacian(graphs.build_from_edge_list(1, [])))
+        built = []
+        monkeypatch.setattr(gabor, "heat_kernel", lambda d, t: built.append(t) or heat.heat_kernel(d, t))
+        with pytest.raises(ValueError, match="^Fiedler value is undefined for a single-vertex graph$"):
+            gabor.tightness_sweep(dec, [0.0, 0.5, 1.0])
+        assert built == []
+
     def test_times_and_gaps_derive_from_reports(self):
         dec = spectral.decompose(spectral.laplacian(graphs.build_from_edge_list(3, [(0, 1), (1, 2)])))
         sweep = gabor.tightness_sweep(dec, [0.0, 0.5, 2.0])

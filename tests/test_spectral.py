@@ -194,6 +194,18 @@ class TestDecompose:
         with pytest.raises(ValueError, match=message):
             spectral.decompose(np.array(matrix))
 
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6], ids=["below-one", "one", "large"])
+    @pytest.mark.parametrize("factor, accepted", [(0.9, True), (1.1, False)], ids=["under", "over"])
+    def test_asymmetry_accepted_just_under_the_tolerance_and_refused_just_over(self, scale, factor, accepted):
+        # asymmetry up to 1e-12 * max(max|A|, 1) is roundoff; one entry just past it is refused
+        a = scale * np.array([[1.0, -0.5, 0.0], [-0.5, 1.0, -0.25], [0.0, -0.25, 0.5]])
+        a[1, 0] += factor * 1e-12 * max(scale, 1.0)
+        if accepted:
+            assert np.array_equal(spectral.decompose(a).eigenvalues, np.linalg.eigh(a)[0])
+        else:
+            with pytest.raises(ValueError, match="^matrix is not symmetric$"):
+                spectral.decompose(a)
+
     def test_inconsistent_decomposition_refused_at_construction(self):
         # Columns 1.. scaled by 1.001 are no longer orthonormal, yet its heat
         # kernel would pass its own checks (the constant column keeps the rows
