@@ -257,6 +257,8 @@ def cmd_sweep_decay(args) -> None:
 
 
 def cmd_spectrogram(args) -> None:
+    if args.window == "delta" and args.width is not None:
+        raise ValueError("--width applies to the boxcar window only; the delta window has width 1")
     # dstft holds N x N complex arrays (256 MiB each at N = 4096); refuse long signals up front
     if args.signal is not None:
         f = _read(args.signal, "signal", signal_from_csv)
@@ -269,7 +271,7 @@ def cmd_spectrogram(args) -> None:
     if args.signal is None:
         f = classical.piecewise_cosine(n)
 
-    width = args.width if args.window == "boxcar" else 1  # the delta window is a width-1 boxcar
+    width = 1 if args.window == "delta" else 32 if args.width is None else args.width  # delta: a width-1 boxcar
     power = classical.spectrogram(f, classical.boxcar_window(n, width))
     f_hat = classical.dft(f)
     dft_power = (f_hat * f_hat.conj()).real
@@ -370,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--signal", metavar="FILE", help="signal CSV; default is the built-in piecewise cosine")
     source.add_argument("--n", type=int, help="length of the built-in signal (default 256)")
     p.add_argument("--window", choices=("boxcar", "delta"), default="boxcar", help="window shape")
-    p.add_argument("--width", type=int, default=32, help="boxcar width (default 32)")
+    p.add_argument("--width", type=int, help="boxcar width (default 32; refused with --window delta)")
     _add_common_output(p)
     p.set_defaults(func=cmd_spectrogram)
 

@@ -49,15 +49,20 @@ def split_meta(text: str) -> tuple[dict, Iterator[tuple[int, str]]]:
     stripped and with their 1-based line numbers, are handed out as they are
     reached. Other '#' comment lines and blank lines are dropped. A meta line
     that is not valid JSON, or that follows a meta or data line, raises
-    ValueError naming its line. Only "\n" ends a line ("\r\n" is stripped), so
-    ``str.splitlines``' rarer separators ("\r", "\x0b", "\x0c", "\x1c"-"\x1e",
-    "\x85", "\u2028", "\u2029") stay in their line: stripped at its ends,
-    refused inside a value, dropped with the rest of a '#' line.
+    ValueError naming its line. Only "\n" ends a line ("\r\n" is stripped); any
+    other "\r", in a data, comment or meta line, raises ValueError naming its
+    line before that line is parsed or dropped, so an old-Mac "\r" line end
+    never hides data in a comment. ``str.splitlines``' rarer separators
+    ("\x0b", "\x0c", "\x1c"-"\x1e", "\x85", "\u2028", "\u2029") stay in their
+    line: stripped at its ends, refused inside a value, dropped with the rest
+    of a '#' line.
     """
     def walk():  # the meta object (at the meta line or the first data line), then each data line
         leading, lineno, start = True, 0, 0  # leading: no meta or data line reached yet
         while start <= len(text):
             lineno, end = lineno + 1, text.find("\n", start) % (len(text) + 1)  # no "\n" left: end of text
+            if text.find("\r", start, end - (end < len(text))) >= 0:  # a "\r" that is not the "\r" of "\r\n"
+                raise ValueError(f"line {lineno}: '\\r' not followed by '\\n'")
             line, start = text[start:end].strip(), end + 1
             if line.startswith(META_PREFIX):
                 if not leading:

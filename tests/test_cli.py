@@ -492,6 +492,23 @@ class TestSpectrogram:
         power = matrix_from_csv(out.read_text())[0].real
         assert power.shape == (32, 32)
 
+    @pytest.mark.parametrize("argv, width", [([], 32), (["--width", "8"], 8), (["--window", "delta"], 1)],
+                             ids=["default", "boxcar-8", "delta"])
+    def test_meta_names_the_width_used(self, tmp_path, capsys, argv, width):
+        out = tmp_path / "spec.csv"
+        run_ok(capsys, "spectrogram", "--n", "64", *argv, "--out", str(out))
+        assert matrix_from_csv(out.read_text())[1]["width"] == width
+
+    @pytest.mark.parametrize("source", ["n", "signal"])
+    @pytest.mark.parametrize("width", ["1", "8"])
+    def test_width_with_delta_window_refused_before_any_work(self, tmp_path, capsys, source, width):
+        # the signal file does not exist: the refusal comes before it is read
+        argv = ["--n", "16"] if source == "n" else ["--signal", str(tmp_path / "missing.csv")]
+        out = tmp_path / "spec.csv"
+        err = run_err(capsys, "spectrogram", *argv, "--window", "delta", "--width", width, "--out", str(out))
+        assert err == "error: --width applies to the boxcar window only; the delta window has width 1\n"
+        assert not out.exists()
+
     def test_signal_and_n_conflict(self, tmp_path, capsys):
         signal = tmp_path / "s.csv"
         signal.write_text("1,0\n")
@@ -885,6 +902,26 @@ def test_crlf_text_reads_as_its_lf_form(read, text, problem):
         with pytest.raises(ValueError) as info:
             read(form)
         assert str(info.value) == problem
+
+
+@pytest.mark.parametrize(
+    "read, text, lineno",
+    [
+        (signal_from_csv, "# note\r1,0\n2,0\n", 1),  # the comment would swallow the 1,0 row
+        (signal_from_csv, "1,0\r2,0\n", 1),
+        (signal_from_csv, "1,0\r\n2,0\r", 2),  # a last line ending in a lone "\r"
+        (signal_from_csv, '# meta {"n": 2}\r\n1,0\r\r\n2,0\r\n', 2),
+        (matrix_from_csv, '# meta {"n": 1}\r1+0j\n', 1),
+        (matrix_from_csv, "1+0j,2+0j\r\n\r\n3+0j,\r4+0j\r\n", 3),
+        (matrix_from_csv, "1+0j\n\n# note\r# note\r\n2+0j\n", 3),
+    ],
+    ids=["signal-after-comment", "signal-data", "signal-last-line", "signal-crlf-then-cr", "matrix-after-meta",
+         "matrix-inside-row", "matrix-comment"],
+)
+def test_lone_carriage_return_refused_at_its_line(read, text, lineno):
+    with pytest.raises(ValueError) as info:
+        read(text)
+    assert str(info.value) == f"line {lineno}: '\\r' not followed by '\\n'"
 
 
 class TestAtomicWrite:
