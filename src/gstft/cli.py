@@ -1,17 +1,19 @@
 """Command-line front end.
 
 Subcommands: gen, spectrum, heat, gstft, reconstruct, frame-report,
-sweep-decay, spectrogram. Each report command hands one writer a way to
-render its JSON document and its CSV text; the writer renders only the format
-``--format`` asks for (CSV by default) and writes it atomically. A CSV report
-may add a companion file named ``<root>_<suffix><ext or .csv>`` next to
-``--out``, which must then be a path. Every invocation is deterministic given
-its inputs and seed, so repeated runs produce byte-identical files. Errors,
-usage errors included, print a single "error: ..." line on stderr and exit
-with status 1. A value that starts with ``-`` but is not a plain negative
-number must be attached to its option: ``--t=-inf``, ``--t-grid=-1:1:0.5``.
-The process entry :func:`run` (``gstft``, ``python -m gstft``) freezes the
-heap once the command has run, so interpreter shutdown skips collecting it.
+sweep-decay, spectrogram. Every graph command, ``gen`` included, takes its
+graph from ``--family`` or from a ``--graph`` file, JSON or edge-list text.
+Each report command hands one writer a way to render its JSON document and
+its CSV text; the writer renders only the format ``--format`` asks for (CSV
+by default) and writes it atomically. A CSV report may add a companion file
+named ``<root>_<suffix><ext or .csv>`` next to ``--out``, which must then be
+a path. Every invocation is deterministic given its inputs and seed, so
+repeated runs produce byte-identical files. Errors, usage errors included,
+print a single "error: ..." line on stderr and exit with status 1. A value
+that starts with ``-`` but is not a plain negative number must be attached
+to its option: ``--t=-inf``, ``--t-grid=-1:1:0.5``. The process entry
+:func:`run` (``gstft``, ``python -m gstft``) freezes the heap once the
+command has run, so interpreter shutdown skips collecting it.
 """
 from __future__ import annotations
 
@@ -95,15 +97,19 @@ FAMILIES = {
     "random-regular": lambda args: graphs.random_regular_graph(
         _require(args, "n"), _require(args, "k"), args.seed
     ),
-    "from-edgelist": lambda args: _read(
-        _require(args, "edgelist"), "edge-list", lambda text: graphs.graph_from_edge_list_text(text, args.n)
-    ),
 }
+
+
+def _graph_from_text(text: str) -> graphs.Graph:
+    """A JSON graph document if ``text`` starts with '{', else edge-list text."""
+    if text.lstrip().startswith("{"):
+        return graphs.deserialize(text)
+    return graphs.graph_from_edge_list_text(text)
 
 
 def _resolve_graph(args) -> graphs.Graph:
     if args.graph is not None:
-        return _read(args.graph, "graph", graphs.deserialize)
+        return _read(args.graph, "graph", _graph_from_text)
     return FAMILIES[args.family](args)
 
 
@@ -116,7 +122,7 @@ def _decompose(g: graphs.Graph) -> spectral.SpectralDecomposition:
 
 
 def cmd_gen(args) -> None:
-    g = FAMILIES[args.family](args)
+    g = _resolve_graph(args)
     _write_output(args.out, graphs.serialize(g) + "\n")
 
 
@@ -257,8 +263,6 @@ def cmd_sweep_decay(args) -> None:
 
 
 def cmd_spectrogram(args) -> None:
-    if args.window == "delta" and args.width is not None:
-        raise ValueError("--width applies to the boxcar window only; the delta window has width 1")
     # dstft holds N x N complex arrays (256 MiB each at N = 4096); refuse long signals up front
     if args.signal is not None:
         f = _read(args.signal, "signal", signal_from_csv)
@@ -271,11 +275,11 @@ def cmd_spectrogram(args) -> None:
     if args.signal is None:
         f = classical.piecewise_cosine(n)
 
-    width = 1 if args.window == "delta" else 32 if args.width is None else args.width  # delta: a width-1 boxcar
+    width = min(32, n) if args.width is None else args.width
     power = classical.spectrogram(f, classical.boxcar_window(n, width))
     f_hat = classical.dft(f)
     dft_power = (f_hat * f_hat.conj()).real
-    meta = {"n": n, "window": args.window, "width": width}
+    meta = {"n": n, "window": "boxcar", "width": width}
     _write_report(
         args,
         lambda: {"meta": meta, "spectrogram": power, "dft_magnitude": dft_power},
@@ -291,22 +295,15 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _add_family_source(parser: argparse.ArgumentParser, group=None) -> None:
-    """Add --family and its parameters; --family joins ``group`` if given, else it is required."""
-    (group or parser).add_argument(
-        "--family", choices=FAMILIES, required=group is None, help="graph family to generate"
-    )
+def _add_graph_source(parser: argparse.ArgumentParser) -> None:
+    """Add the required graph source, --graph or --family, and the family parameters."""
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--graph", metavar="FILE", help="graph file: a JSON document or edge-list text")
+    source.add_argument("--family", choices=FAMILIES, help="graph family to generate")
     parser.add_argument("--n", type=int, help="vertex count (ring, complete, random-regular)")
     parser.add_argument("--k", type=int, help="degree (random-regular)")
     parser.add_argument("--d", type=int, help="dimension (hypercube)")
     parser.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
-    parser.add_argument("--edgelist", metavar="FILE", help="edge-list text file (from-edgelist)")
-
-
-def _add_graph_source(parser: argparse.ArgumentParser) -> None:
-    source = parser.add_mutually_exclusive_group(required=True)
-    source.add_argument("--graph", metavar="FILE", help="graph JSON file")
-    _add_family_source(parser, source)
 
 
 def _add_common_output(parser: argparse.ArgumentParser) -> None:
@@ -321,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    p = sub.add_parser("gen", help="generate a graph and write its JSON document")
-    _add_family_source(p)
+    p = sub.add_parser("gen", help="write a graph's JSON document")
+    _add_graph_source(p)
     p.add_argument("--out", default="-", help="output path ('-' for stdout)")
     p.set_defaults(func=cmd_gen)
 
@@ -371,8 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group()
     source.add_argument("--signal", metavar="FILE", help="signal CSV; default is the built-in piecewise cosine")
     source.add_argument("--n", type=int, help="length of the built-in signal (default 256)")
-    p.add_argument("--window", choices=("boxcar", "delta"), default="boxcar", help="window shape")
-    p.add_argument("--width", type=int, help="boxcar width (default 32; refused with --window delta)")
+    p.add_argument("--width", type=int, help="boxcar window width, 1 for the unit impulse (default min(32, length))")
     _add_common_output(p)
     p.set_defaults(func=cmd_spectrogram)
 

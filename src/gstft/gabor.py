@@ -209,13 +209,13 @@ def tightness_sweep(dec: SpectralDecomposition, t_grid) -> TightnessSweep:
     :class:`TightnessSweep`. The gap itself need not be monotone; it is zero up
     to roundoff at t = 0, where the spectral sum gives gamma = 1 within a few ulps.
     """
-    ts = np.asarray(t_grid, dtype=np.float64)
+    ts = np.asarray(t_grid)
     if ts.ndim != 1 or ts.size == 0:
         raise ValueError("t_grid must be a nonempty one-dimensional sequence")
+    # each time passes the one time rule before any kernel is built: no bool, string, NaN, inf or negative
+    ts = np.array([_window_time(t) for t in ts])
     if (np.diff(ts) <= 0).any():
         raise ValueError("t_grid must be strictly ascending")
-    for t in ts:  # refuse NaN, infinite and negative times before building any kernel
-        _window_time(t)
 
     fiedler_value = dec.fiedler_value  # a one-vertex graph has none: refuse it before building any kernel
     return TightnessSweep(fiedler_value, tuple(frame_report(dec, heat_kernel(dec, t)) for t in ts))

@@ -377,10 +377,10 @@ def deserialize(text: str) -> Graph:
         raise ValueError(f"graph document: {exc}") from None
 
 
-def graph_from_edge_list_text(text: str, n: int | None = None) -> Graph:
+def graph_from_edge_list_text(text: str) -> Graph:
     """Build a graph from "i j" per-line edge-list text ('#' starts a comment).
 
-    ``n`` defaults to the largest vertex index plus one, and to 1 if none is nonnegative.
+    The vertex count is the largest index plus one, and 1 if none is nonnegative.
     """
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -394,8 +394,6 @@ def graph_from_edge_list_text(text: str, n: int | None = None) -> Graph:
             edges.append((int(parts[0]), int(parts[1])))
         except ValueError as exc:
             raise ValueError(f"edge-list line {lineno}: {exc}") from exc
-    if n is None:
-        if not edges:
-            raise ValueError("cannot infer vertex count from an empty edge list")
-        n = max(1, max(max(e) for e in edges) + 1)
-    return build_from_edge_list(n, edges)
+    if not edges:
+        raise ValueError("cannot infer vertex count from an empty edge list")
+    return build_from_edge_list(max(1, max(max(e) for e in edges) + 1), edges)

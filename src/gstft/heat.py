@@ -28,6 +28,7 @@ it, so threads may share a decomposition.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 import weakref
 from dataclasses import dataclass, field
@@ -54,10 +55,10 @@ _slots_lock = threading.Lock()
 class HeatKernel:
     """Heat kernel at a fixed time: t, the dense matrix H_t, and its squared column norms.
 
-    Construction stores ``t`` as a float and raises ValueError unless it is
-    finite and nonnegative, the matrix is square and nonempty, every entry is
-    above ``ENTRY_FLOOR`` and every row sums to one within ``ROW_SUM_TOL``
-    (a NaN fails both).
+    Construction stores ``t`` as a float, refused as :func:`heat_kernel`
+    refuses it, and raises ValueError unless the matrix is square and
+    nonempty, every entry is above ``ENTRY_FLOOR`` and every row sums to one
+    within ``ROW_SUM_TOL`` (a NaN fails both).
     ``column_norms_sq[j]`` is computed at construction as the direct sum over
     entries of column j; :func:`gstft.gabor.frame_report` gives the spectral
     sum for the same norms. ``matrix[:, i]`` is the window h_t(v_i) = H_t(., v_i).
@@ -119,7 +120,10 @@ def _decay(dec: SpectralDecomposition, t: float, rate: float) -> np.ndarray:
 
 
 def _window_time(t) -> float:
-    """``t`` as a float, -0 as +0; NaN, infinite and negative times are rejected."""
+    """``t`` as a float, -0 as +0; NaN, infinite and negative times are rejected,
+    and anything but a real number (a bool included) raises TypeError."""
+    if isinstance(t, bool) or not isinstance(t, numbers.Real):  # np.bool_ is no numbers.Real
+        raise TypeError(f"t must be a real number, got {type(t).__name__}")
     t = float(t)
     if math.isnan(t):
         raise ValueError("t must not be NaN")
@@ -135,10 +139,11 @@ def heat_kernel(dec: SpectralDecomposition, t: float) -> HeatKernel:
 
     H_0 is returned as the exact identity. For t > 0 the matrix is symmetric
     by construction (``X X^T`` with X = Phi exp(-t Lambda / 2)); it is
-    validated once, by :class:`HeatKernel`. Rejects negative, NaN or
-    infinite t and decompositions that are not Laplacian-like. From the
-    second request for the same ``(dec, t)`` on, the same object is returned
-    while it stays in the reuse slots (see the module docstring).
+    validated once, by :class:`HeatKernel`. Raises TypeError for a t that is
+    a bool or no real number, and ValueError for a negative, NaN or infinite
+    t and for decompositions that are not Laplacian-like. From the second
+    request for the same ``(dec, t)`` on, the same object is returned while
+    it stays in the reuse slots (see the module docstring).
     """
     t = _window_time(t)
     with _slots_lock:

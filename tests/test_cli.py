@@ -6,6 +6,7 @@ import importlib
 import json
 import os
 import runpy
+import shlex
 import subprocess
 import sys
 import time
@@ -18,7 +19,7 @@ import pytest
 from gstft import classical, cli, gabor, graphs, heat, spectral
 from gstft.cli import main
 from gstft.formats import (
-    matrix_from_csv, matrix_to_csv, signal_from_csv, signal_to_csv, split_meta, write_text_atomic,
+    graph_sha256, matrix_from_csv, matrix_to_csv, signal_from_csv, signal_to_csv, split_meta, write_text_atomic,
 )
 
 
@@ -40,6 +41,11 @@ def run_err(capsys, *argv):
     assert code == 1
     assert err.startswith("error: ")
     return err
+
+
+def edge_list_text(g):
+    """``g``'s edges as edge-list text, last edge first, each pair reversed, with comments."""
+    return "# edges, last first\n" + "".join(f"{j} {i}  # edge\n" for i, j in g.edges.tolist()[::-1])
 
 
 class TestGen:
@@ -77,8 +83,17 @@ class TestGen:
         edges = tmp_path / "edges.txt"
         edges.write_text("# triangle\n0 1\n1 2\n2 0\n")
         out = tmp_path / "g.json"
-        run_ok(capsys, "gen", "--family", "from-edgelist", "--edgelist", str(edges), "--out", str(out))
-        assert graphs.deserialize(out.read_text()).n == 3
+        run_ok(capsys, "gen", "--graph", str(edges), "--out", str(out))
+        assert out.read_text() == '{"n":3,"edges":[[0,1],[0,2],[1,2]]}\n'
+
+    def test_edge_list_json_and_family_write_the_same_document(self, tmp_path, capsys):
+        g = graphs.petersen_graph()
+        (tmp_path / "g.txt").write_text(edge_list_text(g))
+        (tmp_path / "g.json").write_text(json.dumps({"n": 10, "edges": g.edges.tolist()[::-1]}, indent=1))
+        sources = {"text": ["--graph", str(tmp_path / "g.txt")], "json": ["--graph", str(tmp_path / "g.json")],
+                   "family": ["--family", "petersen"]}
+        written = {name: run_ok(capsys, "gen", *argv) for name, argv in sources.items()}
+        assert written == dict.fromkeys(sources, graphs.serialize(g) + "\n")
 
     def test_stdout_output(self, capsys):
         out = run_ok(capsys, "gen", "--family", "ring", "--n", "4")
@@ -343,8 +358,7 @@ class TestFrameReport:
         edges.write_text("0 1\n1 2\n")
         out = tmp_path / "report.csv"
         run_ok(
-            capsys, "frame-report", "--family", "from-edgelist", "--edgelist", str(edges),
-            "--t-grid", "0:2:1", "--out", str(out),
+            capsys, "frame-report", "--graph", str(edges), "--t-grid", "0:2:1", "--out", str(out),
         )
         rows = [l.split(",") for l in out.read_text().splitlines() if l and not l.startswith("#")][1:]
         assert rows[0][5] == "true"  # t = 0
@@ -487,26 +501,41 @@ class TestSpectrogram:
         run_err(capsys, "spectrogram", "--width", "0", "--out", str(tmp_path / "s.csv"))
 
     def test_delta_window(self, tmp_path, capsys):
+        # width 1 is the unit impulse: the power rows are those the removed `--window delta` wrote,
+        # pinned at the scope of PINNED below
         out = tmp_path / "spec.csv"
-        run_ok(capsys, "spectrogram", "--n", "32", "--window", "delta", "--out", str(out))
-        power = matrix_from_csv(out.read_text())[0].real
-        assert power.shape == (32, 32)
+        run_ok(capsys, "spectrogram", "--n", "32", "--width", "1", "--out", str(out))
+        meta_line, rows = out.read_text().split("\n", 1)
+        assert meta_line == '# meta {"n":32,"width":1,"window":"boxcar"}'
+        assert hashlib.sha256(rows.encode()).hexdigest() == (
+            "3964604b6203e45d2151a60133e7ecdb408533471b3630c83ac843c8157920e9")
 
-    @pytest.mark.parametrize("argv, width", [([], 32), (["--width", "8"], 8), (["--window", "delta"], 1)],
+    @pytest.mark.parametrize("argv, width", [([], 32), (["--width", "8"], 8), (["--width", "1"], 1)],
                              ids=["default", "boxcar-8", "delta"])
     def test_meta_names_the_width_used(self, tmp_path, capsys, argv, width):
         out = tmp_path / "spec.csv"
         run_ok(capsys, "spectrogram", "--n", "64", *argv, "--out", str(out))
         assert matrix_from_csv(out.read_text())[1]["width"] == width
 
+    @pytest.mark.parametrize("source, n", [("n", 16), ("signal", 5)])
+    def test_default_width_fits_a_short_signal(self, tmp_path, capsys, source, n):
+        signal = tmp_path / "s.csv"
+        signal.write_text("1,0\n" * n)
+        argv = ["--n", str(n)] if source == "n" else ["--signal", str(signal)]
+        out = tmp_path / "spec.csv"
+        run_ok(capsys, "spectrogram", *argv, "--out", str(out))
+        power, meta = matrix_from_csv(out.read_text())
+        assert meta == {"n": n, "window": "boxcar", "width": n}
+        assert power.shape == (n, n)
+
     @pytest.mark.parametrize("source", ["n", "signal"])
     @pytest.mark.parametrize("width", ["1", "8"])
     def test_width_with_delta_window_refused_before_any_work(self, tmp_path, capsys, source, width):
-        # the signal file does not exist: the refusal comes before it is read
+        # --width is the one window setting; the removed --window option is a usage error
         argv = ["--n", "16"] if source == "n" else ["--signal", str(tmp_path / "missing.csv")]
         out = tmp_path / "spec.csv"
         err = run_err(capsys, "spectrogram", *argv, "--window", "delta", "--width", width, "--out", str(out))
-        assert err == "error: --width applies to the boxcar window only; the delta window has width 1\n"
+        assert err == "error: unrecognized arguments: --window delta\n"
         assert not out.exists()
 
     def test_signal_and_n_conflict(self, tmp_path, capsys):
@@ -589,7 +618,7 @@ def test_one_vertex_graph_refused_before_any_work(tmp_path, capsys, monkeypatch,
         (["frame-report", "--family", "petersen", "--t-grid", "-1:1:0.5"], "argument --t-grid: expected one argument"),
         (["heat", "--family", "ring", "--n", "4"], "the following arguments are required: --t"),
         (["gstft", "--family", "ring", "--n", "4", "--signal", "f.csv"], "the following arguments are required: --t"),
-        (["gen", "--n", "4"], "the following arguments are required: --family"),
+        (["gen", "--n", "4"], "one of the arguments --graph --family is required"),
         (["spectrum", "--graph", "g.json", "--family", "ring"], "argument --family: not allowed with argument --graph"),
         (["spectrum", "--n", "4"], "one of the arguments --graph --family is required"),
         (["frame-report", "--family", "petersen", "--t", "1", "--t-grid", "0:1:1"],
@@ -619,6 +648,17 @@ def test_help_exits_0(capsys, argv):
     assert capsys.readouterr().out.startswith("usage: gstft")
 
 
+@pytest.mark.parametrize("command", ["gen", "spectrum", "frame-report"])
+def test_removed_edge_list_spellings_are_usage_errors(tmp_path, capsys, command):
+    # edge-list text is read through --graph; there is no family or option for it
+    edges = tmp_path / "edges.txt"
+    edges.write_text("0 1\n1 2\n2 0\n")
+    err = run_err(capsys, command, "--family", "from-edgelist", "--edgelist", str(edges))
+    assert err.startswith("error: argument --family: invalid choice: 'from-edgelist' (choose from ")
+    err = run_err(capsys, command, "--graph", str(edges), "--edgelist", str(edges))
+    assert err == f"error: unrecognized arguments: --edgelist {edges}\n"
+
+
 def test_unreadable_input_names_the_path(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     err = run_err(capsys, "spectrum", "--graph", str(missing))
@@ -629,17 +669,16 @@ def test_unreadable_input_names_the_path(tmp_path, capsys):
     "argv, content, problem",
     [
         (["spectrum", "--graph"], b'{"n": 4, "edges": [[0, 1], [2, 3]]}', "graph file {}: graph is disconnected"),
-        (["spectrum", "--family", "from-edgelist", "--edgelist"], b"0 1\n1 x\n",
-         "edge-list file {}: edge-list line 2: invalid literal for int() with base 10: 'x'"),
+        (["spectrum", "--graph"], b"0 1\n1 x\n",
+         "graph file {}: edge-list line 2: invalid literal for int() with base 10: 'x'"),
         (["spectrum", "--graph"], b'{"n": 2, "edges": [[0, 1]]}\xff',
          "cannot read {}: not UTF-8 text (invalid start byte at byte 27)"),
         (["spectrogram", "--signal"], b"1,0\n\xff\n", "cannot read {}: not UTF-8 text (invalid start byte at byte 4)"),
         (["spectrum", "--graph"], b'{"n": 3, "edges": [[0, 1], [1, 1%s]]}' % (b"0" * 30),
          "graph file {}: edge (1,1%s) out of range for n=3" % ("0" * 30)),
-        (["spectrum", "--family", "from-edgelist", "--n", "3", "--edgelist"], b"0 1\n1 1%s\n" % (b"0" * 30),
-         "edge-list file {}: edge (1,1%s) out of range for n=3" % ("0" * 30)),
-        (["spectrum", "--family", "from-edgelist", "--edgelist"], b"-1 -2\n",
-         "edge-list file {}: edge (-1,-2) out of range for n=1"),
+        (["spectrum", "--graph"], b"0 1\n1 1%s\n" % (b"0" * 30),
+         "graph file {}: graph on 1%s1 vertices exceeds the 4096-vertex limit" % ("0" * 29)),
+        (["spectrum", "--graph"], b"-1 -2\n", "graph file {}: edge (-1,-2) out of range for n=1"),
         (["spectrum", "--graph"], b'{"n": 3, "edges": [[0, 1], [1, 1.5]]}',
          "graph file {}: graph document: edge endpoints must be integers, got (1,1.5)"),
         (["spectrum", "--graph"], b'{"n": 3, "edges": [[0, 1], [true, 2]]}',
@@ -1029,18 +1068,50 @@ def test_json_reports_match_pinned_digests(tmp_path, capsys, name):
     assert (stdout, digests) == (expected_stdout, {"r.json": PINNED_JSON[name]})
 
 
-DOCUMENTED = [
-    ["gen", "--family", "shrikhande", "--out", "graph.json"],
-    ["gen", "--family", "random-regular", "--n", "100", "--k", "3", "--seed", "42", "--out", "rr.json"],
-    ["gen", "--family", "ring", "--n", "16", "--out", "ring.json"],
-    ["spectrum", "--graph", "ring.json", "--out", "spectrum.csv"],
-    ["heat", "--graph", "ring.json", "--t", "1.0", "--out", "heat.csv"],
-    ["gstft", "--graph", "ring.json", "--signal", "signal.csv", "--t", "1.0", "--out", "coeffs.csv"],
-    ["reconstruct", "--graph", "ring.json", "--coeffs", "coeffs.csv", "--out", "recovered.csv"],
-    ["frame-report", "--family", "shrikhande", "--t-grid", "0:10:1", "--out", "report.csv"],
-    ["sweep-decay", "--n", "60", "--k-list", "3,5", "--seed", "42", "--t-grid", "0.1:4:0.1", "--out", "decay.csv"],
-    ["spectrogram", "--out", "spectrogram.csv"],
-]
+# Every command that reads a graph, and its other arguments; f.csv and c.csv are written first.
+GRAPH_COMMANDS = {
+    "gen": [],
+    "spectrum": [],
+    "heat": ["--t", "0.5"],
+    "gstft": ["--signal", "f.csv", "--t", "0.5"],
+    "reconstruct": ["--coeffs", "c.csv"],
+    "frame-report": ["--t-grid", "0:1:0.5"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, fmt", [(c, f) for c in GRAPH_COMMANDS for f in ("csv", "json") if c != "gen" or f == "csv"]
+)  # gen writes only the graph document
+def test_graph_file_reads_edge_list_text_as_its_json_document(tmp_path, capsys, command, fmt):
+    g = graphs.ring_graph(8)
+    (tmp_path / "g.json").write_text(graphs.serialize(g))
+    (tmp_path / "g.txt").write_text(edge_list_text(g))
+    (tmp_path / "f.csv").write_text(PINNED_SIGNAL)
+    run_ok(capsys, "gstft", "--graph", str(tmp_path / "g.json"), "--signal", str(tmp_path / "f.csv"),
+           "--t", "0.5", "--out", str(tmp_path / "c.csv"))
+    argv = [command, *(str(tmp_path / a) if a.endswith(".csv") else a for a in GRAPH_COMMANDS[command])]
+    if command != "gen":
+        argv += ["--format", fmt]
+    runs = {}
+    for source in ("g.json", "g.txt"):
+        out_dir = tmp_path / source.replace(".", "-")
+        out_dir.mkdir()
+        stdout = run_ok(capsys, *argv, "--graph", str(tmp_path / source), "--out", str(out_dir / "r.out"))
+        runs[source] = stdout, {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    assert runs["g.txt"] == runs["g.json"]
+    if command in ("gstft", "frame-report"):  # the report names the graph by its digest
+        doc = runs["g.txt"][1]["r.out"].decode()
+        meta = json.loads(doc)["meta"] if fmt == "json" else split_meta(doc)[0]
+        assert meta["graph_sha256"] == graph_sha256(graphs.serialize(g))
+
+
+def documented_invocations():
+    """The argument lists of the `gstft` lines in README's command-line `sh` block, comments dropped."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Command-line tool\n", 1)[1].split("```sh\n", 1)[1].split("\n```", 1)[0]
+    invocations = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert invocations and all(argv[0] == "gstft" for argv in invocations)
+    return [argv[1:] for argv in invocations]
 
 
 def run_documented(base, capsys):
@@ -1048,9 +1119,10 @@ def run_documented(base, capsys):
     signal = np.full(16, 0.5)
     signal[3] = 2.0
     (base / "signal.csv").write_text(signal_to_csv(signal.astype(complex)))
+    (base / "edges.txt").write_text("# a triangle\n0 1\n1 2\n2 0\n")
     stdout_chunks = []
-    for argv in DOCUMENTED:
-        argv = [str(base / a) if a.endswith((".json", ".csv")) else a for a in argv]
+    for argv in documented_invocations():
+        argv = [str(base / a) if a.endswith((".json", ".csv", ".txt")) else a for a in argv]
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 0, captured.err

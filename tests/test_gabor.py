@@ -449,6 +449,31 @@ class TestTightnessSweep:
             gabor.tightness_sweep(dec, [-1.0, 0.5])
 
     @pytest.mark.parametrize(
+        "grid, name",
+        [([False, True], "bool"), (["0", "1e-1"], "str_"), ([0.0, None], "NoneType")],
+        ids=["bools", "strings", "none"],
+    )
+    def test_grid_of_no_real_numbers_refused_before_any_kernel(self, monkeypatch, grid, name):
+        dec = spectral.decompose(spectral.laplacian(graphs.petersen_graph()))
+        built = []
+        monkeypatch.setattr(gabor, "heat_kernel", lambda d, t: built.append(t) or heat.heat_kernel(d, t))
+        with pytest.raises(TypeError, match=f"^t must be a real number, got {name}$"):
+            gabor.tightness_sweep(dec, grid)
+        assert built == []
+
+    @pytest.mark.parametrize("grid", [[0, 1, 2], np.array([0, 1, 2], dtype=np.uint8), np.array([0, 1, 2], dtype=object)],
+                             ids=["ints", "uint8", "object"])
+    def test_integer_grid_sweeps_as_floats(self, grid):
+        dec = spectral.decompose(spectral.laplacian(graphs.petersen_graph()))
+        assert gabor.tightness_sweep(dec, grid).ts.tolist() == [0.0, 1.0, 2.0]
+
+    def test_descending_unsigned_grid_refused(self):
+        # uint8 differences would wrap to 255 and pass for ascending
+        dec = spectral.decompose(spectral.laplacian(graphs.petersen_graph()))
+        with pytest.raises(ValueError, match="^t_grid must be strictly ascending$"):
+            gabor.tightness_sweep(dec, np.array([2, 1], dtype=np.uint8))
+
+    @pytest.mark.parametrize(
         "grid, message",
         [
             ([0.0, 1.0, math.nan], "t must not be NaN"),

@@ -601,6 +601,6 @@ class TestEdgeListText:
         g = graphs.graph_from_edge_list_text("0 1\n1 2\n")
         assert g.n == 3
 
-    def test_graph_from_text_explicit_n_checks_connectivity(self):
+    def test_graph_from_text_checks_connectivity(self):
         with pytest.raises(ValueError, match="disconnected"):
-            graphs.graph_from_edge_list_text("0 1\n", n=3)
+            graphs.graph_from_edge_list_text("0 1\n2 3\n")

@@ -137,20 +137,40 @@ def test_constructor_refuses_invalid_matrix(matrix, message):
 
 
 @pytest.mark.parametrize(
-    "t, message",
+    "t, error, message",
     [
-        (float("nan"), "t must not be NaN"),
-        (float("inf"), "t must be finite, got inf"),
-        (float("-inf"), "t must be finite, got -inf"),
-        (-1e-300, "t must be nonnegative, got -1e-300"),
-        (-0.5, "t must be nonnegative, got -0.5"),
-        ("x", "could not convert string to float: 'x'"),
+        (float("nan"), ValueError, "t must not be NaN"),
+        (float("inf"), ValueError, "t must be finite, got inf"),
+        (float("-inf"), ValueError, "t must be finite, got -inf"),
+        (-1e-300, ValueError, "t must be nonnegative, got -1e-300"),
+        (-0.5, ValueError, "t must be nonnegative, got -0.5"),
+        ("x", TypeError, "t must be a real number, got str"),
+        (True, TypeError, "t must be a real number, got bool"),
     ],
-    ids=["nan", "inf", "minus-inf", "tiny-negative", "negative", "string"],
+    ids=["nan", "inf", "minus-inf", "tiny-negative", "negative", "string", "bool"],
 )
-def test_constructor_refuses_invalid_time(t, message):
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+def test_constructor_refuses_invalid_time(t, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         heat.HeatKernel(t, np.eye(3))
+
+
+@pytest.mark.parametrize(
+    "t, name",
+    [(True, "bool"), (False, "bool"), (np.True_, type(np.True_).__name__), ("0.5", "str"), (None, "NoneType"),
+     (1 + 0j, "complex")],
+    ids=["true", "false", "numpy-bool", "string", "none", "complex"],
+)
+def test_heat_kernel_refuses_a_time_that_is_no_real_number(t, name):
+    # a bool or a numeric string would otherwise pass float() as a time
+    _, dec = make(graphs.petersen_graph())
+    with pytest.raises(TypeError, match=f"^t must be a real number, got {name}$"):
+        heat.heat_kernel(dec, t)
+
+
+@pytest.mark.parametrize("t", [1, np.int64(2), np.float32(0.5), 0.25], ids=["int", "int64", "float32", "float"])
+def test_heat_kernel_accepts_every_real_number_type(t):
+    _, dec = make(graphs.petersen_graph())
+    assert heat.heat_kernel(dec, t).t == float(t)
 
 
 def test_constructor_stores_time_as_float():

@@ -1,4 +1,4 @@
-"""Property tests over random edge lists, random connected graphs, CSV text and JSON coefficients.
+"""Property tests over random edge lists, random connected graphs, edge-list text, CSV text and JSON coefficients.
 
 Separate from the pinned acceptance suite: hypothesis draws the inputs. With
 ``derandomize=True`` every run draws the same examples, and with
@@ -17,7 +17,7 @@ import pytest
 from hypothesis import configuration, given, settings
 from hypothesis import strategies as st
 
-from gstft import formats, gabor, graphs, heat, spectral
+from gstft import cli, formats, gabor, graphs, heat, spectral
 
 import oracles
 
@@ -132,6 +132,17 @@ def connected_graphs(draw):
     vertex = st.integers(0, n - 1)
     extra = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
     return graphs.build_from_edge_list(n, draw(spanning_trees(n)) + [(i, j) for i, j in extra if i != j])
+
+
+@repeatable
+@given(connected_graphs().filter(lambda g: g.n > 1), st.data())  # one vertex has no edge to write
+def test_edge_list_text_and_json_read_back_as_the_graph(g, data):
+    pairs = data.draw(st.permutations(g.edges.tolist()))
+    text = "".join(f"{j} {i}  # reversed\n" if data.draw(st.booleans()) else f"{i} {j}\n" for i, j in pairs)
+    expected = graphs.serialize(g)
+    assert graphs.serialize(graphs.graph_from_edge_list_text(text)) == expected
+    # a --graph file is either encoding
+    assert graphs.serialize(cli._graph_from_text(text)) == graphs.serialize(cli._graph_from_text(expected)) == expected
 
 
 @repeatable
