@@ -2,18 +2,18 @@
 
 Subcommands: gen, spectrum, heat, gstft, reconstruct, frame-report,
 sweep-decay, spectrogram. Every graph command, ``gen`` included, takes its
-graph from ``--family`` or from a ``--graph`` file, JSON or edge-list text.
-Each report command hands one writer a way to render its JSON document and
-its CSV text; the writer renders only the format ``--format`` asks for (CSV
-by default) and writes it atomically. A CSV report may add a companion file
-named ``<root>_<suffix><ext or .csv>`` next to ``--out``, which must then be
-a path. Every invocation is deterministic given its inputs and seed, so
-repeated runs produce byte-identical files. Errors, usage errors included,
-print a single "error: ..." line on stderr and exit with status 1. A value
-that starts with ``-`` but is not a plain negative number must be attached
-to its option: ``--t=-inf``, ``--t-grid=-1:1:0.5``. The process entry
-:func:`run` (``gstft``, ``python -m gstft``) freezes the heap once the
-command has run, so interpreter shutdown skips collecting it.
+graph from a ``--graph`` file (JSON or edge-list text) or from ``--family``:
+ring and complete read ``--n``, hypercube ``--d``, random-regular ``--n``,
+``--k`` and ``--seed`` (0 by default), petersen, shrikhande and ``--graph``
+none, and an option the source does not read is refused ("error: --n does
+not apply to --family petersen"). A report command renders only the format
+``--format`` asks for (CSV by default) and writes it atomically; a CSV
+report may add a companion file ``<root>_<suffix><ext or .csv>`` next to
+``--out``, which must then be a path. Every invocation is deterministic
+given its inputs and seed, so repeated runs write byte-identical files.
+Errors, usage errors included, print a single "error: ..." line on stderr
+and exit with status 1. A value that starts with ``-`` but is not a plain
+negative number must be attached to its option: ``--t=-inf``, ``--t-grid=-1:1:0.5``.
 """
 from __future__ import annotations
 
@@ -79,24 +79,17 @@ def _require_companion_path(args) -> None:
         raise ValueError(f"{args.command} CSV writes a companion file; --out must be a path")
 
 
-def _require(args, name: str):
-    """The value of ``--<name>``, which the chosen family needs."""
-    value = getattr(args, name)
-    if value is None:
-        raise ValueError(f"--{name} is required for {args.family}")
-    return value
+# The options a family may read, each with its help text.
+FAMILY_OPTIONS = {"n": "vertex count", "k": "degree", "d": "dimension", "seed": "generator seed, default 0"}
 
-
-# Family name -> builder from the parsed arguments; the keys are --family's choices.
+# Family name -> (builder, the options it reads in argument order); the keys are --family's choices.
 FAMILIES = {
-    "ring": lambda args: graphs.ring_graph(_require(args, "n")),
-    "complete": lambda args: graphs.complete_graph(_require(args, "n")),
-    "hypercube": lambda args: graphs.hypercube_graph(_require(args, "d")),
-    "petersen": lambda args: graphs.petersen_graph(),
-    "shrikhande": lambda args: graphs.shrikhande_graph(),
-    "random-regular": lambda args: graphs.random_regular_graph(
-        _require(args, "n"), _require(args, "k"), args.seed
-    ),
+    "ring": (graphs.ring_graph, ("n",)),
+    "complete": (graphs.complete_graph, ("n",)),
+    "hypercube": (graphs.hypercube_graph, ("d",)),
+    "petersen": (graphs.petersen_graph, ()),
+    "shrikhande": (graphs.shrikhande_graph, ()),
+    "random-regular": (graphs.random_regular_graph, ("n", "k", "seed")),
 }
 
 
@@ -108,9 +101,17 @@ def _graph_from_text(text: str) -> graphs.Graph:
 
 
 def _resolve_graph(args) -> graphs.Graph:
-    if args.graph is not None:
+    """The graph ``--graph`` or ``--family`` names; an option its source does not read is refused first."""
+    build, reads = FAMILIES.get(args.family, (None, ()))
+    for name in FAMILY_OPTIONS:
+        if getattr(args, name) is not None and name not in reads:
+            raise ValueError(f"--{name} does not apply to " + (f"--family {args.family}" if build else "--graph"))
+    if build is None:
         return _read(args.graph, "graph", _graph_from_text)
-    return FAMILIES[args.family](args)
+    for name in reads:
+        if getattr(args, name) is None and name != "seed":
+            raise ValueError(f"--{name} is required for {args.family}")
+    return build(*(getattr(args, name) or 0 for name in reads))  # an unset --seed is 0
 
 
 def _graph_meta(g: graphs.Graph, **extra) -> dict:
@@ -296,14 +297,13 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _add_graph_source(parser: argparse.ArgumentParser) -> None:
-    """Add the required graph source, --graph or --family, and the family parameters."""
+    """Add the required graph source, --graph or --family, and the options families read."""
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--graph", metavar="FILE", help="graph file: a JSON document or edge-list text")
     source.add_argument("--family", choices=FAMILIES, help="graph family to generate")
-    parser.add_argument("--n", type=int, help="vertex count (ring, complete, random-regular)")
-    parser.add_argument("--k", type=int, help="degree (random-regular)")
-    parser.add_argument("--d", type=int, help="dimension (hypercube)")
-    parser.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
+    for name, text in FAMILY_OPTIONS.items():
+        families = ", ".join(family for family, (_, reads) in FAMILIES.items() if name in reads)
+        parser.add_argument(f"--{name}", type=int, help=f"{text} ({families} only)")
 
 
 def _add_common_output(parser: argparse.ArgumentParser) -> None:

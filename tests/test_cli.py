@@ -628,16 +628,49 @@ def test_one_vertex_graph_refused_before_any_work(tmp_path, capsys, monkeypatch,
         (["spectrogram", "--signal", "f.csv", "--n", "256"], "argument --n: not allowed with argument --signal"),
         (["frame-report", "--family", "petersen", "--t", "1", "--t-grid", "0:10:0.1"],
          "argument --t-grid: not allowed with argument --t"),
+        # each of --n/--k/--d/--seed that the graph source does not read is refused; g.json does not exist
+        (["gen", "--family", "petersen", "--n", "7"], "--n does not apply to --family petersen"),
+        (["spectrum", "--family", "ring", "--n", "4", "--k", "3"], "--k does not apply to --family ring"),
+        (["frame-report", "--family", "hypercube", "--d", "3", "--seed", "1", "--t", "1"],
+         "--seed does not apply to --family hypercube"),
+        (["gen", "--family", "random-regular", "--n", "10", "--k", "3", "--d", "2"],
+         "--d does not apply to --family random-regular"),
+        (["heat", "--graph", "g.json", "--n", "4", "--t", "1"], "--n does not apply to --graph"),
+        (["gen", "--family", "ring"], "--n is required for ring"),
+        (["gen", "--family", "random-regular", "--n", "10"], "--k is required for random-regular"),
     ],
     ids=[
         "no-subcommand", "unknown-flag", "t-not-a-number", "t-negative-inf", "grid-negative-start", "heat-missing-t",
         "gstft-missing-t", "gen-missing-family", "both-graph-sources", "no-graph-source", "t-and-grid", "signal-and-n",
-        "signal-and-default-n", "t-and-default-grid",
+        "signal-and-default-n", "t-and-default-grid", "petersen-n", "ring-k", "hypercube-seed", "random-regular-d",
+        "graph-file-n", "ring-missing-n", "random-regular-missing-k",
     ],
 )
 def test_usage_errors_print_one_line_and_return_1(capsys, argv, problem):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", f"error: {problem}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, problem",
+    [
+        (["gen", "--family", "shrikhande", "--seed", "0"], "--seed does not apply to --family shrikhande"),
+        (["gstft", "--graph", "{graph}", "--signal", "{signal}", "--t", "1", "--k", "3"], "--k does not apply to --graph"),
+        (["frame-report", "--family", "complete", "--n", "5", "--d", "2", "--format", "json"],
+         "--d does not apply to --family complete"),
+    ],
+    ids=["gen-family", "gstft-graph-file", "frame-report-family"],
+)
+def test_unread_graph_option_refused_before_any_input_or_output(tmp_path, capsys, monkeypatch, argv, problem):
+    graph, signal, out = tmp_path / "g.json", tmp_path / "f.csv", tmp_path / "r.out"
+    graph.write_text('{"n": 3, "edges": [[0, 1], [0, 2], [1, 2]]}')
+    signal.write_text("1,0\n0,0\n0,0\n")
+    read = []
+    monkeypatch.setattr(cli, "_read", lambda path, *rest: read.append(path))
+    err = run_err(capsys, *(arg.format(graph=graph, signal=signal) for arg in argv), "--out", str(out))
+    assert err == f"error: {problem}\n"
+    assert read == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["frame-report", "--help"]], ids=["top", "subcommand"])
