@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .graphs import _check_integer
+
 __all__ = ["dft", "full_gabor_system", "dstft", "spectrogram", "piecewise_cosine", "boxcar_window"]
 
 
@@ -80,6 +82,7 @@ def piecewise_cosine(n: int) -> np.ndarray:
     Frequencies are exact DFT bins of the full length, so the spectrum peaks
     at known indices and spectrograms show the switch at the midpoint.
     """
+    _check_integer(n, "signal length")
     if n < 2:
         raise ValueError(f"signal length must be >= 2, got {n}")
     m = np.arange(n)
@@ -90,6 +93,8 @@ def piecewise_cosine(n: int) -> np.ndarray:
 
 def boxcar_window(n: int, width: int) -> np.ndarray:
     """Indicator window of the first ``width`` samples; width 1 is the unit impulse."""
+    _check_integer(n, "signal length")
+    _check_integer(width, "window width")
     if not 1 <= width <= n:
         raise ValueError(f"window width must be in 1..{n}, got {width}")
     g = np.zeros(n)

@@ -32,11 +32,11 @@ DEFAULT_T_GRID = "0:10:0.1"
 
 
 def _read(path: str, kind: str, parse):
-    """``parse`` of the UTF-8 text in ``path``; its ValueErrors get the prefix
-    "<kind> file <path>: ", and a file that cannot be read raises "cannot read <path>: ..."."""
+    """``parse`` of the UTF-8 text in ``path`` after one leading byte-order mark; its ValueErrors get
+    the prefix "<kind> file <path>: ", and a file that cannot be read raises "cannot read <path>: ..."."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "r", encoding="utf-8") as handle:  # not utf-8-sig: byte offsets in errors stay the file's
+            text = handle.read().removeprefix("\ufeff")
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:

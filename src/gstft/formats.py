@@ -24,7 +24,8 @@ from collections.abc import Iterator
 import numpy as np
 
 META_PREFIX = "# meta "
-# 100x the CLI's default 101-point grid; each point costs one heat kernel.
+# The point count of 0:10:0.001, a grid 100 times as fine as the CLI's default
+# 0:10:0.1 (not 100 times its 101 points); each point costs one heat kernel.
 MAX_T_GRID_POINTS = 10_001
 
 

@@ -45,7 +45,7 @@ __all__ = [
     "inverse_gstft", "tightness_sweep", "fiedler_eigenspace_mass", "srg_eigenspace_mass",
 ]
 
-# Roundoff allowance for the tight verdict of frame_report, relative to
+# Roundoff allowance for the tight verdict of FrameReport, relative to
 # max(1, B). The test oracles share it for the other identities that are exact
 # in theory: sampled energies against the frame bounds and the spectral-window
 # proportionality residual.
@@ -79,18 +79,26 @@ class GstftCoefficients:
 
 @dataclass(frozen=True, eq=False)
 class FrameReport:
-    """Frame-operator spectrum at one time: gammas, bounds A/B, gap, ratio, tightness."""
+    """Frame-operator spectrum at one time. ``bound_a`` = A = min gamma, ``bound_b`` = B = max gamma
+    and ``ratio`` = B / A are computed from the gammas, and the frame is ``tight`` when ``gap`` is
+    at most ``TIGHT_TOL * max(1, B)``. ``gap`` = B - A alone is passed in, so a wrong one can be built."""
 
     t: float
     gammas: np.ndarray
-    bound_a: float
-    bound_b: float
     gap: float
-    ratio: float
-    tight: bool
+    bound_a: float = field(init=False)
+    bound_b: float = field(init=False)
+    ratio: float = field(init=False)
+    tight: bool = field(init=False)
 
     def __post_init__(self):
         self.gammas.setflags(write=False)
+        bound_a = float(self.gammas.min())
+        bound_b = float(self.gammas.max())
+        object.__setattr__(self, "bound_a", bound_a)
+        object.__setattr__(self, "bound_b", bound_b)
+        object.__setattr__(self, "ratio", bound_b / bound_a)
+        object.__setattr__(self, "tight", bool(self.gap <= TIGHT_TOL * max(1.0, bound_b)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,22 +166,10 @@ def frame_report(dec: SpectralDecomposition, hk: HeatKernel) -> FrameReport:
 
     gamma_j(t) = sum_l exp(-2 lambda_l t) |phi_l(v_j)|^2 equals the column
     norms of H_t to roundoff, as the decomposition's Phi is checked orthonormal.
-    The frame is ``tight`` when the gap is at most ``TIGHT_TOL * max(1, B)``.
     """
     _check_same_graph(dec, hk)
     gammas = (dec.eigenvectors**2) @ _decay(dec, hk.t, 2.0)
-    bound_a = float(gammas.min())
-    bound_b = float(gammas.max())
-    gap = bound_b - bound_a
-    return FrameReport(
-        t=hk.t,
-        gammas=gammas,
-        bound_a=bound_a,
-        bound_b=bound_b,
-        gap=gap,
-        ratio=bound_b / bound_a,
-        tight=gap <= TIGHT_TOL * max(1.0, bound_b),
-    )
+    return FrameReport(hk.t, gammas, gap=float(gammas.max()) - float(gammas.min()))
 
 
 def inverse_gstft(

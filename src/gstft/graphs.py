@@ -125,8 +125,7 @@ def _is_connected(n: int, adjacency: np.ndarray) -> bool:
 
 
 def _check_vertex_count(n: int) -> None:
-    if not _is_integer_type(type(n)):
-        raise TypeError(f"vertex count must be an integer, got {type(n).__name__}")
+    _check_integer(n, "vertex count")
     if n <= 0:
         raise ValueError(f"vertex count must be positive, got {n}")
     if n > MAX_VERTICES:
@@ -135,6 +134,12 @@ def _check_vertex_count(n: int) -> None:
 
 def _is_integer_type(t: type) -> bool:
     return issubclass(t, (int, np.integer)) and t is not bool  # bool subclasses int
+
+
+def _check_integer(value, name: str) -> None:
+    """The rule for every size: a Python or NumPy integer, never a bool, or TypeError names ``name``."""
+    if not _is_integer_type(type(value)):
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
 
 
 def build_from_edge_list(n: int, edges) -> Graph:
@@ -199,8 +204,7 @@ def hypercube_graph(d: int) -> Graph:
 
     Requires an integer d >= 1 and 2**d <= MAX_VERTICES, decided from d before 2**d is formed.
     """
-    if not _is_integer_type(type(d)):
-        raise TypeError(f"hypercube dimension must be an integer, got {type(d).__name__}")
+    _check_integer(d, "hypercube dimension")
     if d < 1:
         raise ValueError(f"hypercube dimension must be >= 1, got {d}")
     if d >= MAX_VERTICES.bit_length():  # exactly when 2**d > MAX_VERTICES
@@ -242,8 +246,7 @@ def _check_random_regular(n: int, k: int, seed) -> None:
     if not (_is_integer_type(type(seed)) and seed >= 0):  # numpy would take None as OS entropy, True as 1
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     _check_vertex_count(n)
-    if not _is_integer_type(type(k)):
-        raise TypeError(f"degree must be an integer, got {type(k).__name__}")
+    _check_integer(k, "degree")
     if k < 0 or k >= n:
         raise ValueError(f"degree must satisfy 0 <= k < n, got k={k}, n={n}")
     if (n * k) % 2 != 0:

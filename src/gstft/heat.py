@@ -120,11 +120,15 @@ def _decay(dec: SpectralDecomposition, t: float, rate: float) -> np.ndarray:
 
 
 def _window_time(t) -> float:
-    """``t`` as a float, -0 as +0; NaN, infinite and negative times are rejected,
-    and anything but a real number (a bool included) raises TypeError."""
+    """``t`` as a float, -0 as +0; NaN, infinite and negative times, and numbers
+    beyond float range, are rejected, and anything but a real number (a bool
+    included) raises TypeError."""
     if isinstance(t, bool) or not isinstance(t, numbers.Real):  # np.bool_ is no numbers.Real
         raise TypeError(f"t must be a real number, got {type(t).__name__}")
-    t = float(t)
+    try:
+        t = float(t)
+    except OverflowError:
+        raise ValueError("t must be finite, got a number beyond float range") from None
     if math.isnan(t):
         raise ValueError("t must not be NaN")
     if math.isinf(t):

@@ -212,6 +212,28 @@ class TestWindows:
             classical.boxcar_window(8, 9)
         assert classical.boxcar_window(8, 3).sum() == 3.0
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: classical.piecewise_cosine(2.5), "signal length must be an integer, got float"),
+            (lambda: classical.piecewise_cosine(True), "signal length must be an integer, got bool"),
+            (lambda: classical.boxcar_window(5, True), "window width must be an integer, got bool"),
+            (lambda: classical.boxcar_window(5, 2.5), "window width must be an integer, got float"),
+            (lambda: classical.boxcar_window(4.0, 2), "signal length must be an integer, got float"),
+            (lambda: classical.boxcar_window(4.0, 9.5), "signal length must be an integer, got float"),
+        ],
+        ids=["cosine-float", "cosine-bool", "boxcar-bool-width", "boxcar-float-width", "boxcar-float-length",
+             "length-before-width"],
+    )
+    def test_sizes_follow_the_integer_rule(self, make, message):
+        # the rule of the graph families: a Python or NumPy integer, never a bool, before any range check
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            make()
+
+    def test_numpy_integer_sizes_accepted(self):
+        assert classical.piecewise_cosine(np.int32(4)).shape == (4,)
+        assert classical.boxcar_window(np.int64(4), np.uint8(2)).tolist() == [1.0, 1.0, 0.0, 0.0]
+
     def test_piecewise_cosine_needs_two_samples(self):
         with pytest.raises(ValueError, match="signal length must be >= 2, got 1"):
             classical.piecewise_cosine(1)

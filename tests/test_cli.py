@@ -308,8 +308,10 @@ class TestTransformRoundTrip:
             ("c.csv", "1e999", "t must be finite, got inf"),
             ("c.csv", "NaN", "t must not be NaN"),
             ("c.json", "-Infinity", "t must be finite, got -inf"),
+            ("c.csv", "1" + "0" * 400, "t must be finite, got a number beyond float range"),
+            ("c.json", "1" + "0" * 400, "t must be finite, got a number beyond float range"),
         ],
-        ids=["csv-overflow", "csv-nan", "json-minus-infinity"],
+        ids=["csv-overflow", "csv-nan", "json-minus-infinity", "csv-integer-beyond-float", "json-integer-beyond-float"],
     )
     def test_bad_meta_time_names_the_file(self, tmp_path, capsys, ring8_setup, name, meta_t, problem):
         graph_path, _, _ = ring8_setup
@@ -725,6 +727,32 @@ def test_input_file_errors_name_the_file(tmp_path, capsys, argv, content, proble
     path.write_bytes(content)
     err = run_err(capsys, *argv, str(path), "--out", str(tmp_path / "r.csv"))
     assert err == f"error: {problem.format(path)}\n"
+
+
+@pytest.mark.parametrize("kind", ["graph-json", "graph-edge-list", "signal", "coeffs-csv", "coeffs-json"])
+def test_leading_byte_order_mark_is_not_data(tmp_path, capsys, ring8_setup, kind):
+    graph_path, signal_path, _ = ring8_setup
+    edges = tmp_path / "ring8.txt"
+    edges.write_text(edge_list_text(graphs.ring_graph(8)))
+    coeffs = {fmt: tmp_path / f"coeffs.{fmt}" for fmt in ("csv", "json")}
+    for fmt, path in coeffs.items():
+        run_ok(capsys, "gstft", "--graph", str(graph_path), "--signal", str(signal_path), "--t", "1", "--format", fmt,
+               "--out", str(path))
+    source, argv = {
+        "graph-json": (graph_path, ["gen", "--graph"]),
+        "graph-edge-list": (edges, ["gen", "--graph"]),
+        "signal": (signal_path, ["gstft", "--graph", str(graph_path), "--t", "1", "--signal"]),
+        "coeffs-csv": (coeffs["csv"], ["reconstruct", "--graph", str(graph_path), "--coeffs"]),
+        "coeffs-json": (coeffs["json"], ["reconstruct", "--graph", str(graph_path), "--coeffs"]),
+    }[kind]
+    marked = tmp_path / f"bom-{source.name}"
+    marked.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+    outputs = []
+    for path in (source, marked):
+        out = tmp_path / f"out-{path.name}"
+        run_ok(capsys, *argv, str(path), "--out", str(out))
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def _csv_rows(text):

@@ -481,6 +481,7 @@ class TestTightnessSweep:
             ([0.0, math.inf], "t must be finite, got inf"),
             ([0.5, math.inf, math.nan], "t must be finite, got inf"),
             ([-1.0, 0.5], "t must be nonnegative, got -1.0"),
+            ([0, 10**400], "t must be finite, got a number beyond float range"),
         ],
     )
     def test_non_finite_times_refused_before_any_kernel(self, monkeypatch, grid, message):
@@ -513,6 +514,21 @@ class TestTightnessSweep:
         assert replaced.ts.tolist() == [0.5, 2.0]
         assert replaced.gaps.tolist() == [0.0, 0.0]
         assert sweep.gaps[1] > 1e-3
+
+    def test_report_derives_bounds_ratio_and_verdict_from_gammas(self):
+        dec = spectral.decompose(spectral.laplacian(graphs.build_from_edge_list(3, [(0, 1), (1, 2)])))
+        untight = gabor.frame_report(dec, heat.heat_kernel(dec, 0.5))
+        assert [f.name for f in dataclasses.fields(untight) if f.init] == ["t", "gammas", "gap"]
+        assert untight.tight is False and untight.gap > 0.1
+        # B = 1e9 lifts the tolerance TIGHT_TOL * B to 1, above the gap passed in
+        lifted = dataclasses.replace(untight, gammas=np.array([1e9, 2e9, 4e9]))
+        assert (lifted.bound_a, lifted.bound_b, lifted.ratio) == (1e9, 4e9, 4.0)
+        assert lifted.gap == untight.gap and lifted.tight is True
+        tight = gabor.frame_report(dec, heat.heat_kernel(dec, 0.0))
+        assert tight.tight is True  # a bool, not numpy.bool_, which formats.csv_cell would write as 1
+        gapped = dataclasses.replace(tight, gap=1e-3)
+        assert gapped.tight is False
+        assert (gapped.bound_a, gapped.bound_b, gapped.ratio) == (tight.bound_a, tight.bound_b, tight.ratio)
 
     def test_max_gamma_envelope_decays_at_fiedler_rate(self):
         # gamma_j(t) - 1/N is a positive combination of exp(-2 lambda t) with

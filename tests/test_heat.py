@@ -146,8 +146,9 @@ def test_constructor_refuses_invalid_matrix(matrix, message):
         (-0.5, ValueError, "t must be nonnegative, got -0.5"),
         ("x", TypeError, "t must be a real number, got str"),
         (True, TypeError, "t must be a real number, got bool"),
+        (10**400, ValueError, "t must be finite, got a number beyond float range"),
     ],
-    ids=["nan", "inf", "minus-inf", "tiny-negative", "negative", "string", "bool"],
+    ids=["nan", "inf", "minus-inf", "tiny-negative", "negative", "string", "bool", "integer-beyond-float"],
 )
 def test_constructor_refuses_invalid_time(t, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
@@ -396,7 +397,7 @@ class TestReuse:
         for t in (0.0, 0.0, 1.0, 1.0):
             heat.heat_kernel(dec, t)
         slots = dict(heat._slots[dec])
-        for t in (-0.5, -1e-300, float("nan"), float("inf"), float("-inf")):
+        for t in (-0.5, -1e-300, float("nan"), float("inf"), float("-inf"), 10**400):
             with pytest.raises(ValueError, match="t must"):
                 heat.heat_kernel(dec, t)
         assert heat._slots[dec] == slots
