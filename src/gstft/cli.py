@@ -9,11 +9,15 @@ none, and an option the source does not read is refused ("error: --n does
 not apply to --family petersen"). A report command renders only the format
 ``--format`` asks for (CSV by default) and writes it atomically; a CSV
 report may add a companion file ``<root>_<suffix><ext or .csv>`` next to
-``--out``, which must then be a path. Every invocation is deterministic
-given its inputs and seed, so repeated runs write byte-identical files.
-Errors, usage errors included, print a single "error: ..." line on stderr
-and exit with status 1. A value that starts with ``-`` but is not a plain
-negative number must be attached to its option: ``--t=-inf``, ``--t-grid=-1:1:0.5``.
+``--out``, which must then be a path. The graph report commands (spectrum,
+heat, gstft, reconstruct, frame-report) run one pipeline in one order:
+resolve the graph, read and check every input file and argument, decompose,
+compute, write; so every input is refused before any decomposition. Every
+invocation is deterministic given its inputs and seed, so repeated runs
+write byte-identical files. Errors, usage errors included, print a single
+"error: ..." line on stderr and exit with status 1. A value that starts with
+``-`` but is not a plain negative number must be attached to its option:
+``--t=-inf``, ``--t-grid=-1:1:0.5``.
 """
 from __future__ import annotations
 
@@ -32,8 +36,8 @@ DEFAULT_T_GRID = "0:10:0.1"
 
 
 def _read(path: str, kind: str, parse):
-    """``parse`` of the UTF-8 text in ``path`` after one leading byte-order mark; its ValueErrors get
-    the prefix "<kind> file <path>: ", and a file that cannot be read raises "cannot read <path>: ..."."""
+    """``parse`` of the UTF-8 text in ``path`` after one leading byte-order mark, its ValueErrors named
+    by :func:`_in_file`; a file that cannot be read raises "cannot read <path>: ..."."""
     try:
         with open(path, "r", encoding="utf-8") as handle:  # not utf-8-sig: byte offsets in errors stay the file's
             text = handle.read().removeprefix("\ufeff")
@@ -41,8 +45,13 @@ def _read(path: str, kind: str, parse):
         raise ValueError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise ValueError(f"cannot read {path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return _in_file(kind, path, parse, text)
+
+
+def _in_file(kind: str, path: str, check, *args):
+    """``check(*args)``, its ValueErrors prefixed "<kind> file <path>: "."""
     try:
-        return parse(text)
+        return check(*args)
     except ValueError as exc:
         raise ValueError(f"{kind} file {path}: {exc}") from None
 
@@ -57,24 +66,20 @@ def _write_output(path: str, text: str) -> None:
             raise ValueError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def _write_report(args, doc, csv, companion=None) -> None:
-    """Render and write only the format ``--format`` names. ``doc`` and ``csv``
-    return the JSON document and the CSV text; ``companion`` is an optional
-    ``(suffix, render)`` pair for a second CSV file next to ``--out``, which
-    the command has checked with :func:`_require_companion_path`."""
+def _write_report(args, doc, csv, companion=None, suffix=None) -> None:
+    """Render and write only the format ``--format`` names. ``doc`` and ``csv`` return the JSON
+    document and the CSV text, and ``companion`` the text of a second CSV file
+    ``<root>_<suffix><ext or .csv>`` next to ``--out``, which :func:`_require_companion_path` allowed."""
     if args.format == "json":
         _write_output(args.out, formats.json_document(doc()))
         return
     _write_output(args.out, csv())
     if companion is not None:
-        suffix, render = companion
         root, ext = os.path.splitext(args.out)
-        _write_output(f"{root}_{suffix}{ext or '.csv'}", render())
+        _write_output(f"{root}_{suffix}{ext or '.csv'}", companion())
 
 
 def _require_companion_path(args) -> None:
-    """Refuse ``--out -`` for a CSV report that writes a companion file; called
-    once the inputs are read, before any decomposition or transform."""
     if args.format == "csv" and args.out == "-":
         raise ValueError(f"{args.command} CSV writes a companion file; --out must be a path")
 
@@ -118,8 +123,19 @@ def _graph_meta(g: graphs.Graph, **extra) -> dict:
     return {"n": g.n, "graph_sha256": formats.graph_sha256(graphs.serialize(g)), **extra}
 
 
-def _decompose(g: graphs.Graph) -> spectral.SpectralDecomposition:
-    return spectral.decompose(spectral.laplacian(g))
+def _graph_report(args, inputs, compute, suffix=None) -> spectral.SpectralDecomposition:
+    """Run a graph report command in the one order that refuses every input before any decomposition,
+    and return the decomposition: resolve the graph ``g``; ``inputs(g)`` reads and checks every input
+    file and argument, and a CSV report with a companion file, named by its ``suffix``, needs an
+    ``--out`` path; decompose into ``dec``; ``compute(g, dec, *inputs)`` returns the renderers
+    :func:`_write_report` takes; write them."""
+    g = _resolve_graph(args)
+    values = inputs(g)
+    if suffix is not None:
+        _require_companion_path(args)
+    dec = spectral.decompose(spectral.laplacian(g))
+    _write_report(args, *compute(g, dec, *values), suffix=suffix)
+    return dec
 
 
 def cmd_gen(args) -> None:
@@ -128,117 +144,97 @@ def cmd_gen(args) -> None:
 
 
 def cmd_spectrum(args) -> None:
-    g = _resolve_graph(args)
-    dec = _decompose(g)
-    fiedler_value = formats.csv_cell(dec.fiedler_value)  # a one-vertex graph is refused before writing
-    _write_report(
-        args,
-        lambda: {"meta": _graph_meta(g), "eigenvalues": dec.eigenvalues, "eigenvectors": dec.eigenvectors},
-        lambda: matrix_to_csv(np.column_stack([dec.eigenvalues, dec.eigenvectors])),
-    )
+    def compute(g, dec):
+        dec.fiedler_value  # a one-vertex graph is refused before writing
+        return (lambda: {"meta": _graph_meta(g), "eigenvalues": dec.eigenvalues, "eigenvectors": dec.eigenvectors},
+                lambda: matrix_to_csv(np.column_stack([dec.eigenvalues, dec.eigenvectors])))
+
+    dec = _graph_report(args, lambda g: (), compute)
     if args.out != "-":  # on stdout the document stands alone
-        print(fiedler_value)
+        print(formats.csv_cell(dec.fiedler_value))
 
 
 def cmd_heat(args) -> None:
-    g = _resolve_graph(args)
-    t = heat._window_time(args.t)  # before decomposing
-    hk = heat.heat_kernel(_decompose(g), t)
-    _write_report(
-        args,
-        lambda: {"meta": _graph_meta(g, t=hk.t), "matrix": hk.matrix},
-        lambda: matrix_to_csv(hk.matrix),
-    )
+    def compute(g, dec, t):
+        hk = heat.heat_kernel(dec, t)
+        return lambda: {"meta": _graph_meta(g, t=hk.t), "matrix": hk.matrix}, lambda: matrix_to_csv(hk.matrix)
+
+    _graph_report(args, lambda g: (heat._window_time(args.t),), compute)
 
 
 def cmd_gstft(args) -> None:
-    g = _resolve_graph(args)
-    f = _read(args.signal, "signal", signal_from_csv)
-    t = heat._window_time(args.t)  # the time, then the signal, before decomposing
-    f = spectral.as_signal(f, g.n)
-    dec = _decompose(g)
-    hk = heat.heat_kernel(dec, t)
-    coeffs = gabor.gstft(dec, hk, f)
-    meta = _graph_meta(g, t=hk.t)
-    _write_report(
-        args,
-        lambda: {"meta": meta, "matrix": coeffs.matrix},
-        lambda: matrix_to_csv(coeffs.matrix, meta=meta),
-    )
+    def inputs(g):
+        f = _read(args.signal, "signal", signal_from_csv)
+        t = heat._window_time(args.t)  # a bad time is reported before a signal of the wrong length
+        return t, _in_file("signal", args.signal, spectral.as_signal, f, g.n)
 
+    def compute(g, dec, t, f):
+        hk = heat.heat_kernel(dec, t)
+        coeffs = gabor.gstft(dec, hk, f)
+        meta = _graph_meta(g, t=hk.t)
+        return lambda: {"meta": meta, "matrix": coeffs.matrix}, lambda: matrix_to_csv(coeffs.matrix, meta=meta)
 
-def _coefficients(text: str) -> tuple[np.ndarray, dict]:
-    """A JSON coefficient document if ``text`` starts with '{', else a matrix CSV."""
-    if text.lstrip().startswith("{"):
-        matrix, meta = formats.coefficients_from_json(text)
-    else:
-        matrix, meta = matrix_from_csv(text)
-    return matrix, formats.coefficient_meta(meta)
+    _graph_report(args, inputs, compute)
 
 
 def cmd_reconstruct(args) -> None:
-    g = _resolve_graph(args)
+    def inputs(g):
+        def parse(text: str):  # a JSON coefficient document if ``text`` starts with '{', else a matrix CSV
+            decode = formats.coefficients_from_json if text.lstrip().startswith("{") else matrix_from_csv
+            matrix, meta = decode(text)
+            meta = formats.coefficient_meta(meta)
+            if "t" in meta:  # a bad time is an error in this file
+                heat._window_time(meta["t"])
+            if "n" in meta and meta["n"] != g.n:
+                raise ValueError(f"coefficients are for n={meta['n']} but graph has n={g.n}")
+            if matrix.shape != (g.n, g.n):
+                raise ValueError(f"coefficient matrix shape {matrix.shape} does not match n={g.n}")
+            graph_meta = _graph_meta(g)  # serializing and hashing a large graph is costly: do it once
+            if "graph_sha256" in meta and meta["graph_sha256"] != graph_meta["graph_sha256"]:
+                raise ValueError("coefficients were produced from a different graph")
+            return matrix, meta, graph_meta
 
-    def parse(text: str) -> tuple[np.ndarray, dict, dict]:
-        matrix, meta = _coefficients(text)
-        if "t" in meta:  # a bad time is an error in this file
-            heat._window_time(meta["t"])
-        if "n" in meta and meta["n"] != g.n:
-            raise ValueError(f"coefficients are for n={meta['n']} but graph has n={g.n}")
-        if matrix.shape != (g.n, g.n):
-            raise ValueError(f"coefficient matrix shape {matrix.shape} does not match n={g.n}")
-        graph_meta = _graph_meta(g)  # serializing and hashing a large graph is costly: do it once
-        if "graph_sha256" in meta and meta["graph_sha256"] != graph_meta["graph_sha256"]:
-            raise ValueError("coefficients were produced from a different graph")
-        return matrix, meta, graph_meta
+        matrix, meta, graph_meta = _read(args.coeffs, "coefficient", parse)
+        t = meta.get("t", args.t)
+        if t is None:
+            raise ValueError("no window time available: pass --t or use a coefficient file with metadata")
+        if args.t is not None and args.t != t:
+            raise ValueError(f"--t {args.t} conflicts with coefficient metadata t={t}")
+        return heat._window_time(t), matrix, graph_meta
 
-    matrix, meta, graph_meta = _read(args.coeffs, "coefficient", parse)
-    meta_t = meta.get("t")
-    if args.t is None and meta_t is None:
-        raise ValueError("no window time available: pass --t or use a coefficient file with metadata")
-    if args.t is not None and meta_t is not None and args.t != meta_t:
-        raise ValueError(f"--t {args.t} conflicts with coefficient metadata t={meta_t}")
-    t = heat._window_time(meta_t if meta_t is not None else args.t)  # before decomposing
+    def compute(g, dec, t, matrix, graph_meta):
+        hk = heat.heat_kernel(dec, t)
+        f = gabor.inverse_gstft(dec, hk, gabor.GstftCoefficients(t=hk.t, matrix=matrix))
+        return lambda: {"meta": {**graph_meta, "t": hk.t}, "signal": f}, lambda: formats.signal_to_csv(f)
 
-    dec = _decompose(g)
-    hk = heat.heat_kernel(dec, t)
-    f = gabor.inverse_gstft(dec, hk, gabor.GstftCoefficients(t=hk.t, matrix=matrix))
-    _write_report(
-        args,
-        lambda: {"meta": {**graph_meta, "t": hk.t}, "signal": f},
-        lambda: formats.signal_to_csv(f),
-    )
+    _graph_report(args, inputs, compute)
 
 
 def cmd_frame_report(args) -> None:
-    g = _resolve_graph(args)
-    grid = formats.parse_t_grid(args.t_grid) if args.t is None else np.array([heat._window_time(args.t)])
-    _require_companion_path(args)
-    sweep = gabor.tightness_sweep(_decompose(g), grid)
-    meta = _graph_meta(g, fiedler_value=sweep.fiedler_value)
-    columns = ("t", "A", "B", "gap", "ratio", "tight")
-    rows = [(r.t, r.bound_a, r.bound_b, r.gap, r.ratio, r.tight) for r in sweep.reports]
-    gamma_columns = ("t", *(f"gamma_{j}" for j in range(g.n)))
-    _write_report(
-        args,
-        lambda: {
-            "meta": meta,
-            "reports": [dict(zip(columns, row)) for row in rows],
-            "gammas": [r.gammas for r in sweep.reports],
-        },
-        lambda: formats.csv_table(meta, columns, rows),
-        ("gammas", lambda: formats.csv_table(meta, gamma_columns, ())
-         + matrix_to_csv(np.column_stack([sweep.ts, [r.gammas for r in sweep.reports]]))),
-    )
+    def inputs(g):
+        return (formats.parse_t_grid(args.t_grid) if args.t is None else np.array([heat._window_time(args.t)]),)
+
+    def compute(g, dec, grid):
+        sweep = gabor.tightness_sweep(dec, grid)
+        meta = _graph_meta(g, fiedler_value=sweep.fiedler_value)
+        columns = ("t", "A", "B", "gap", "ratio", "tight")
+        rows = [(r.t, r.bound_a, r.bound_b, r.gap, r.ratio, r.tight) for r in sweep.reports]
+        gammas = [r.gammas for r in sweep.reports]
+        gamma_columns = ("t", *(f"gamma_{j}" for j in range(g.n)))
+        return (
+            lambda: {"meta": meta, "reports": [dict(zip(columns, row)) for row in rows], "gammas": gammas},
+            lambda: formats.csv_table(meta, columns, rows),
+            lambda: formats.csv_table(meta, gamma_columns, ()) + matrix_to_csv(np.column_stack([sweep.ts, gammas])),
+        )
+
+    _graph_report(args, inputs, compute, suffix="gammas")
 
 
 def cmd_sweep_decay(args) -> None:
     try:
-        k_values = [int(part) for part in args.k_list.split(",") if part.strip()]
+        k_values = [int(part) for part in args.k_list.split(",")]
     except ValueError:
         raise ValueError(f"--k-list must be comma-separated integers, got {args.k_list!r}") from None
-    if not k_values:
-        raise ValueError("--k-list must name at least one degree")
     seen = set()
     for k in k_values:  # a repeat would sample and sweep the same graph again
         if k in seen:
@@ -251,7 +247,7 @@ def cmd_sweep_decay(args) -> None:
     rows = []
     for k in k_values:
         g = graphs.random_regular_graph(args.n, k, args.seed)
-        sweep = gabor.tightness_sweep(_decompose(g), grid)
+        sweep = gabor.tightness_sweep(spectral.decompose(spectral.laplacian(g)), grid)
         rows.extend((k, sweep.fiedler_value, float(t), float(gap)) for t, gap in zip(sweep.ts, sweep.gaps))
 
     meta = {"n": args.n, "seed": args.seed, "k_list": k_values}
@@ -271,7 +267,8 @@ def cmd_spectrogram(args) -> None:
     else:
         n = args.n if args.n is not None else 256
     if n > graphs.MAX_VERTICES:
-        raise ValueError(f"signal length {n} exceeds the {graphs.MAX_VERTICES}-sample spectrogram limit")
+        where = "" if args.signal is None else f"signal file {args.signal}: "
+        raise ValueError(f"{where}signal length {n} exceeds the {graphs.MAX_VERTICES}-sample spectrogram limit")
     _require_companion_path(args)
     if args.signal is None:
         f = classical.piecewise_cosine(n)
@@ -285,7 +282,8 @@ def cmd_spectrogram(args) -> None:
         args,
         lambda: {"meta": meta, "spectrogram": power, "dft_magnitude": dft_power},
         lambda: matrix_to_csv(power, meta=meta),
-        ("dft", lambda: matrix_to_csv(dft_power[:, None], meta=meta)),
+        lambda: matrix_to_csv(dft_power[:, None], meta=meta),
+        suffix="dft",
     )
 
 

@@ -340,7 +340,8 @@ class TestTransformRoundTrip:
         graph_path, _, _ = ring8_setup
         short = tmp_path / "short.csv"
         short.write_text("1,0\n2,0\n")
-        run_err(capsys, "gstft", "--graph", str(graph_path), "--signal", str(short), "--t", "1.0", "--out", "-")
+        err = run_err(capsys, "gstft", "--graph", str(graph_path), "--signal", str(short), "--t", "1.0", "--out", "-")
+        assert err == f"error: signal file {short}: signal length 2 does not match n=8\n"
 
 
 class TestFrameReport:
@@ -434,8 +435,10 @@ class TestSweepDecay:
         run_err(capsys, "sweep-decay", "--n", "20", "--k-list", "", "--t-grid", "0:1:0.5", "--out", str(tmp_path / "d.csv"))
 
     def test_non_integer_k_list_names_the_flag(self, tmp_path, capsys):
-        err = run_err(capsys, "sweep-decay", "--n", "20", "--k-list", "3,x", "--out", str(tmp_path / "d.csv"))
-        assert err == "error: --k-list must be comma-separated integers, got '3,x'\n"
+        for k_list in ("3,x", "3,,5", "3,", ""):  # an empty item is not a degree
+            err = run_err(capsys, "sweep-decay", "--n", "20", "--k-list", k_list, "--out", str(tmp_path / "d.csv"))
+            assert err == f"error: --k-list must be comma-separated integers, got {k_list!r}\n"
+        assert not (tmp_path / "d.csv").exists()
 
     def test_repeated_degree_refused_before_sampling(self, tmp_path, capsys, monkeypatch):
         sampled = []
@@ -557,7 +560,8 @@ class TestSpectrogram:
         out = tmp_path / "spec.csv"
         err = run_err(capsys, "spectrogram", *argv, "--out", str(out))
         assert err.count("\n") == 1
-        assert f"signal length {length} exceeds" in err
+        prefix = "error: " if source == "n" else f"error: signal file {signal}: "
+        assert err.startswith(f"{prefix}signal length {length} exceeds")
         assert not out.exists()
 
 
@@ -871,12 +875,22 @@ def costly_calls_fixture(monkeypatch):
         (["heat", "--family", "ring", "--n", "40", "--t", "-1"], "t must be nonnegative, got -1.0"),
         (["heat", "--family", "ring", "--n", "40", "--t", "nan"], "t must not be NaN"),
         (["gstft", "--family", "ring", "--n", "40", "--signal", "two.csv", "--t", "1"],
-         "signal length 2 does not match n=40"),
+         "signal file two.csv: signal length 2 does not match n=40"),
         (["gstft", "--family", "ring", "--n", "40", "--signal", "two.csv", "--t=-inf"], "t must be finite, got -inf"),
         (["reconstruct", "--family", "ring", "--n", "4", "--coeffs", "meta.csv"],
          "coefficient file meta.csv: t must be nonnegative, got -1.0"),
         (["reconstruct", "--family", "ring", "--n", "4", "--coeffs", "bare.csv", "--t", "inf"],
          "t must be finite, got inf"),
+        (["reconstruct", "--family", "ring", "--n", "5", "--coeffs", "ring4.csv"],
+         "coefficient file ring4.csv: coefficients are for n=4 but graph has n=5"),
+        (["reconstruct", "--family", "ring", "--n", "5", "--coeffs", "bare.csv", "--t", "1"],
+         "coefficient file bare.csv: coefficient matrix shape (4, 4) does not match n=5"),
+        (["reconstruct", "--family", "complete", "--n", "4", "--coeffs", "ring4.csv"],
+         "coefficient file ring4.csv: coefficients were produced from a different graph"),
+        (["reconstruct", "--family", "ring", "--n", "4", "--coeffs", "ring4.csv", "--t", "2"],
+         "--t 2.0 conflicts with coefficient metadata t=0.5"),
+        (["reconstruct", "--family", "ring", "--n", "4", "--coeffs", "bare.csv"],
+         "no window time available: pass --t or use a coefficient file with metadata"),
         (["frame-report", "--family", "ring", "--n", "40", "--t", "-1", "--out", "r.csv"],
          "t must be nonnegative, got -1.0"),
         (["frame-report", "--family", "ring", "--n", "40", "--out", "-"],
@@ -907,7 +921,8 @@ def costly_calls_fixture(monkeypatch):
     ],
     ids=[
         "heat-negative-t", "heat-nan-t", "gstft-signal-length", "gstft-time-before-length", "reconstruct-meta-t",
-        "reconstruct-t", "frame-report-t", "frame-report-stdout", "spectrogram-stdout", "sweep-decay-estimate",
+        "reconstruct-t", "reconstruct-meta-n", "reconstruct-shape", "reconstruct-digest", "reconstruct-t-conflict",
+        "reconstruct-no-time", "frame-report-t", "frame-report-stdout", "spectrogram-stdout", "sweep-decay-estimate",
         "sweep-decay-estimate-beyond-float", "sweep-decay-parity", "sweep-decay-range", "sweep-decay-disconnected",
         "frame-report-collapsed-grid", "sweep-decay-collapsed-grid", "frame-report-grid-not-numbers",
         "sweep-decay-grid-not-numbers", "sweep-decay-negative-seed",
@@ -920,6 +935,8 @@ def test_argument_errors_refused_before_costly_work(tmp_path, capsys, monkeypatc
     (tmp_path / "two.csv").write_text("1\n2\n")
     (tmp_path / "meta.csv").write_text(matrix_to_csv(np.zeros((4, 4), complex), meta={"n": 4, "t": -1}))
     (tmp_path / "bare.csv").write_text(matrix_to_csv(np.zeros((4, 4), complex)))
+    ring4 = {"n": 4, "t": 0.5, "graph_sha256": graph_sha256(graphs.serialize(graphs.ring_graph(4)))}
+    (tmp_path / "ring4.csv").write_text(matrix_to_csv(np.zeros((4, 4), complex), meta=ring4))
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", f"error: {line}\n")
     assert costly_calls == []
