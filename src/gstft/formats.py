@@ -1,18 +1,17 @@
 """Every CLI document but the graph: matrix and signal CSV, report tables and
 JSON report and coefficient documents; the ``perfbench`` harness imports them too.
 
-Floats are always written with 17 significant digits, which round-trips
-float64 exactly; complex entries use the "re+imj" form accepted by Python's
-``complex()``. Matrix and signal CSV files may carry one metadata comment
-line, before any data line, of the form
+Floats are written with 17 significant digits, which round-trips float64
+exactly; complex entries are "re+imj". A CSV number is ASCII text with no "_"
+that ``float()`` or ``complex()`` parses; a JSON number is an int or a float,
+never a bool. Matrix and signal CSV may carry one meta line before any data,
 
     # meta {"n": 8, "t": 1.0, "graph_sha256": "..."}
 
-so downstream files self-describe their provenance. CSV writers join their
-lines once into the string :func:`write_text_atomic` writes (temp file + rename
-in the target directory); the readers parse each line as they reach it, and
-the matrix reader holds one complex128 array per row. The graph codec stays in
-:mod:`gstft.graphs`, where perfbench times it by name.
+so downstream files self-describe their provenance. Writers join a document's
+lines once for :func:`write_text_atomic` (temp file + rename); readers parse
+each line as they reach it, the matrix reader into one complex128 array per
+row. The graph codec stays in :mod:`gstft.graphs`, where perfbench times it.
 """
 from __future__ import annotations
 
@@ -97,6 +96,8 @@ def signal_from_csv(text: str) -> np.ndarray:
     """
     values = []
     for lineno, line in split_meta(text)[1]:
+        if not line.isascii() or "_" in line:
+            raise ValueError(f"line {lineno}: a number must be ASCII text with no '_', got {line!r}")
         parts = line.split(",")
         if len(parts) > 2:
             raise ValueError(f"line {lineno}: expected 're' or 're,im', got {line!r}")
@@ -151,6 +152,8 @@ def matrix_from_csv(text: str) -> tuple[np.ndarray, dict]:
     meta, lines = split_meta(text)
     rows = []
     for row, (lineno, line) in enumerate(lines, start=1):
+        if not line.isascii() or "_" in line:
+            raise ValueError(f"row {row} (line {lineno}): a number must be ASCII text with no '_'")
         try:  # one row of Python complex at a time; ``cell :=`` keeps the text complex() refuses
             rows.append(np.array([complex(cell := entry) for entry in line.split(",")], dtype=np.complex128))
         except ValueError:
@@ -174,15 +177,13 @@ def coefficients_from_json(text: str) -> tuple[np.ndarray, object]:
         raise ValueError(f"document is not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or "matrix" not in doc:
         raise ValueError("document has no 'matrix' key")
-    try:  # ragged rows raise; JSON integers beyond 64 bits give an object array
-        pairs = np.array(doc["matrix"])
-        if pairs.dtype == object and all(isinstance(v, (int, float)) for v in pairs.flat):
-            pairs = pairs.astype(np.float64)
-    except (ValueError, OverflowError):  # OverflowError: an integer beyond float range
-        pairs = np.empty(0)
-    if pairs.ndim != 3 or pairs.shape[-1] != 2 or pairs.dtype.kind not in "biuf":
-        raise ValueError("'matrix' must be a list of equal-length rows, each entry a [re, im] pair of numbers")
-    matrix = pairs.astype(np.float64, copy=False).view(np.complex128)[..., 0]
+    pairs = np.array(doc["matrix"], dtype=object)  # entries keep their JSON types; ragged rows give another shape
+    try:  # a (rows, columns, 2) array of int and float entries, none an integer beyond float range
+        if pairs.ndim != 3 or pairs.shape[-1] != 2 or not set(map(type, pairs.flat)) <= {int, float}:
+            raise TypeError
+        matrix = pairs.astype(np.float64).view(np.complex128)[..., 0]
+    except (TypeError, OverflowError):
+        raise ValueError("'matrix' must be a list of equal-length rows, each entry a [re, im] pair of numbers") from None
     if not np.isfinite(matrix).all():
         raise ValueError("'matrix' entries must be finite")
     return matrix, doc.get("meta", {})

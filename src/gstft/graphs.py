@@ -381,9 +381,8 @@ def deserialize(text: str) -> Graph:
 
 
 def graph_from_edge_list_text(text: str) -> Graph:
-    """Build a graph from "i j" per-line edge-list text ('#' starts a comment).
-
-    The vertex count is the largest index plus one, and 1 if none is nonnegative.
+    """Build a graph from "i j" per-line edge-list text ('#' starts a comment), each index ASCII text
+    with no '_' parsed by ``int()``; the vertex count is the largest index plus one, or 1 if none is nonnegative.
     """
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -391,8 +390,8 @@ def graph_from_edge_list_text(text: str) -> Graph:
         if not line:
             continue
         parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"edge-list line {lineno}: expected two vertex indices, got {raw!r}")
+        if len(parts) != 2 or not line.isascii() or "_" in line:
+            raise ValueError(f"edge-list line {lineno}: expected two ASCII vertex indices with no '_', got {raw!r}")
         try:
             edges.append((int(parts[0]), int(parts[1])))
         except ValueError as exc:

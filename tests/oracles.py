@@ -6,15 +6,19 @@ the commutator of a vertex permutation with H_t, frame bounds by sampling
 random signals, the transform from Shuman's
 spectral-window formulation, the graph Fourier transform pair, eigenspace
 projectors, the classical DFT matrix, shift, modulation and tight-frame
-reconstruction on C^N, CSV text written one entry at a time, and JSON
-coefficients read one entry at a time. The library
+reconstruction on C^N, CSV text written one entry at a time, JSON
+coefficients read one entry at a time, and strict readers of signal CSV,
+matrix CSV and edge-list text that hold each number to the grammar by a
+regular expression before Python parses it. The library
 itself never calls them. Tolerances are the library's own
 (``gabor.TIGHT_TOL``, ``spectral.CLUSTER_TOL``), so each is defined once.
 """
 from __future__ import annotations
 
+import cmath
 import json
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -283,9 +287,10 @@ def signal_to_csv(values) -> str:
 def coefficients_from_json(text: str) -> tuple[np.ndarray, object]:
     """Reference for :func:`gstft.formats.coefficients_from_json`: each entry through ``complex(re, im)``.
 
-    Raises ValueError for a document it refuses. An integer beyond float range
-    raises OverflowError from ``complex()``, and a matrix with no entries is
-    returned as it is; the library refuses both with ValueError.
+    Raises ValueError for a document it refuses, a boolean ``re`` or ``im``
+    included. An integer beyond float range raises OverflowError from
+    ``complex()``, and a matrix with no entries is returned as it is; the
+    library refuses both with ValueError.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict) or "matrix" not in doc:
@@ -295,6 +300,8 @@ def coefficients_from_json(text: str) -> tuple[np.ndarray, object]:
         isinstance(row, list) and len(row) == len(rows[0]) for row in rows
     ):
         raise ValueError("'matrix' must be a list of equal-length rows")
+    if any(type(part) is bool for row in rows for entry in row if isinstance(entry, list) for part in entry):
+        raise ValueError("a JSON number is an int or a float, never a boolean")
     try:
         matrix = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=np.complex128)
     except (TypeError, ValueError):
@@ -302,3 +309,110 @@ def coefficients_from_json(text: str) -> tuple[np.ndarray, object]:
     if not np.isfinite(matrix).all():
         raise ValueError("'matrix' entries must be finite")
     return matrix, doc.get("meta", {})
+
+
+# --- the number grammar (gstft.formats, gstft.graphs) --------------------
+
+# In text, a number is ASCII text with no "_"; whatever passes is parsed by Python.
+OUTSIDE_NUMBER_GRAMMAR = re.compile(r"[^\x00-\x7f]|_")
+
+
+def csv_lines(text: str):
+    """The CSV readers' line rule, line by line: yields ``(None, meta)`` for the '# meta' line
+    and ``(lineno, line)`` for each data line, and raises ValueError("line N: ...") at the first
+    faulty line.
+
+    Lines end at "\n"; one "\r" right before a "\n" is dropped and any other "\r" is a fault.
+    Each line is stripped. A line starting "# meta " is the meta object (a fault if it is not
+    JSON or follows a meta or data line); other '#' lines and blank lines are skipped; every
+    other line is a data line, a fault if anything in it is outside the number grammar.
+    """
+    pieces = text.split("\n")
+    reached = False  # a meta or data line
+    for lineno, piece in enumerate(pieces, start=1):
+        if lineno < len(pieces) and piece.endswith("\r"):
+            piece = piece[:-1]
+        if "\r" in piece:
+            raise ValueError(f"line {lineno}: lone carriage return")
+        line = piece.strip()
+        if line.startswith("# meta "):
+            if reached:
+                raise ValueError(f"line {lineno}: misplaced '# meta' line")
+            try:
+                meta = json.loads(line[len("# meta "):])
+            except json.JSONDecodeError:
+                raise ValueError(f"line {lineno}: '# meta' line is not JSON") from None
+            reached = True
+            yield None, meta
+        elif line and not line.startswith("#"):
+            if OUTSIDE_NUMBER_GRAMMAR.search(line):
+                raise ValueError(f"line {lineno}: outside the number grammar")
+            reached = True
+            yield lineno, line
+
+
+def signal_from_csv(text: str) -> np.ndarray:
+    """Reference for :func:`gstft.formats.signal_from_csv`: each data line "re" or "re,im",
+    each part through ``float()``, every value finite; ValueError names the faulty line."""
+    values = []
+    for lineno, line in csv_lines(text):
+        if lineno is None:
+            continue
+        parts = line.split(",")
+        if len(parts) > 2:
+            raise ValueError(f"line {lineno}: more than two parts")
+        try:
+            value = complex(*[float(part) for part in parts])
+        except ValueError:
+            raise ValueError(f"line {lineno}: not a number") from None
+        if not cmath.isfinite(value):
+            raise ValueError(f"line {lineno}: not finite")
+        values.append(value)
+    if not values:
+        raise ValueError("no values")
+    return np.array(values, dtype=np.complex128)
+
+
+def matrix_from_csv(text: str) -> tuple[np.ndarray, object]:
+    """Reference for :func:`gstft.formats.matrix_from_csv`: each data line a row of cells, each
+    through ``complex()``, every row as long as the first and every entry finite; ValueError
+    names the faulty line."""
+    meta, rows = {}, []
+    for lineno, line in csv_lines(text):
+        if lineno is None:
+            meta = line
+            continue
+        try:
+            row = [complex(cell) for cell in line.split(",")]
+        except ValueError:
+            raise ValueError(f"line {lineno}: not a complex number") from None
+        if rows and len(row) != len(rows[0]):
+            raise ValueError(f"line {lineno}: row length differs from the first row's")
+        if not all(map(cmath.isfinite, row)):
+            raise ValueError(f"line {lineno}: not finite")
+        rows.append(row)
+    if not rows:
+        raise ValueError("no rows")
+    return np.array(rows, dtype=np.complex128), meta
+
+
+def edge_list_from_text(text: str) -> tuple[int, list[tuple[int, int]]]:
+    """Reference for the parsing half of :func:`gstft.graphs.graph_from_edge_list_text`: the vertex
+    count and the pairs. Lines are ``str.splitlines``' lines, each cut at its first '#' and
+    stripped; a nonblank one must be two ``int()`` indices in the number grammar, or ValueError
+    names it. The count is the largest index plus one, and 1 if none is nonnegative."""
+    pairs = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if OUTSIDE_NUMBER_GRAMMAR.search(line) or len(parts) != 2:
+            raise ValueError(f"line {lineno}: not two vertex indices in the number grammar")
+        try:
+            pairs.append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise ValueError(f"line {lineno}: not an integer") from None
+    if not pairs:
+        raise ValueError("no edges")
+    return max(1, max(max(pair) for pair in pairs) + 1), pairs

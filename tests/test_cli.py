@@ -759,6 +759,72 @@ def test_leading_byte_order_mark_is_not_data(tmp_path, capsys, ring8_setup, kind
     assert outputs[0] == outputs[1]
 
 
+# Readers of the ring-8 inputs below, each with its file's kind as the error prefix names it.
+RING8_READERS = {
+    "signal": ["gstft", "--family", "ring", "--n", "8", "--t", "0.5", "--signal"],
+    "coefficient": ["reconstruct", "--family", "ring", "--n", "8", "--t", "0.5", "--coeffs"],
+    "graph": ["gen", "--graph"],
+}
+RING8_SIGNAL = "1,0\n2,0.5\n-1,0\n0.25,-2\n3,1\n0,0\n-0.5,0.5\n1e-3,7\n"
+RING8_EDGE_LIST = "".join(f"{i} {(i + 1) % 8}\n" for i in range(8))
+IDENTITY8_CSV = matrix_to_csv(np.eye(8, dtype=complex))
+
+
+def _with_entry(entry):
+    """The 8 x 8 identity as a JSON coefficient document, with ``entry`` at row 2, column 3."""
+    matrix = [[[float(i == j), 0.0] for j in range(8)] for i in range(8)]
+    matrix[1][2] = entry
+    return json.dumps({"matrix": matrix})
+
+
+@pytest.mark.parametrize(
+    "kind, text, problem",
+    [
+        ("signal", RING8_SIGNAL.replace("1,0", "1_0,0", 1), "line 1: a number must be ASCII text with no '_', got '1_0,0'"),
+        ("signal", RING8_SIGNAL.replace("3,1", "\u0663,1"), "line 5: a number must be ASCII text with no '_', got '\u0663,1'"),
+        ("coefficient", IDENTITY8_CSV.replace("1+0j", "1_0+0j", 1), "row 1 (line 1): a number must be ASCII text with no '_'"),
+        ("coefficient", _with_entry([True, False]),
+         "'matrix' must be a list of equal-length rows, each entry a [re, im] pair of numbers"),
+        ("coefficient", _with_entry([1, True]),
+         "'matrix' must be a list of equal-length rows, each entry a [re, im] pair of numbers"),
+        ("graph", RING8_EDGE_LIST.replace("0 1", "0_0 1"),
+         "edge-list line 1: expected two ASCII vertex indices with no '_', got '0_0 1'"),
+        ("graph", RING8_EDGE_LIST.replace("1 2", "1 \u0662"),
+         "edge-list line 2: expected two ASCII vertex indices with no '_', got '1 \u0662'"),
+    ],
+    ids=["signal-underscore", "signal-arabic-indic-digit", "coefficient-csv-underscore", "coefficient-json-bools",
+         "coefficient-json-bool-part", "edge-list-underscore", "edge-list-arabic-indic-digit"],
+)
+def test_number_forms_no_writer_emits_are_refused(tmp_path, capsys, kind, text, problem):
+    # Python's float(), complex() and int() read 1_0 as 10 and an Arabic-Indic digit as its value, and
+    # NumPy reads a JSON true as 1; the readers keep one grammar, ASCII with no '_' and no JSON boolean
+    path, out = tmp_path / "input", tmp_path / "out"
+    path.write_text(text, encoding="utf-8")
+    err = run_err(capsys, *RING8_READERS[kind], str(path), "--out", str(out))
+    assert err == f"error: {kind} file {path}: {problem}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "kind, text, commented",
+    [
+        ("signal", RING8_SIGNAL, "# café\n" + RING8_SIGNAL.replace("3,1\n", "3,1\n  # café\n")),
+        ("coefficient", IDENTITY8_CSV, "# café\n" + IDENTITY8_CSV.replace("\n", "\n# café\n", 1)),
+        ("graph", RING8_EDGE_LIST, "# café\n" + RING8_EDGE_LIST.replace("1 2\n", "1 2  # café\n")),
+    ],
+    ids=["signal", "coefficient-csv", "edge-list"],
+)
+def test_non_ascii_comments_are_not_data(tmp_path, capsys, kind, text, commented):
+    # the number grammar holds for data: comment lines, and an edge list's end-of-line comment, may hold any text
+    outputs = []
+    for name, content in (("plain", text), ("commented", commented)):
+        path, out = tmp_path / name, tmp_path / f"out-{name}"
+        path.write_text(content, encoding="utf-8")
+        run_ok(capsys, *RING8_READERS[kind], str(path), "--out", str(out))
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def _csv_rows(text):
     meta, lines = split_meta(text)
     return meta, [line.split(",") for _, line in lines]

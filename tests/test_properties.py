@@ -1,9 +1,12 @@
-"""Property tests over random edge lists, random connected graphs, edge-list text, CSV text and JSON coefficients.
+"""Property tests over random edge lists, random connected graphs, edge-list text, CSV text and JSON coefficients,
+and the input contract of the text readers and the CLI over mutated documents.
 
 Separate from the pinned acceptance suite: hypothesis draws the inputs. With
 ``derandomize=True`` every run draws the same examples, and with
 ``database=None`` no example is stored between runs.
 """
+import contextlib
+import io
 import json
 import math
 import re
@@ -341,3 +344,116 @@ def test_json_coefficients_accepted_as_by_the_per_entry_reader(text):
     back, _ = formats.coefficients_from_json(text)
     assert back.dtype == np.complex128 and back.shape == expected.shape
     assert np.array_equal(back.view(np.uint64), expected.view(np.uint64))
+
+
+# --- the input contract: one number grammar, one error line ---------------
+
+# What a mutation inserts: what the number grammar refuses ("_", an Arabic-Indic three, a fullwidth three,
+# a no-break space) and the ASCII that numbers, cells and comments are made of.
+INSERTED = ["_", "\u0663", "\uff13", "\xa0", "+", "-", "e", ".", ",", "#", "j", " "]
+
+
+@st.composite
+def mutated(draw, documents):
+    """A document of ``documents`` after one to three mutations: a character of INSERTED inserted, or a
+    character deleted or repeated."""
+    text = draw(documents)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["insert", "delete", "repeat"])) if i < len(text) else "insert"
+        middle = {"insert": draw(st.sampled_from(INSERTED)) + text[i:i + 1], "delete": "",
+                  "repeat": text[i:i + 1] * 2}[edit]
+        text = text[:i] + middle + text[i + 1:]
+    return text
+
+
+finite_float = any_float.filter(math.isfinite)
+signal_texts = st.lists(st.tuples(*[finite_float | st.integers(-9, 9).map(float)] * 2), min_size=1, max_size=6).map(
+    lambda pairs: formats.signal_to_csv(np.array(pairs).view(np.complex128)[:, 0]))
+matrix_texts = st.builds(formats.matrix_to_csv, text_matrices(finite_float, min_side=1), metas)
+edge_list_texts = connected_graphs().filter(lambda g: g.n > 1).map(
+    lambda g: "# edges\n" + "".join(f"{i} {j}\n" for i, j in g.edges.tolist()))
+
+
+def _comparable(value):
+    """A reader's result with each array as its float64 bit patterns, so that equality is bit for bit."""
+    if isinstance(value, tuple):
+        return tuple(map(_comparable, value))
+    return value.view(np.uint64).tolist() if isinstance(value, np.ndarray) else value
+
+
+def _reference_graph(text: str) -> str:
+    """The serialized graph of the oracle's pairs; the builder refuses the same graphs either way."""
+    return graphs.serialize(graphs.build_from_edge_list(*oracles.edge_list_from_text(text)))
+
+
+# kind: (documents from the library's writers, the library reader, the strict oracle reader)
+TEXT_KINDS = {
+    "signal": (signal_texts, formats.signal_from_csv, oracles.signal_from_csv),
+    "matrix": (matrix_texts, formats.matrix_from_csv, oracles.matrix_from_csv),
+    "edge-list": (edge_list_texts, lambda text: graphs.serialize(graphs.graph_from_edge_list_text(text)),
+                  _reference_graph),
+}
+
+
+def _named_line(message: str):
+    """The number of the first line ``message`` names, or None."""
+    found = re.search(r"\bline (\d+)", message)
+    return found and int(found.group(1))
+
+
+@pytest.mark.parametrize("kind", sorted(TEXT_KINDS))
+@repeatable
+@given(data=st.data())
+def test_text_readers_accept_exactly_what_the_strict_oracle_accepts(kind, data):
+    """A mutated document is read with the oracle's values, bit for bit, or refused at the oracle's line."""
+    documents, read, reference = TEXT_KINDS[kind]
+    text = data.draw(mutated(documents), label="text")
+    try:
+        expected = reference(text)
+    except ValueError as refused:
+        with pytest.raises(ValueError) as info:
+            read(text)
+        assert _named_line(str(info.value)) == _named_line(str(refused)), (str(info.value), str(refused))
+        return
+    assert _comparable(read(text)) == _comparable(expected)
+
+
+RING5 = graphs.ring_graph(5)
+RING5_DECOMPOSITION = spectral.decompose(spectral.laplacian(RING5))
+RING5_COEFFICIENTS = gabor.gstft(RING5_DECOMPOSITION, heat.heat_kernel(RING5_DECOMPOSITION, 0.5), np.arange(5) - 1.5j)
+
+# kind: (a valid document, its strict oracle reader, the command that reads it through its flag)
+CLI_KINDS = {
+    "signal": (formats.signal_to_csv([1, -0.5j, 2.25, 3 + 1j, 1e-3]), oracles.signal_from_csv,
+               ["gstft", "--family", "ring", "--n", "5", "--t", "0.5", "--signal"]),
+    "coefficient": (formats.matrix_to_csv(RING5_COEFFICIENTS.matrix, meta=cli._graph_meta(RING5, t=0.5)),
+                    oracles.matrix_from_csv, ["reconstruct", "--family", "ring", "--n", "5", "--coeffs"]),
+    "graph": ("# a ring\n0 1\n1 2  # edge\n2 3\n3 4\n4 0\n", _reference_graph, ["gen", "--graph"]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CLI_KINDS))
+@settings(repeatable, max_examples=20)
+@given(data=st.data())
+def test_cli_refuses_a_mutated_file_with_one_error_line_naming_it(kind, data):
+    """Exit 1 with exactly one error line, and no output file, for every file the oracle refuses; a file
+    it accepts may still fail the command (a signal of the wrong length), but with one error line too."""
+    document, reference, command = CLI_KINDS[kind]
+    text = data.draw(mutated(st.just(document)), label="text")
+    try:
+        reference(text)
+        refused = False
+    except ValueError:
+        refused = True
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "input", Path(tmp) / "out"
+        path.write_text(text, encoding="utf-8")
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = cli.main([*command, str(path), "--out", str(out)])
+        lines = err.getvalue().splitlines()
+        if code == 0:
+            assert not refused and lines == [] and out.exists()
+            return
+        assert code == 1 and len(lines) == 1 and not out.exists(), lines
+        assert lines[0].startswith(f"error: {kind} file {path}: " if refused else "error: "), lines
