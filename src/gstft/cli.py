@@ -15,7 +15,8 @@ resolve the graph, read and check every input file and argument, decompose,
 compute, write; so every input is refused before any decomposition. Every
 invocation is deterministic given its inputs and seed, so repeated runs
 write byte-identical files. Errors, usage errors included, print a single
-"error: ..." line on stderr and exit with status 1. A value that starts with
+"error: ..." line on stderr and exit with status 1. A number argument keeps
+the files' number grammar, ASCII text with no "_". A value that starts with
 ``-`` but is not a plain negative number must be attached to its option:
 ``--t=-inf``, ``--t-grid=-1:1:0.5``.
 """
@@ -33,6 +34,20 @@ from . import classical, formats, gabor, graphs, heat, spectral
 from .formats import matrix_from_csv, matrix_to_csv, signal_from_csv, write_text_atomic
 
 DEFAULT_T_GRID = "0:10:0.1"
+
+
+def _number(parse):
+    """``parse`` of text in the number grammar (:func:`gstft.graphs._number_text`), else ValueError; named
+    as ``parse`` is, so argparse refuses "--n 1_0" with "invalid int value: '1_0'"."""
+    def number(text: str):
+        if not graphs._number_text(text):
+            raise ValueError(f"{text!r} is not in the number grammar")
+        return parse(text)
+    number.__name__ = parse.__name__
+    return number
+
+
+_INT, _FLOAT = _number(int), _number(float)
 
 
 def _read(path: str, kind: str, parse):
@@ -232,7 +247,7 @@ def cmd_frame_report(args) -> None:
 
 def cmd_sweep_decay(args) -> None:
     try:
-        k_values = [int(part) for part in args.k_list.split(",")]
+        k_values = [_INT(part) for part in args.k_list.split(",")]
     except ValueError:
         raise ValueError(f"--k-list must be comma-separated integers, got {args.k_list!r}") from None
     seen = set()
@@ -269,12 +284,12 @@ def cmd_spectrogram(args) -> None:
     if n > graphs.MAX_VERTICES:
         where = "" if args.signal is None else f"signal file {args.signal}: "
         raise ValueError(f"{where}signal length {n} exceeds the {graphs.MAX_VERTICES}-sample spectrogram limit")
-    _require_companion_path(args)
     if args.signal is None:
         f = classical.piecewise_cosine(n)
-
     width = min(32, n) if args.width is None else args.width
-    power = classical.spectrogram(f, classical.boxcar_window(n, width))
+    window = classical.boxcar_window(n, width)
+    _require_companion_path(args)  # after the O(n) size checks, before the O(n^2 log n) spectrogram
+    power = classical.spectrogram(f, window)
     f_hat = classical.dft(f)
     dft_power = (f_hat * f_hat.conj()).real
     meta = {"n": n, "window": "boxcar", "width": width}
@@ -301,7 +316,7 @@ def _add_graph_source(parser: argparse.ArgumentParser) -> None:
     source.add_argument("--family", choices=FAMILIES, help="graph family to generate")
     for name, text in FAMILY_OPTIONS.items():
         families = ", ".join(family for family, (_, reads) in FAMILIES.items() if name in reads)
-        parser.add_argument(f"--{name}", type=int, help=f"{text} ({families} only)")
+        parser.add_argument(f"--{name}", type=_INT, help=f"{text} ({families} only)")
 
 
 def _add_common_output(parser: argparse.ArgumentParser) -> None:
@@ -328,36 +343,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("heat", help="heat-kernel matrix at a fixed time")
     _add_graph_source(p)
-    p.add_argument("--t", type=float, required=True, help="window time (>= 0)")
+    p.add_argument("--t", type=_FLOAT, required=True, help="window time (>= 0)")
     _add_common_output(p)
     p.set_defaults(func=cmd_heat)
 
     p = sub.add_parser("gstft", help="transform a vertex signal")
     _add_graph_source(p)
     p.add_argument("--signal", required=True, metavar="FILE", help="signal CSV ('re,im' per line)")
-    p.add_argument("--t", type=float, required=True, help="window time (>= 0)")
+    p.add_argument("--t", type=_FLOAT, required=True, help="window time (>= 0)")
     _add_common_output(p)
     p.set_defaults(func=cmd_gstft)
 
     p = sub.add_parser("reconstruct", help="invert a coefficient file back to a signal")
     _add_graph_source(p)
     p.add_argument("--coeffs", required=True, metavar="FILE", help="coefficient file from 'gstft'")
-    p.add_argument("--t", type=float, help="window time if the coefficient file lacks metadata")
+    p.add_argument("--t", type=_FLOAT, help="window time if the coefficient file lacks metadata")
     _add_common_output(p)
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("frame-report", help="frame bounds A, B, gap, ratio over a time grid")
     _add_graph_source(p)
     times = p.add_mutually_exclusive_group()
-    times.add_argument("--t", type=float, help="single window time")
+    times.add_argument("--t", type=_FLOAT, help="single window time")
     times.add_argument("--t-grid", default=DEFAULT_T_GRID, metavar="A:B:STEP", help="inclusive time grid (default %(default)s)")
     _add_common_output(p)
     p.set_defaults(func=cmd_frame_report)
 
     p = sub.add_parser("sweep-decay", help="gap decay dataset for random regular graphs")
-    p.add_argument("--n", type=int, required=True, help="vertex count")
+    p.add_argument("--n", type=_INT, required=True, help="vertex count")
     p.add_argument("--k-list", required=True, metavar="K1,K2,...", help="degrees to sweep")
-    p.add_argument("--seed", type=int, default=0, help="pairing-model seed (default 0)")
+    p.add_argument("--seed", type=_INT, default=0, help="pairing-model seed (default 0)")
     p.add_argument("--t-grid", default=DEFAULT_T_GRID, metavar="A:B:STEP", help="inclusive time grid (default %(default)s)")
     _add_common_output(p)
     p.set_defaults(func=cmd_sweep_decay)
@@ -365,8 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrogram", help="DFT magnitude and windowed-transform spectrogram")
     source = p.add_mutually_exclusive_group()
     source.add_argument("--signal", metavar="FILE", help="signal CSV; default is the built-in piecewise cosine")
-    source.add_argument("--n", type=int, help="length of the built-in signal (default 256)")
-    p.add_argument("--width", type=int, help="boxcar window width, 1 for the unit impulse (default min(32, length))")
+    source.add_argument("--n", type=_INT, help="length of the built-in signal (default 256)")
+    p.add_argument("--width", type=_INT, help="boxcar window width, 1 for the unit impulse (default min(32, length))")
     _add_common_output(p)
     p.set_defaults(func=cmd_spectrogram)
 

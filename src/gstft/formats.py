@@ -2,9 +2,11 @@
 JSON report and coefficient documents; the ``perfbench`` harness imports them too.
 
 Floats are written with 17 significant digits, which round-trips float64
-exactly; complex entries are "re+imj". A CSV number is ASCII text with no "_"
-that ``float()`` or ``complex()`` parses; a JSON number is an int or a float,
-never a bool. Matrix and signal CSV may carry one meta line before any data,
+exactly; complex entries are "re+imj". A CSV or t-grid number is ASCII text
+with no "_" that ``float()`` or ``complex()`` parses, and a CSV line ends at
+"\\n" only: edge-list text keeps both rules, written once in :mod:`gstft.graphs`.
+A JSON number is an int or a float, never a bool. Matrix and signal CSV may
+carry one meta line before any data,
 
     # meta {"n": 8, "t": 1.0, "graph_sha256": "..."}
 
@@ -21,6 +23,8 @@ import os
 from collections.abc import Iterator
 
 import numpy as np
+
+from .graphs import _lines, _number_text
 
 META_PREFIX = "# meta "
 # The point count of 0:10:0.001, a grid 100 times as fine as the CLI's default
@@ -49,21 +53,14 @@ def split_meta(text: str) -> tuple[dict, Iterator[tuple[int, str]]]:
     stripped and with their 1-based line numbers, are handed out as they are
     reached. Other '#' comment lines and blank lines are dropped. A meta line
     that is not valid JSON, or that follows a meta or data line, raises
-    ValueError naming its line. Only "\n" ends a line ("\r\n" is stripped); any
-    other "\r", in a data, comment or meta line, raises ValueError naming its
-    line before that line is parsed or dropped, so an old-Mac "\r" line end
-    never hides data in a comment. ``str.splitlines``' rarer separators
-    ("\x0b", "\x0c", "\x1c"-"\x1e", "\x85", "\u2028", "\u2029") stay in their
-    line: stripped at its ends, refused inside a value, dropped with the rest
-    of a '#' line.
+    ValueError naming its line. Lines follow :func:`gstft.graphs._lines`, so a
+    lone "\r", in a data, comment or meta line, raises ValueError naming its
+    line before that line is parsed or dropped, and an old-Mac "\r" line end
+    never hides data in a comment.
     """
     def walk():  # the meta object (at the meta line or the first data line), then each data line
-        leading, lineno, start = True, 0, 0  # leading: no meta or data line reached yet
-        while start <= len(text):
-            lineno, end = lineno + 1, text.find("\n", start) % (len(text) + 1)  # no "\n" left: end of text
-            if text.find("\r", start, end - (end < len(text))) >= 0:  # a "\r" that is not the "\r" of "\r\n"
-                raise ValueError(f"line {lineno}: '\\r' not followed by '\\n'")
-            line, start = text[start:end].strip(), end + 1
+        leading = True  # no meta or data line reached yet
+        for lineno, line in _lines(text):
             if line.startswith(META_PREFIX):
                 if not leading:
                     raise ValueError(f"line {lineno}: a '# meta' line must come before the data, and only once")
@@ -96,7 +93,7 @@ def signal_from_csv(text: str) -> np.ndarray:
     """
     values = []
     for lineno, line in split_meta(text)[1]:
-        if not line.isascii() or "_" in line:
+        if not _number_text(line):
             raise ValueError(f"line {lineno}: a number must be ASCII text with no '_', got {line!r}")
         parts = line.split(",")
         if len(parts) > 2:
@@ -152,7 +149,7 @@ def matrix_from_csv(text: str) -> tuple[np.ndarray, dict]:
     meta, lines = split_meta(text)
     rows = []
     for row, (lineno, line) in enumerate(lines, start=1):
-        if not line.isascii() or "_" in line:
+        if not _number_text(line):
             raise ValueError(f"row {row} (line {lineno}): a number must be ASCII text with no '_'")
         try:  # one row of Python complex at a time; ``cell :=`` keeps the text complex() refuses
             rows.append(np.array([complex(cell := entry) for entry in line.split(",")], dtype=np.complex128))
@@ -209,8 +206,8 @@ def parse_t_grid(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"t-grid must be start:stop:step, got {text!r}")
-    try:
-        start, stop, step = (float(p) for p in parts)
+    try:  # a part outside the number grammar leaves too few values to unpack
+        start, stop, step = (float(p) for p in parts if _number_text(p))
     except ValueError:
         raise ValueError(f"t-grid values must be numbers, got {text!r}") from None
     if not np.isfinite([start, stop, step]).all():

@@ -142,6 +142,26 @@ def _check_integer(value, name: str) -> None:
         raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
 
 
+def _number_text(s: str) -> bool:
+    """The number grammar of every text gstft reads, files and CLI arguments alike: ASCII with no
+    '_'. Python's ``int()``, ``float()`` or ``complex()`` then parses what passes."""
+    return s.isascii() and "_" not in s
+
+
+def _lines(text: str):
+    r"""The line rule of every text format: each line of ``text``, stripped, with its 1-based number,
+    handed out as it is reached. Only "\n" ends a line, and the "\r" of "\r\n" is dropped; any other
+    "\r" raises ValueError naming its line before the line is handed out. Rarer separators ("\x0b",
+    "\x0c", "\x1c"-"\x1e", "\x85", "\u2028", "\u2029") stay inside their line."""
+    lineno, start = 0, 0
+    while start <= len(text):
+        lineno, end = lineno + 1, text.find("\n", start) % (len(text) + 1)  # no "\n" left: end of text
+        if text.find("\r", start, end - (end < len(text))) >= 0:  # a "\r" that is not the "\r" of "\r\n"
+            raise ValueError(f"line {lineno}: '\\r' not followed by '\\n'")
+        yield lineno, text[start:end].strip()
+        start = end + 1
+
+
 def build_from_edge_list(n: int, edges) -> Graph:
     """Build a validated Graph from a vertex count and an ``(m, 2)`` array-like of pairs.
 
@@ -381,16 +401,16 @@ def deserialize(text: str) -> Graph:
 
 
 def graph_from_edge_list_text(text: str) -> Graph:
-    """Build a graph from "i j" per-line edge-list text ('#' starts a comment), each index ASCII text
-    with no '_' parsed by ``int()``; the vertex count is the largest index plus one, or 1 if none is nonnegative.
-    """
+    """Build a graph from "i j" per-line edge-list text, lines as :func:`_lines` walks them and '#' starting
+    a comment, each index ASCII text with no '_' parsed by ``int()``; the vertex count is the largest index
+    plus one, or 1 if none is nonnegative."""
     edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in _lines(text):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
-        if len(parts) != 2 or not line.isascii() or "_" in line:
+        if len(parts) != 2 or not _number_text(line):
             raise ValueError(f"edge-list line {lineno}: expected two ASCII vertex indices with no '_', got {raw!r}")
         try:
             edges.append((int(parts[0]), int(parts[1])))

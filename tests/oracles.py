@@ -317,24 +317,30 @@ def coefficients_from_json(text: str) -> tuple[np.ndarray, object]:
 OUTSIDE_NUMBER_GRAMMAR = re.compile(r"[^\x00-\x7f]|_")
 
 
-def csv_lines(text: str):
-    """The CSV readers' line rule, line by line: yields ``(None, meta)`` for the '# meta' line
-    and ``(lineno, line)`` for each data line, and raises ValueError("line N: ...") at the first
-    faulty line.
-
-    Lines end at "\n"; one "\r" right before a "\n" is dropped and any other "\r" is a fault.
-    Each line is stripped. A line starting "# meta " is the meta object (a fault if it is not
-    JSON or follows a meta or data line); other '#' lines and blank lines are skipped; every
-    other line is a data line, a fault if anything in it is outside the number grammar.
-    """
+def text_lines(text: str):
+    """The line rule of every text reader, line by line: yields ``(lineno, line)``, each line
+    stripped, and raises ValueError("line N: ...") at the first faulty line. Lines end at "\n"
+    alone; one "\r" right before a "\n" is dropped and any other "\r" is a fault."""
     pieces = text.split("\n")
-    reached = False  # a meta or data line
     for lineno, piece in enumerate(pieces, start=1):
         if lineno < len(pieces) and piece.endswith("\r"):
             piece = piece[:-1]
         if "\r" in piece:
             raise ValueError(f"line {lineno}: lone carriage return")
-        line = piece.strip()
+        yield lineno, piece.strip()
+
+
+def csv_lines(text: str):
+    """The CSV readers' lines, by :func:`text_lines`: yields ``(None, meta)`` for the '# meta' line
+    and ``(lineno, line)`` for each data line, and raises ValueError("line N: ...") at the first
+    faulty line.
+
+    A line starting "# meta " is the meta object (a fault if it is not JSON or follows a meta or
+    data line); other '#' lines and blank lines are skipped; every other line is a data line, a
+    fault if anything in it is outside the number grammar.
+    """
+    reached = False  # a meta or data line
+    for lineno, line in text_lines(text):
         if line.startswith("# meta "):
             if reached:
                 raise ValueError(f"line {lineno}: misplaced '# meta' line")
@@ -398,11 +404,11 @@ def matrix_from_csv(text: str) -> tuple[np.ndarray, object]:
 
 def edge_list_from_text(text: str) -> tuple[int, list[tuple[int, int]]]:
     """Reference for the parsing half of :func:`gstft.graphs.graph_from_edge_list_text`: the vertex
-    count and the pairs. Lines are ``str.splitlines``' lines, each cut at its first '#' and
-    stripped; a nonblank one must be two ``int()`` indices in the number grammar, or ValueError
+    count and the pairs. Lines are :func:`text_lines`' lines, as in CSV, each cut at its first '#'
+    and stripped; a nonblank one must be two ``int()`` indices in the number grammar, or ValueError
     names it. The count is the largest index plus one, and 1 if none is nonnegative."""
     pairs = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in text_lines(text):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

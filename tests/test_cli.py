@@ -644,12 +644,19 @@ def test_one_vertex_graph_refused_before_any_work(tmp_path, capsys, monkeypatch,
         (["heat", "--graph", "g.json", "--n", "4", "--t", "1"], "--n does not apply to --graph"),
         (["gen", "--family", "ring"], "--n is required for ring"),
         (["gen", "--family", "random-regular", "--n", "10"], "--k is required for random-regular"),
+        # every number argparse parses keeps the files' number grammar: ASCII with no '_'
+        (["gen", "--family", "ring", "--n", "1_0"], "argument --n: invalid int value: '1_0'"),
+        (["heat", "--family", "ring", "--n", "4", "--t", "\u0660.5"], "argument --t: invalid float value: '\u0660.5'"),
+        (["spectrogram", "--n", "16", "--width", "\u0663"], "argument --width: invalid int value: '\u0663'"),
+        (["gen", "--family", "random-regular", "--n", "10", "--k", "3", "--seed", "4_2"],
+         "argument --seed: invalid int value: '4_2'"),
     ],
     ids=[
         "no-subcommand", "unknown-flag", "t-not-a-number", "t-negative-inf", "grid-negative-start", "heat-missing-t",
         "gstft-missing-t", "gen-missing-family", "both-graph-sources", "no-graph-source", "t-and-grid", "signal-and-n",
         "signal-and-default-n", "t-and-default-grid", "petersen-n", "ring-k", "hypercube-seed", "random-regular-d",
-        "graph-file-n", "ring-missing-n", "random-regular-missing-k",
+        "graph-file-n", "ring-missing-n", "random-regular-missing-k", "n-underscore", "t-arabic-indic-digit",
+        "width-arabic-indic-digit", "seed-underscore",
     ],
 )
 def test_usage_errors_print_one_line_and_return_1(capsys, argv, problem):
@@ -962,6 +969,9 @@ def costly_calls_fixture(monkeypatch):
         (["frame-report", "--family", "ring", "--n", "40", "--out", "-"],
          "frame-report CSV writes a companion file; --out must be a path"),
         (["spectrogram", "--n", "64", "--out", "-"], "spectrogram CSV writes a companion file; --out must be a path"),
+        # sizes are checked before the companion --out, as with --out F
+        (["spectrogram", "--n", "0", "--out", "-"], "signal length must be >= 2, got 0"),
+        (["spectrogram", "--n", "8", "--width", "0", "--out", "-"], "window width must be in 1..8, got 0"),
         (["sweep-decay", "--n", "60", "--k-list", "3,9", "--out", "d.csv"],
          "pairing model needs about 1.3e+09 attempts for a simple 9-regular graph on 60 vertices, "
          "more than a third of the 1000000 attempts allowed"),
@@ -984,14 +994,20 @@ def costly_calls_fixture(monkeypatch):
          "t-grid values must be numbers, got '0:b:1'"),
         (["sweep-decay", "--n", "20", "--k-list", "3", "--seed", "-1", "--out", "d.csv"],
          "seed must be a nonnegative integer, got -1"),
+        (["frame-report", "--family", "petersen", "--t-grid", "0:1_0:5", "--out", "r.csv"],
+         "t-grid values must be numbers, got '0:1_0:5'"),
+        (["sweep-decay", "--n", "20", "--k-list", "3,\u0664", "--out", "d.csv"],
+         "--k-list must be comma-separated integers, got '3,\u0664'"),
     ],
     ids=[
         "heat-negative-t", "heat-nan-t", "gstft-signal-length", "gstft-time-before-length", "reconstruct-meta-t",
         "reconstruct-t", "reconstruct-meta-n", "reconstruct-shape", "reconstruct-digest", "reconstruct-t-conflict",
-        "reconstruct-no-time", "frame-report-t", "frame-report-stdout", "spectrogram-stdout", "sweep-decay-estimate",
+        "reconstruct-no-time", "frame-report-t", "frame-report-stdout", "spectrogram-stdout",
+        "spectrogram-stdout-length", "spectrogram-stdout-width", "sweep-decay-estimate",
         "sweep-decay-estimate-beyond-float", "sweep-decay-parity", "sweep-decay-range", "sweep-decay-disconnected",
         "frame-report-collapsed-grid", "sweep-decay-collapsed-grid", "frame-report-grid-not-numbers",
-        "sweep-decay-grid-not-numbers", "sweep-decay-negative-seed",
+        "sweep-decay-grid-not-numbers", "sweep-decay-negative-seed", "frame-report-grid-underscore",
+        "sweep-decay-k-list-arabic-indic-digit",
     ],
 )
 def test_argument_errors_refused_before_costly_work(tmp_path, capsys, monkeypatch, costly_calls, argv, line):
@@ -1097,9 +1113,11 @@ def test_crlf_text_reads_as_its_lf_form(read, text, problem):
         (matrix_from_csv, '# meta {"n": 1}\r1+0j\n', 1),
         (matrix_from_csv, "1+0j,2+0j\r\n\r\n3+0j,\r4+0j\r\n", 3),
         (matrix_from_csv, "1+0j\n\n# note\r# note\r\n2+0j\n", 3),
+        (graphs.graph_from_edge_list_text, "0 1\r1 2\n", 1),
+        (graphs.graph_from_edge_list_text, "0 1\r\n# note\r1 2\n", 2),  # the comment would swallow the 1 2 edge
     ],
     ids=["signal-after-comment", "signal-data", "signal-last-line", "signal-crlf-then-cr", "matrix-after-meta",
-         "matrix-inside-row", "matrix-comment"],
+         "matrix-inside-row", "matrix-comment", "edge-list-data", "edge-list-comment"],
 )
 def test_lone_carriage_return_refused_at_its_line(read, text, lineno):
     with pytest.raises(ValueError) as info:

@@ -214,7 +214,8 @@ class TestBuildFromEdgeList:
                 graphs.build_from_edge_list(n, [])
 
     @pytest.mark.parametrize(
-        "edges", [[(0, 1, 2)], [[]], [(0, 1), (1, 2, 0)], 5], ids=["triple", "empty-pair", "ragged", "scalar"]
+        "edges", [[(0, 1, 2)], [[]], [(0, 1), (1, 2, 0)], 5, [np.zeros((2, 2)), np.zeros((2, 3))]],
+        ids=["triple", "empty-pair", "ragged", "scalar", "ragged-arrays"],
     )
     def test_non_pair_shapes_rejected(self, edges):
         with pytest.raises(ValueError, match=r"\(m, 2\) array"):
@@ -590,8 +591,11 @@ class TestEdgeListText:
         [
             ("0 1\n1 x\n", r"edge-list line 2: invalid literal for int\(\)"),
             ("# no edges\n\n", "cannot infer vertex count from an empty edge list"),
+            # only "\n" ends a line, as in CSV: a separator str.splitlines also ends lines at stays inside line 2
+            *((f"0 1\n1 2{separator}2 0\n", "^edge-list line 2: expected two ASCII vertex indices")
+              for separator in ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]),
         ],
-        ids=["not-an-integer", "empty"],
+        ids=["not-an-integer", "empty", "vt", "ff", "fs", "gs", "rs", "nel", "line-separator", "paragraph-separator"],
     )
     def test_unusable_text_rejected(self, text, message):
         with pytest.raises(ValueError, match=message):

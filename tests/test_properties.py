@@ -349,8 +349,10 @@ def test_json_coefficients_accepted_as_by_the_per_entry_reader(text):
 # --- the input contract: one number grammar, one error line ---------------
 
 # What a mutation inserts: what the number grammar refuses ("_", an Arabic-Indic three, a fullwidth three,
-# a no-break space) and the ASCII that numbers, cells and comments are made of.
-INSERTED = ["_", "\u0663", "\uff13", "\xa0", "+", "-", "e", ".", ",", "#", "j", " "]
+# a no-break space), the ASCII that numbers, cells and comments are made of, and line ends other than
+# "\n": a "\r", which is refused unless a "\n" follows, and separators that stay inside their line.
+INSERTED = ["_", "\u0663", "\uff13", "\xa0", "+", "-", "e", ".", ",", "#", "j", " ",
+            "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
 
 
 @st.composite
@@ -441,14 +443,14 @@ def test_cli_refuses_a_mutated_file_with_one_error_line_naming_it(kind, data):
     it accepts may still fail the command (a signal of the wrong length), but with one error line too."""
     document, reference, command = CLI_KINDS[kind]
     text = data.draw(mutated(st.just(document)), label="text")
-    try:
-        reference(text)
-        refused = False
-    except ValueError:
-        refused = True
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "input", Path(tmp) / "out"
         path.write_text(text, encoding="utf-8")
+        try:  # the oracle reads the text as open() hands it to the CLI, with universal newlines
+            reference(path.read_text(encoding="utf-8"))
+            refused = False
+        except ValueError:
+            refused = True
         with contextlib.redirect_stderr(io.StringIO()) as err:
             code = cli.main([*command, str(path), "--out", str(out)])
         lines = err.getvalue().splitlines()
