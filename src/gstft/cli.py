@@ -7,12 +7,15 @@ ring and complete read ``--n``, hypercube ``--d``, random-regular ``--n``,
 ``--k`` and ``--seed`` (0 by default), petersen, shrikhande and ``--graph``
 none, and an option the source does not read is refused ("error: --n does
 not apply to --family petersen"). A report command renders only the format
-``--format`` asks for (CSV by default) and writes it atomically; a CSV
-report may add a companion file ``<root>_<suffix><ext or .csv>`` next to
-``--out``, which must then be a path. The graph report commands (spectrum,
-heat, gstft, reconstruct, frame-report) run one pipeline in one order:
-resolve the graph, read and check every input file and argument, decompose,
-compute, write; so every input is refused before any decomposition. Every
+``--format`` asks for (CSV by default) and writes it where ``open()`` would;
+a CSV report may add a companion file ``<root>_<suffix><ext or .csv>`` next
+to ``--out``, which must then be a path. The graph report commands (spectrum,
+heat, gstft, reconstruct, frame-report) run one pipeline: resolve the graph,
+check the inputs, decompose, compute, write. Every command refuses inputs in
+three tiers, each before any costly work: usage errors (argparse's, and an
+option the graph source does not read); then each input file, read and
+checked whole, the graph (or its ``--family``) first; then argument values
+(times, degrees, ``--width``, a companion's ``--out``). Every
 invocation is deterministic given its inputs and seed, so repeated runs
 write byte-identical files. Errors, usage errors included, print a single
 "error: ..." line on stderr and exit with status 1. A number argument keeps
@@ -50,9 +53,11 @@ def _number(parse):
 _INT, _FLOAT = _number(int), _number(float)
 
 
-def _read(path: str, kind: str, parse):
-    """``parse`` of the UTF-8 text in ``path`` after one leading byte-order mark, its ValueErrors named
-    by :func:`_in_file`; a file that cannot be read raises "cannot read <path>: ..."."""
+def _read(path: str, kind: str, parse, check=lambda value: value, parse_json=None):
+    """``check(parse(text))`` of the UTF-8 text in ``path`` after one leading byte-order mark, with
+    ``parse_json`` in place of ``parse`` when it is given and the text's first non-blank character is '{'.
+    A ValueError of either is prefixed "<kind> file <path>: ", and a file that cannot be read raises
+    "cannot read <path>: ..."."""
     try:
         with open(path, "r", encoding="utf-8") as handle:  # not utf-8-sig: byte offsets in errors stay the file's
             text = handle.read().removeprefix("\ufeff")
@@ -60,13 +65,10 @@ def _read(path: str, kind: str, parse):
         raise ValueError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise ValueError(f"cannot read {path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    return _in_file(kind, path, parse, text)
-
-
-def _in_file(kind: str, path: str, check, *args):
-    """``check(*args)``, its ValueErrors prefixed "<kind> file <path>: "."""
+    if parse_json is not None and text.lstrip().startswith("{"):
+        parse = parse_json
     try:
-        return check(*args)
+        return check(parse(text))
     except ValueError as exc:
         raise ValueError(f"{kind} file {path}: {exc}") from None
 
@@ -113,13 +115,6 @@ FAMILIES = {
 }
 
 
-def _graph_from_text(text: str) -> graphs.Graph:
-    """A JSON graph document if ``text`` starts with '{', else edge-list text."""
-    if text.lstrip().startswith("{"):
-        return graphs.deserialize(text)
-    return graphs.graph_from_edge_list_text(text)
-
-
 def _resolve_graph(args) -> graphs.Graph:
     """The graph ``--graph`` or ``--family`` names; an option its source does not read is refused first."""
     build, reads = FAMILIES.get(args.family, (None, ()))
@@ -127,7 +122,7 @@ def _resolve_graph(args) -> graphs.Graph:
         if getattr(args, name) is not None and name not in reads:
             raise ValueError(f"--{name} does not apply to " + (f"--family {args.family}" if build else "--graph"))
     if build is None:
-        return _read(args.graph, "graph", _graph_from_text)
+        return _read(args.graph, "graph", graphs.graph_from_edge_list_text, parse_json=graphs.deserialize)
     for name in reads:
         if getattr(args, name) is None and name != "seed":
             raise ValueError(f"--{name} is required for {args.family}")
@@ -140,10 +135,10 @@ def _graph_meta(g: graphs.Graph, **extra) -> dict:
 
 def _graph_report(args, inputs, compute, suffix=None) -> spectral.SpectralDecomposition:
     """Run a graph report command in the one order that refuses every input before any decomposition,
-    and return the decomposition: resolve the graph ``g``; ``inputs(g)`` reads and checks every input
-    file and argument, and a CSV report with a companion file, named by its ``suffix``, needs an
-    ``--out`` path; decompose into ``dec``; ``compute(g, dec, *inputs)`` returns the renderers
-    :func:`_write_report` takes; write them."""
+    and return the decomposition: resolve the graph ``g``; ``inputs(g)`` reads and checks every other
+    input file, then every argument value, and a CSV report with a companion file, named by its
+    ``suffix``, needs an ``--out`` path; decompose into ``dec``; ``compute(g, dec, *inputs)`` returns
+    the renderers :func:`_write_report` takes; write them."""
     g = _resolve_graph(args)
     values = inputs(g)
     if suffix is not None:
@@ -179,9 +174,8 @@ def cmd_heat(args) -> None:
 
 def cmd_gstft(args) -> None:
     def inputs(g):
-        f = _read(args.signal, "signal", signal_from_csv)
-        t = heat._window_time(args.t)  # a bad time is reported before a signal of the wrong length
-        return t, _in_file("signal", args.signal, spectral.as_signal, f, g.n)
+        f = _read(args.signal, "signal", signal_from_csv, lambda f: spectral.as_signal(f, g.n))
+        return heat._window_time(args.t), f
 
     def compute(g, dec, t, f):
         hk = heat.heat_kernel(dec, t)
@@ -194,9 +188,8 @@ def cmd_gstft(args) -> None:
 
 def cmd_reconstruct(args) -> None:
     def inputs(g):
-        def parse(text: str):  # a JSON coefficient document if ``text`` starts with '{', else a matrix CSV
-            decode = formats.coefficients_from_json if text.lstrip().startswith("{") else matrix_from_csv
-            matrix, meta = decode(text)
+        def check(decoded):
+            matrix, meta = decoded
             meta = formats.coefficient_meta(meta)
             if "t" in meta:  # a bad time is an error in this file
                 heat._window_time(meta["t"])
@@ -209,7 +202,7 @@ def cmd_reconstruct(args) -> None:
                 raise ValueError("coefficients were produced from a different graph")
             return matrix, meta, graph_meta
 
-        matrix, meta, graph_meta = _read(args.coeffs, "coefficient", parse)
+        matrix, meta, graph_meta = _read(args.coeffs, "coefficient", matrix_from_csv, check, formats.coefficients_from_json)
         t = meta.get("t", args.t)
         if t is None:
             raise ValueError("no window time available: pass --t or use a coefficient file with metadata")
@@ -275,17 +268,16 @@ def cmd_sweep_decay(args) -> None:
 
 
 def cmd_spectrogram(args) -> None:
-    # dstft holds N x N complex arrays (256 MiB each at N = 4096); refuse long signals up front
-    if args.signal is not None:
-        f = _read(args.signal, "signal", signal_from_csv)
-        n = f.size
-    else:
-        n = args.n if args.n is not None else 256
-    if n > graphs.MAX_VERTICES:
-        where = "" if args.signal is None else f"signal file {args.signal}: "
-        raise ValueError(f"{where}signal length {n} exceeds the {graphs.MAX_VERTICES}-sample spectrogram limit")
+    def limited(n):  # dstft holds N x N complex arrays (256 MiB each at N = 4096): refuse long signals up front
+        if n > graphs.MAX_VERTICES:
+            raise ValueError(f"signal length {n} exceeds the {graphs.MAX_VERTICES}-sample spectrogram limit")
+        return n
+
     if args.signal is None:
-        f = classical.piecewise_cosine(n)
+        f = classical.piecewise_cosine(limited(256 if args.n is None else args.n))
+    else:
+        f = _read(args.signal, "signal", signal_from_csv, lambda f: f[:limited(f.size)])  # all of f, checked
+    n = f.size
     width = min(32, n) if args.width is None else args.width
     window = classical.boxcar_window(n, width)
     _require_companion_path(args)  # after the O(n) size checks, before the O(n^2 log n) spectrogram

@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import stat
 from collections.abc import Iterator
 
 import numpy as np
@@ -232,18 +233,33 @@ def graph_sha256(serialized: str) -> str:
 
 
 def write_text_atomic(path: str, text: str) -> None:
-    """Write via a uniquely named temp file in the same directory, then rename into place.
+    """Write ``text`` where ``open(path, "w")`` would, replacing a regular file atomically.
 
-    Concurrent writers never share a temp file, and a failed write removes its
-    temp file and leaves ``path`` untouched. The temp file is created
-    exclusively (mode ``"x"``), so the final file gets the permissions a plain
-    ``open(path, "w")`` would give it.
+    A symlink is followed, so its target gets the text and the link stays a
+    link. A FIFO, device or other file that is not a regular file is written in
+    place, with no temp file. Otherwise the text goes to a uniquely named temp
+    file in the target's directory, which is then renamed into place:
+    concurrent writers never share a temp file, and a failed write removes its
+    temp file and leaves ``path`` untouched. An existing file keeps its
+    permission bits; a new one gets those of a plain ``open(path, "w")``, as
+    the temp file is created exclusively (mode ``"x"``).
     """
+    path = os.path.realpath(path)
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        return
     tmp_path = f"{path}.{os.urandom(8).hex()}.tmp"
     handle = open(tmp_path, "x", encoding="utf-8")
     try:
         with handle:
             handle.write(text)
+        if mode is not None:
+            os.chmod(tmp_path, mode & 0o777)
         os.replace(tmp_path, path)
     except BaseException:
         os.unlink(tmp_path)

@@ -7,8 +7,10 @@ import json
 import os
 import runpy
 import shlex
+import stat
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -949,7 +951,9 @@ def costly_calls_fixture(monkeypatch):
         (["heat", "--family", "ring", "--n", "40", "--t", "nan"], "t must not be NaN"),
         (["gstft", "--family", "ring", "--n", "40", "--signal", "two.csv", "--t", "1"],
          "signal file two.csv: signal length 2 does not match n=40"),
-        (["gstft", "--family", "ring", "--n", "40", "--signal", "two.csv", "--t=-inf"], "t must be finite, got -inf"),
+        # each file is read and checked before any argument value
+        (["gstft", "--family", "ring", "--n", "40", "--signal", "two.csv", "--t=-inf"],
+         "signal file two.csv: signal length 2 does not match n=40"),
         (["reconstruct", "--family", "ring", "--n", "4", "--coeffs", "meta.csv"],
          "coefficient file meta.csv: t must be nonnegative, got -1.0"),
         (["reconstruct", "--family", "ring", "--n", "4", "--coeffs", "bare.csv", "--t", "inf"],
@@ -1000,7 +1004,7 @@ def costly_calls_fixture(monkeypatch):
          "--k-list must be comma-separated integers, got '3,\u0664'"),
     ],
     ids=[
-        "heat-negative-t", "heat-nan-t", "gstft-signal-length", "gstft-time-before-length", "reconstruct-meta-t",
+        "heat-negative-t", "heat-nan-t", "gstft-signal-length", "gstft-length-before-time", "reconstruct-meta-t",
         "reconstruct-t", "reconstruct-meta-n", "reconstruct-shape", "reconstruct-digest", "reconstruct-t-conflict",
         "reconstruct-no-time", "frame-report-t", "frame-report-stdout", "spectrogram-stdout",
         "spectrogram-stdout-length", "spectrogram-stdout-width", "sweep-decay-estimate",
@@ -1156,6 +1160,44 @@ class TestAtomicWrite:
         assert atomic.read_text() == "x\n"
         assert os.stat(atomic).st_mode == os.stat(plain).st_mode
         assert sorted(p.name for p in tmp_path.iterdir()) == ["atomic.csv", "plain.csv"]
+
+    def test_symlink_stays_a_link_and_its_target_gets_the_text(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("old\n")
+        link.symlink_to("target.csv")
+        write_text_atomic(str(link), "new\n")
+        assert link.is_symlink() and os.readlink(link) == "target.csv"
+        assert target.read_text() == "new\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "target.csv"]
+
+    def test_existing_file_keeps_its_permission_bits(self, tmp_path):
+        target = tmp_path / "private.csv"
+        target.write_text("old\n")
+        target.chmod(0o600)
+        write_text_atomic(str(target), "new\n")
+        assert target.read_text() == "new\n"
+        assert stat.S_IMODE(os.stat(target).st_mode) == 0o600
+
+    def test_fifo_is_written_in_place_to_its_reader(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        text = "0.5,-1\n" * 20_000  # more than a pipe buffer holds, so the reader drains it as it is written
+        # a read-write descriptor counts as a writer: the reader's open returns at once, and the reader sees
+        # end of file once this descriptor closes, whether the text reached the FIFO or not
+        stand_in = os.open(fifo, os.O_RDWR)
+        received = []
+        with open(fifo, "rb") as pipe:
+            reader = threading.Thread(target=lambda: received.append(pipe.read()))
+            reader.start()
+            try:
+                write_text_atomic(str(fifo), text)
+            finally:
+                os.close(stand_in)
+            reader.join(timeout=60)
+            assert not reader.is_alive()
+        assert received == [text.encode("utf-8")]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
 
 # One complex signal on the 8-ring; the second entry has a negative-zero imaginary part.

@@ -1,12 +1,17 @@
 """Which modules may spell documents: only ``formats`` (and the graph codec in
-``graphs``) imports ``json``, and only ``formats`` holds a ``%...g`` float format."""
+``graphs``) imports ``json``, and only ``formats`` holds a ``%...g`` float format;
+and what ``import gstft`` leaves unloaded."""
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "gstft").glob("*.py"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+SOURCES = sorted((SRC / "gstft").glob("*.py"))
 FLOAT_FORMAT = re.compile(r"%[-+ #0]*\d*(\.\d+)?[gG]")
 
 
@@ -39,3 +44,14 @@ def test_the_checks_see_what_they_look_for():
     assert list(_imports(tree)) == ["json", "json"]
     assert sorted(_float_formats(tree)) == ["%+.3G", "%.17g"]
     assert SOURCES and "formats.py" in {p.name for p in SOURCES}
+
+
+def test_importing_the_library_loads_no_cli_codec_or_fft():
+    # the CLI and its codecs, hashlib (the graph digest) and numpy.fft (classical, loaded inside its
+    # functions) stay unloaded until used, so a process that only imports gstft does not pay for them
+    code = "import sys, gstft; print(sorted({'gstft.cli', 'gstft.formats', 'hashlib', 'numpy.fft'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
