@@ -1220,6 +1220,10 @@ PINNED = {
     "frame-report": (["frame-report", "--family", "ring", "--n", "5", "--t-grid", "0:1:0.5"], "", {
         "r.csv": "d4bb4c360c8b6b5aac351e9e0a58522ede62d9a329952e775b77862439ef5bb1",
         "r_gammas.csv": "3380a6b5a1aefb41ec2d02dd945f0d5d469026d772c40ee31711f895351767aa"}),
+    "frame-report-random-regular": (
+        ["frame-report", "--family", "random-regular", "--n", "20", "--k", "3", "--seed", "3", "--t-grid", "0:1:0.5"], "", {
+            "r.csv": "c5c5889c01ac8fcc1819fb3d0922b20f386e6c9ce2ea41eea1acc95915c301c5",
+            "r_gammas.csv": "49c8f7e6bd9644282712c2f85b3b88a227981e5e095941e703d6014edf2b8baa"}),
     "sweep-decay": (["sweep-decay", "--n", "20", "--k-list", "3,5", "--seed", "3", "--t-grid", "0:1:0.5"], "", {
         "r.csv": "fbfafff354988a535d026c2fc56e96eef847a52317182d239f58a72a9edb6b67"}),
     "spectrogram": (["spectrogram", "--n", "16", "--width", "4"], "", {
@@ -1237,6 +1241,7 @@ PINNED_JSON = {
     "reconstruct-csv": "26cc7b58556985a8f0c28e07ef89aa37e0c618423aafd0757b548cb40d133fdb",
     "reconstruct-json": "26cc7b58556985a8f0c28e07ef89aa37e0c618423aafd0757b548cb40d133fdb",
     "frame-report": "ae14ece13c441f23498d14889a072c16aca9e10f90152a6ce0802c06f6a69f5a",
+    "frame-report-random-regular": "7496b197d0a4fe8b573a6fc208e9ce15438711e8e4e2a40936a72783f6d80cfc",
     "sweep-decay": "a15ec427c5ca1c893eaef40129485b916b626bdd44df19a6c0fdb288f7733d7f",
     "spectrogram": "d580791d2b75f872f1df12ca66823296183d67c432c08cbb9b20004acf4a9bb7",
 }
