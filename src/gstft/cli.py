@@ -1,21 +1,21 @@
 """Command-line front end.
 
 Subcommands: gen, spectrum, heat, gstft, reconstruct, frame-report,
-sweep-decay, spectrogram. Every graph command, ``gen`` included, takes its
-graph from a ``--graph`` file (JSON or edge-list text) or from ``--family``:
-ring and complete read ``--n``, hypercube ``--d``, random-regular ``--n``,
-``--k`` and ``--seed`` (0 by default), petersen, shrikhande and ``--graph``
-none, and an option the source does not read is refused ("error: --n does
-not apply to --family petersen"). A report command renders only the format
+spectrogram. Every graph command, ``gen`` included, takes its graph from a
+``--graph`` file (JSON or edge-list text) or from ``--family``: ring and
+complete read ``--n``, hypercube ``--d``, random-regular ``--n``, ``--k``
+and ``--seed`` (0 by default), petersen, shrikhande and ``--graph`` none,
+and an option the source does not read is refused ("error: --n does not
+apply to --family petersen"). A report command renders only the format
 ``--format`` asks for (CSV by default) and writes it where ``open()`` would;
 a CSV report may add a companion file ``<root>_<suffix><ext or .csv>`` next
-to ``--out``, which must then be a path. The graph report commands (spectrum,
-heat, gstft, reconstruct, frame-report) run one pipeline: resolve the graph,
-check the inputs, decompose, compute, write. Every command refuses inputs in
-three tiers, each before any costly work: usage errors (argparse's, and an
-option the graph source does not read); then each input file, read and
-checked whole, the graph (or its ``--family``) first; then argument values
-(times, degrees, ``--width``, a companion's ``--out``). Every
+to ``--out``, which must then be a path. The graph report commands
+(spectrum, heat, gstft, reconstruct, frame-report) run one pipeline: resolve
+the graph, check the inputs, decompose, compute, write. Every command
+refuses inputs in three tiers, each before any costly work: usage errors
+(argparse's, and an option the graph source does not read); then each input
+file, read and checked whole, the graph (or its ``--family``) first; then
+argument values (times, ``--width``, a companion's ``--out``). Every
 invocation is deterministic given its inputs and seed, so repeated runs
 write byte-identical files. Errors, usage errors included, print a single
 "error: ..." line on stderr and exit with status 1. A number argument keeps
@@ -238,35 +238,6 @@ def cmd_frame_report(args) -> None:
     _graph_report(args, inputs, compute, suffix="gammas")
 
 
-def cmd_sweep_decay(args) -> None:
-    try:
-        k_values = [_INT(part) for part in args.k_list.split(",")]
-    except ValueError:
-        raise ValueError(f"--k-list must be comma-separated integers, got {args.k_list!r}") from None
-    seen = set()
-    for k in k_values:  # a repeat would sample and sweep the same graph again
-        if k in seen:
-            raise ValueError(f"--k-list names degree {k} more than once")
-        seen.add(k)
-    grid = formats.parse_t_grid(args.t_grid)
-    for k in k_values:  # refuse a bad degree before sampling any graph
-        graphs._check_random_regular(args.n, k, args.seed)
-
-    rows = []
-    for k in k_values:
-        g = graphs.random_regular_graph(args.n, k, args.seed)
-        sweep = gabor.tightness_sweep(spectral.decompose(spectral.laplacian(g)), grid)
-        rows.extend((k, sweep.fiedler_value, float(t), float(gap)) for t, gap in zip(sweep.ts, sweep.gaps))
-
-    meta = {"n": args.n, "seed": args.seed, "k_list": k_values}
-    columns = ("k", "lambda2", "t", "gap")
-    _write_report(
-        args,
-        lambda: {"meta": meta, "rows": [dict(zip(columns, row)) for row in rows]},
-        lambda: formats.csv_table(meta, columns, rows),
-    )
-
-
 def cmd_spectrogram(args) -> None:
     def limited(n):  # dstft holds N x N complex arrays (256 MiB each at N = 4096): refuse long signals up front
         if n > graphs.MAX_VERTICES:
@@ -360,14 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     times.add_argument("--t-grid", default=DEFAULT_T_GRID, metavar="A:B:STEP", help="inclusive time grid (default %(default)s)")
     _add_common_output(p)
     p.set_defaults(func=cmd_frame_report)
-
-    p = sub.add_parser("sweep-decay", help="gap decay dataset for random regular graphs")
-    p.add_argument("--n", type=_INT, required=True, help="vertex count")
-    p.add_argument("--k-list", required=True, metavar="K1,K2,...", help="degrees to sweep")
-    p.add_argument("--seed", type=_INT, default=0, help="pairing-model seed (default 0)")
-    p.add_argument("--t-grid", default=DEFAULT_T_GRID, metavar="A:B:STEP", help="inclusive time grid (default %(default)s)")
-    _add_common_output(p)
-    p.set_defaults(func=cmd_sweep_decay)
 
     p = sub.add_parser("spectrogram", help="DFT magnitude and windowed-transform spectrogram")
     source = p.add_mutually_exclusive_group()

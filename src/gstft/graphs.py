@@ -258,31 +258,6 @@ def shrikhande_graph() -> Graph:
     return Graph(np.isin(difference, (4, 12, 1, 3, 5, 15)))
 
 
-def _check_random_regular(n: int, k: int, seed) -> None:
-    """The refusals :func:`random_regular_graph` makes before drawing, on their
-    own, so ``sweep-decay`` can check every degree and its seed before it samples
-    a graph. The attempt estimate is written from its base-10 logarithm, so every
-    degree up to n - 1 gets a finite text, also where its exp overflows."""
-    if not (_is_integer_type(type(seed)) and seed >= 0):  # numpy would take None as OS entropy, True as 1
-        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
-    _check_vertex_count(n)
-    _check_integer(k, "degree")
-    if k < 0 or k >= n:
-        raise ValueError(f"degree must satisfy 0 <= k < n, got k={k}, n={n}")
-    if (n * k) % 2 != 0:
-        raise ValueError(f"n*k must be even, got n={n}, k={k}")
-    if k <= 1 and n > k + 1:
-        raise ValueError(f"no {k}-regular graph on {n} vertices is connected; k <= 1 needs n = k + 1")
-    log_expected = (k * k - 1) / 4 + k**3 / (12 * n)  # its exp overflows from k = 54 at any n
-    if log_expected > math.log(PAIRING_RETRIES / 3):
-        exponent, fraction = divmod(log_expected / math.log(10), 1)
-        mantissa, carry = f"{10**fraction:.1e}".split("e")  # carry is +01 when the mantissa rounds to 10
-        raise RuntimeError(
-            f"pairing model needs about {mantissa}e+{int(exponent) + int(carry):02d} attempts for a simple "
-            f"{k}-regular graph on {n} vertices, more than a third of the {PAIRING_RETRIES} attempts allowed"
-        )
-
-
 def random_regular_graph(n: int, k: int, seed: int) -> Graph:
     """Random simple connected k-regular graph via the half-edge pairing model.
 
@@ -314,7 +289,25 @@ def random_regular_graph(n: int, k: int, seed: int) -> Graph:
         Seed for the pairing stream: a nonnegative Python or NumPy integer,
         never a bool or None; anything else raises ValueError before drawing.
     """
-    _check_random_regular(n, k, seed)
+    if not (_is_integer_type(type(seed)) and seed >= 0):  # numpy would take None as OS entropy, True as 1
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    _check_vertex_count(n)
+    _check_integer(k, "degree")
+    if k < 0 or k >= n:
+        raise ValueError(f"degree must satisfy 0 <= k < n, got k={k}, n={n}")
+    if (n * k) % 2 != 0:
+        raise ValueError(f"n*k must be even, got n={n}, k={k}")
+    if k <= 1 and n > k + 1:
+        raise ValueError(f"no {k}-regular graph on {n} vertices is connected; k <= 1 needs n = k + 1")
+    log_expected = (k * k - 1) / 4 + k**3 / (12 * n)  # its exp overflows from k = 54 at any n
+    if log_expected > math.log(PAIRING_RETRIES / 3):
+        # written from its base-10 logarithm, so the text stays finite where its exp overflows
+        exponent, fraction = divmod(log_expected / math.log(10), 1)
+        mantissa, carry = f"{10**fraction:.1e}".split("e")  # carry is +01 when the mantissa rounds to 10
+        raise RuntimeError(
+            f"pairing model needs about {mantissa}e+{int(exponent) + int(carry):02d} attempts for a simple "
+            f"{k}-regular graph on {n} vertices, more than a third of the {PAIRING_RETRIES} attempts allowed"
+        )
     rng = np.random.default_rng(seed)
     # labels[i] = i // k is the vertex of half-edge i. Permuting the labels
     # gives rng.permutation(n * k) // k bit for bit, and row r of a permuted

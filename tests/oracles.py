@@ -9,13 +9,16 @@ projectors, the classical DFT matrix, shift, modulation and tight-frame
 reconstruction on C^N, CSV text written one entry at a time, JSON
 coefficients read one entry at a time, and strict readers of signal CSV,
 matrix CSV and edge-list text that hold each number to the grammar by a
-regular expression before Python parses it. The library
+regular expression before Python parses it, and graphs built from their
+definitions: the triangular graph T(m), Seidel switching and the three Chang
+graphs, strongly regular but not vertex-transitive. The library
 itself never calls them. Tolerances are the library's own
 (``gabor.TIGHT_TOL``, ``spectral.CLUSTER_TOL``), so each is defined once.
 """
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
 import re
@@ -26,6 +29,7 @@ import numpy as np
 from gstft.classical import _as_vector, _harmonics, _shifted_windows
 from gstft.formats import meta_line
 from gstft.gabor import TIGHT_TOL, _check_same_graph, gstft
+from gstft.graphs import Graph
 from gstft.heat import HeatKernel, heat_kernel
 from gstft.spectral import CLUSTER_TOL, SpectralDecomposition, as_signal
 
@@ -422,3 +426,42 @@ def edge_list_from_text(text: str) -> tuple[int, list[tuple[int, int]]]:
     if not pairs:
         raise ValueError("no edges")
     return max(1, max(max(pair) for pair in pairs) + 1), pairs
+
+
+# --- graphs from their definitions (gstft.graphs) -------------------------
+# Brouwer & Van Maldeghem, Strongly Regular Graphs (2022).
+
+
+def triangular_graph(m: int) -> Graph:
+    """T(m): the 2-subsets of {0..m-1} in lexicographic order, adjacent when they share one element;
+    strongly regular with parameters (m(m-1)/2, 2(m-2), m-2, 4)."""
+    pairs = [set(pair) for pair in itertools.combinations(range(m), 2)]
+    return Graph(np.array([[len(p & q) == 1 for q in pairs] for p in pairs]))
+
+
+def seidel_switch(g: Graph, switching) -> Graph:
+    """``g`` with adjacency toggled between every vertex of ``switching`` and every vertex outside it."""
+    inside = np.zeros(g.n, dtype=bool)
+    inside[list(switching)] = True
+    return Graph(g.adjacency ^ (inside[:, None] != inside))
+
+
+def chang_graphs() -> dict[str, Graph]:
+    """The three Chang graphs, SRG(28, 12, 6, 4) and not vertex-transitive: T(8) Seidel-switched with
+    respect to the vertices of T(8), edges of K8, that form a perfect matching, an 8-cycle, and a
+    triangle with a disjoint 5-cycle."""
+    index = {pair: i for i, pair in enumerate(itertools.combinations(range(8), 2))}
+
+    def cycles(*lengths):  # disjoint cycles through consecutive vertices 0, 1, ... of K8
+        start, edges = 0, []
+        for length in lengths:
+            edges += [(start + i, start + (i + 1) % length) for i in range(length)]
+            start += length
+        return [index[min(e), max(e)] for e in edges]
+
+    t8 = triangular_graph(8)
+    return {
+        "chang-matching": seidel_switch(t8, [index[2 * i, 2 * i + 1] for i in range(4)]),
+        "chang-8-cycle": seidel_switch(t8, cycles(8)),
+        "chang-3-5-cycles": seidel_switch(t8, cycles(3, 5)),
+    }

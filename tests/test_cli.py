@@ -11,7 +11,6 @@ import stat
 import subprocess
 import sys
 import threading
-import time
 import tracemalloc
 from pathlib import Path
 
@@ -432,48 +431,13 @@ class TestFrameReport:
         self.test_huge_time_reports_the_uniform_limit(capsys, family, n, t)
 
 
-class TestSweepDecay:
-    def test_empty_k_list_fails(self, tmp_path, capsys):
-        run_err(capsys, "sweep-decay", "--n", "20", "--k-list", "", "--t-grid", "0:1:0.5", "--out", str(tmp_path / "d.csv"))
-
-    def test_non_integer_k_list_names_the_flag(self, tmp_path, capsys):
-        for k_list in ("3,x", "3,,5", "3,", ""):  # an empty item is not a degree
-            err = run_err(capsys, "sweep-decay", "--n", "20", "--k-list", k_list, "--out", str(tmp_path / "d.csv"))
-            assert err == f"error: --k-list must be comma-separated integers, got {k_list!r}\n"
-        assert not (tmp_path / "d.csv").exists()
-
-    def test_repeated_degree_refused_before_sampling(self, tmp_path, capsys, monkeypatch):
-        sampled = []
-        monkeypatch.setattr(graphs, "random_regular_graph", lambda *a: sampled.append(a))
-        started = time.monotonic()
-        err = run_err(capsys, "sweep-decay", "--n", "200", "--k-list", ",".join(["3"] * 10_000),
-                      "--out", str(tmp_path / "d.csv"))
-        assert time.monotonic() - started < 1.0
-        assert err == "error: --k-list names degree 3 more than once\n"
-        err = run_err(capsys, "sweep-decay", "--n", "20", "--k-list", "5,3, 05", "--out", str(tmp_path / "d.csv"))
-        assert err == "error: --k-list names degree 5 more than once\n"
-        assert sampled == [] and not (tmp_path / "d.csv").exists()
-
-    def test_matches_frame_report_gaps(self, tmp_path, capsys):
-        decay = tmp_path / "decay.csv"
-        run_ok(capsys, "sweep-decay", "--n", "24", "--k-list", "3", "--seed", "7", "--t-grid", "0.1:2:0.5", "--out", str(decay))
-        report = tmp_path / "report.csv"
-        run_ok(
-            capsys, "frame-report", "--family", "random-regular", "--n", "24", "--k", "3", "--seed", "7",
-            "--t-grid", "0.1:2:0.5", "--out", str(report),
-        )
-        decay_gaps = [l.split(",")[3] for l in decay.read_text().splitlines() if l and not l.startswith(("#", "k,"))]
-        report_gaps = [l.split(",")[3] for l in report.read_text().splitlines() if l and not l.startswith(("#", "t,"))]
-        assert decay_gaps == report_gaps  # identical computation, identical text
-
     def test_monotone_gap_columns_at_moderate_times(self, tmp_path, capsys):
-        out = tmp_path / "decay.csv"
-        run_ok(capsys, "sweep-decay", "--n", "60", "--k-list", "3,5", "--seed", "42", "--t-grid", "2:6:0.5", "--out", str(out))
-        rows = [l.split(",") for l in out.read_text().splitlines() if l and not l.startswith(("#", "k,"))]
-        by_k = {}
-        for row in rows:
-            by_k.setdefault(row[0], []).append(float(row[3]))
-        for gaps in by_k.values():
+        for k in ("3", "5"):
+            out = tmp_path / f"rr{k}.csv"
+            run_ok(capsys, "frame-report", "--family", "random-regular", "--n", "60", "--k", k, "--seed", "42",
+                   "--t-grid", "2:6:0.5", "--out", str(out))
+            gaps = [float(row[3]) for row in _csv_rows(out.read_text())[1][1:]]
+            assert len(gaps) == 9
             assert all(b <= a * (1 + 1e-9) for a, b in zip(gaps, gaps[1:]))
 
 
@@ -598,10 +562,9 @@ def test_non_finite_time_fails(tmp_path, capsys, argv, problem):
     [
         ["frame-report", "--graph", "{graph}", "--t-grid", "0:1:0.5"],
         ["frame-report", "--family", "random-regular", "--n", "1", "--k", "0", "--t", "1"],
-        ["sweep-decay", "--n", "1", "--k-list", "0"],
         ["spectrum", "--graph", "{graph}"],
     ],
-    ids=["frame-report-graph-file", "frame-report-family", "sweep-decay", "spectrum"],
+    ids=["frame-report-graph-file", "frame-report-family", "spectrum"],
 )
 def test_one_vertex_graph_refused_before_any_work(tmp_path, capsys, monkeypatch, argv):
     # a one-vertex graph has no lambda_2: refused before any heat kernel is built or any file written
@@ -869,16 +832,6 @@ def _agree_frame_report(csv, doc):
     assert values == [[r["t"], *g] for r, g in zip(doc["reports"], doc["gammas"])]
 
 
-def _agree_sweep_decay(csv, doc):
-    meta, rows = _csv_rows(csv["r.csv"])
-    assert meta == doc["meta"] == {"n": 20, "seed": 3, "k_list": [3, 5]}
-    assert rows[0] == ["k", "lambda2", "t", "gap"]
-    assert len(rows) - 1 == len(doc["rows"]) == 6
-    for row, expected in zip(rows[1:], doc["rows"]):
-        assert int(row[0]) == expected["k"]
-        assert [float(x) for x in row[1:]] == [expected[key] for key in rows[0][1:]]
-
-
 def _agree_spectrogram(csv, doc):
     power, meta = matrix_from_csv(csv["r.csv"])
     power = power.real
@@ -896,10 +849,9 @@ def _agree_spectrogram(csv, doc):
         (["heat", "--family", "ring", "--n", "6", "--t", "0.7"], _agree_heat),
         (["reconstruct", "--family", "ring", "--n", "8", "--coeffs", "c.csv"], _agree_reconstruct),
         (["frame-report", "--family", "ring", "--n", "5", "--t-grid", "0:1:0.5"], _agree_frame_report),
-        (["sweep-decay", "--n", "20", "--k-list", "3,5", "--seed", "3", "--t-grid", "0:1:0.5"], _agree_sweep_decay),
         (["spectrogram", "--n", "16", "--width", "4"], _agree_spectrogram),
     ],
-    ids=["heat", "reconstruct", "frame-report", "sweep-decay", "spectrogram"],
+    ids=["heat", "reconstruct", "frame-report", "spectrogram"],
 )
 def test_csv_and_json_reports_agree(tmp_path, capsys, argv, agree):
     """Both formats of one report carry the same numbers and meta; CSV companions included."""
@@ -976,42 +928,36 @@ def costly_calls_fixture(monkeypatch):
         # sizes are checked before the companion --out, as with --out F
         (["spectrogram", "--n", "0", "--out", "-"], "signal length must be >= 2, got 0"),
         (["spectrogram", "--n", "8", "--width", "0", "--out", "-"], "window width must be in 1..8, got 0"),
-        (["sweep-decay", "--n", "60", "--k-list", "3,9", "--out", "d.csv"],
+        (["frame-report", "--family", "random-regular", "--n", "60", "--k", "9", "--out", "r.csv"],
          "pairing model needs about 1.3e+09 attempts for a simple 9-regular graph on 60 vertices, "
          "more than a third of the 1000000 attempts allowed"),
-        (["sweep-decay", "--n", "200", "--k-list", "3,100", "--out", "d.csv"],
+        (["frame-report", "--family", "random-regular", "--n", "200", "--k", "100", "--out", "r.csv"],
          "pairing model needs about 3.8e+1266 attempts for a simple 100-regular graph on 200 vertices, "
          "more than a third of the 1000000 attempts allowed"),
-        (["sweep-decay", "--n", "21", "--k-list", "2,3", "--out", "d.csv"], "n*k must be even, got n=21, k=3"),
-        (["sweep-decay", "--n", "20", "--k-list", "3,20,9", "--out", "d.csv"],
+        (["frame-report", "--family", "random-regular", "--n", "21", "--k", "3", "--out", "r.csv"],
+         "n*k must be even, got n=21, k=3"),
+        (["frame-report", "--family", "random-regular", "--n", "20", "--k", "20", "--out", "r.csv"],
          "degree must satisfy 0 <= k < n, got k=20, n=20"),
-        (["sweep-decay", "--n", "20", "--k-list", "4,1", "--out", "d.csv"],
+        (["frame-report", "--family", "random-regular", "--n", "20", "--k", "1", "--out", "r.csv"],
          "no 1-regular graph on 20 vertices is connected; k <= 1 needs n = k + 1"),
         # 1e16 + 1 rounds back to 1e16, so the grid's first two points collapse
         (["frame-report", "--family", "ring", "--n", "5", "--t-grid", "1e16:1.0000000000000002e16:1", "--out", "r.csv"],
          "t-grid '1e16:1.0000000000000002e16:1' has repeated points; its step is lost to rounding"),
-        (["sweep-decay", "--n", "20", "--k-list", "3", "--t-grid", "1e16:1.0000000000000002e16:1", "--out", "d.csv"],
-         "t-grid '1e16:1.0000000000000002e16:1' has repeated points; its step is lost to rounding"),
         (["frame-report", "--family", "ring", "--n", "5", "--t-grid", "a:1:1", "--out", "r.csv"],
          "t-grid values must be numbers, got 'a:1:1'"),
-        (["sweep-decay", "--n", "20", "--k-list", "3", "--t-grid", "0:b:1", "--out", "d.csv"],
-         "t-grid values must be numbers, got '0:b:1'"),
-        (["sweep-decay", "--n", "20", "--k-list", "3", "--seed", "-1", "--out", "d.csv"],
+        (["frame-report", "--family", "random-regular", "--n", "20", "--k", "3", "--seed", "-1", "--out", "r.csv"],
          "seed must be a nonnegative integer, got -1"),
         (["frame-report", "--family", "petersen", "--t-grid", "0:1_0:5", "--out", "r.csv"],
          "t-grid values must be numbers, got '0:1_0:5'"),
-        (["sweep-decay", "--n", "20", "--k-list", "3,\u0664", "--out", "d.csv"],
-         "--k-list must be comma-separated integers, got '3,\u0664'"),
     ],
     ids=[
         "heat-negative-t", "heat-nan-t", "gstft-signal-length", "gstft-length-before-time", "reconstruct-meta-t",
         "reconstruct-t", "reconstruct-meta-n", "reconstruct-shape", "reconstruct-digest", "reconstruct-t-conflict",
         "reconstruct-no-time", "frame-report-t", "frame-report-stdout", "spectrogram-stdout",
-        "spectrogram-stdout-length", "spectrogram-stdout-width", "sweep-decay-estimate",
-        "sweep-decay-estimate-beyond-float", "sweep-decay-parity", "sweep-decay-range", "sweep-decay-disconnected",
-        "frame-report-collapsed-grid", "sweep-decay-collapsed-grid", "frame-report-grid-not-numbers",
-        "sweep-decay-grid-not-numbers", "sweep-decay-negative-seed", "frame-report-grid-underscore",
-        "sweep-decay-k-list-arabic-indic-digit",
+        "spectrogram-stdout-length", "spectrogram-stdout-width", "random-regular-estimate",
+        "random-regular-beyond-float", "random-regular-parity", "random-regular-range", "random-regular-disconnected",
+        "frame-report-collapsed-grid", "frame-report-grid-not-numbers", "random-regular-negative-seed",
+        "frame-report-grid-underscore",
     ],
 )
 def test_argument_errors_refused_before_costly_work(tmp_path, capsys, monkeypatch, costly_calls, argv, line):
@@ -1026,7 +972,7 @@ def test_argument_errors_refused_before_costly_work(tmp_path, capsys, monkeypatc
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", f"error: {line}\n")
     assert costly_calls == []
-    assert not (tmp_path / "r.csv").exists() and not (tmp_path / "d.csv").exists()
+    assert not (tmp_path / "r.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -1224,8 +1170,6 @@ PINNED = {
         ["frame-report", "--family", "random-regular", "--n", "20", "--k", "3", "--seed", "3", "--t-grid", "0:1:0.5"], "", {
             "r.csv": "c5c5889c01ac8fcc1819fb3d0922b20f386e6c9ce2ea41eea1acc95915c301c5",
             "r_gammas.csv": "49c8f7e6bd9644282712c2f85b3b88a227981e5e095941e703d6014edf2b8baa"}),
-    "sweep-decay": (["sweep-decay", "--n", "20", "--k-list", "3,5", "--seed", "3", "--t-grid", "0:1:0.5"], "", {
-        "r.csv": "fbfafff354988a535d026c2fc56e96eef847a52317182d239f58a72a9edb6b67"}),
     "spectrogram": (["spectrogram", "--n", "16", "--width", "4"], "", {
         "r.csv": "672daf2cd141e77adcad8a7b547d4b22fa5d8363171d1b187ff1db1090a51e1a",
         "r_dft.csv": "147f7f22ba5738cc563bbb3b9ebe5371196bd5043f8fa373bb6e14bbca964338"}),
@@ -1242,7 +1186,6 @@ PINNED_JSON = {
     "reconstruct-json": "26cc7b58556985a8f0c28e07ef89aa37e0c618423aafd0757b548cb40d133fdb",
     "frame-report": "ae14ece13c441f23498d14889a072c16aca9e10f90152a6ce0802c06f6a69f5a",
     "frame-report-random-regular": "7496b197d0a4fe8b573a6fc208e9ce15438711e8e4e2a40936a72783f6d80cfc",
-    "sweep-decay": "a15ec427c5ca1c893eaef40129485b916b626bdd44df19a6c0fdb288f7733d7f",
     "spectrogram": "d580791d2b75f872f1df12ca66823296183d67c432c08cbb9b20004acf4a9bb7",
 }
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from gstft import gabor, graphs, heat, spectral
+from gstft import formats, gabor, graphs, heat, spectral
 
 import oracles
 
@@ -630,6 +630,23 @@ class TestStronglyRegularCertificates:
         dec = spectral.decompose(spectral.laplacian(g))
         mass = gabor.fiedler_eigenspace_mass(dec)
         assert np.ptp(mass) <= 1e-9  # vertex-independent
+        assert np.abs(mass - gabor.srg_eigenspace_mass(params)).max() <= 1e-8
+
+    # T(8) and the three Chang graphs: SRG(28, 12, 6, 4), eigenspaces of sizes 1, 7 and 20. The Chang
+    # graphs are not vertex-transitive, so here tightness rests on the strongly regular half of the theorem.
+    @pytest.mark.parametrize("name", ["t8", *oracles.chang_graphs()])
+    def test_chang_graphs_are_tight_with_the_closed_form_mass(self, name):
+        g = oracles.triangular_graph(8) if name == "t8" else oracles.chang_graphs()[name]
+        a = g.adjacency.astype(np.int64)
+        k4_through = [np.trace(np.linalg.matrix_power(a[np.ix_(row, row)], 3)) // 6 for row in g.adjacency]
+        # a count of 4-cliques through a vertex that varies shows the graph is not vertex-transitive
+        assert (np.ptp(k4_through) == 0) == (name == "t8")
+        params = graphs.detect_srg_parameters(g)
+        assert params == graphs.SrgParameters(28, 12, 6, 4)
+        dec = spectral.decompose(spectral.laplacian(g))
+        sweep = gabor.tightness_sweep(dec, formats.parse_t_grid("0:10:0.1"))
+        assert len(sweep.reports) == 101 and all(r.tight for r in sweep.reports)
+        mass = gabor.fiedler_eigenspace_mass(dec)
         assert np.abs(mass - gabor.srg_eigenspace_mass(params)).max() <= 1e-8
 
     def test_shrikhande_value(self):
